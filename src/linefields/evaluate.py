@@ -25,7 +25,7 @@ from .geometry import (
     orthogonal_distance,
     segments_to_array,
 )
-from .vp import VanishingPoint
+from .vp import VanishingPoint, _line_arrays
 
 __all__ = [
     "LineMatch",
@@ -329,9 +329,7 @@ def corner_error(
 
 
 def _cluster_dvp(cluster: Sequence[LineSegment], v: VanishingPoint) -> np.ndarray:
-    mids = np.array([[s.midpoint.x, s.midpoint.y] for s in cluster])
-    e1 = np.array([[s.p1.x, s.p1.y] for s in cluster])
-    e2 = np.array([[s.p2.x, s.p2.y] for s in cluster])
+    mids, e1, e2, _ = _line_arrays(cluster)
     return _d_vp_many(mids, e1, e2, v.v)
 
 

@@ -293,43 +293,30 @@ def d_vp(seg: LineSegment, v) -> float:
 
 
 def _d_vp_many(
-    mids: np.ndarray, e1: np.ndarray, e2: np.ndarray, v: np.ndarray
+    mids: np.ndarray, e1: np.ndarray, e2: np.ndarray, v: np.ndarray, signed: bool = False
 ) -> np.ndarray:
-    """Vectorized d_vp of many segments against one homogeneous 3-vector.
+    """Vectorized d_vp of many segments against homogeneous 3-vectors.
 
-    Rows of mids/e1/e2 are midpoints and endpoints; degenerate joining
-    lines yield +inf.
+    Rows of mids/e1/e2 are midpoints and endpoints. ``v`` is one (3,)
+    vector, or any (..., 3) stack that broadcasts against the rows: (n, 3)
+    pairs row k with segment k, (k, 1, 3) gives a (k, n) matrix.
+    Degenerate joining lines yield +inf.
+
+    ``signed`` returns half the signed-distance difference of the two
+    endpoints instead, equal to d_vp in magnitude (the joining line passes
+    through their midpoint, so they straddle it) and smooth where a segment
+    crosses the line. Derivative-based refinement needs that smoothness;
+    the absolute form has a kink at zero that wrecks finite-difference
+    Jacobians.
     """
-    la = mids[:, 1] * v[2] - v[1]
-    lb = v[0] - mids[:, 0] * v[2]
-    lc = mids[:, 0] * v[1] - mids[:, 1] * v[0]
-    norm = np.hypot(la, lb)
-    d1 = np.abs(la * e1[:, 0] + lb * e1[:, 1] + lc)
-    d2 = np.abs(la * e2[:, 0] + lb * e2[:, 1] + lc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 0.5 * (d1 + d2) / norm
-    return np.where(norm < _DEGENERATE_EPS, np.inf, d)
-
-
-def _d_vp_signed_many(
-    mids: np.ndarray, e1: np.ndarray, e2: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Signed companion of _d_vp_many, same magnitude.
-
-    The endpoints straddle the joining line (it passes through their
-    midpoint), so half their signed-distance difference equals d_vp in
-    magnitude while staying differentiable where a segment crosses the
-    line. Derivative-based refinement needs that smoothness; the absolute
-    form has a kink at zero that wrecks finite-difference Jacobians.
-    """
-    la = mids[:, 1] * v[2] - v[1]
-    lb = v[0] - mids[:, 0] * v[2]
-    lc = mids[:, 0] * v[1] - mids[:, 1] * v[0]
+    la = mids[:, 1] * v[..., 2] - v[..., 1]
+    lb = v[..., 0] - mids[:, 0] * v[..., 2]
+    lc = mids[:, 0] * v[..., 1] - mids[:, 1] * v[..., 0]
     norm = np.hypot(la, lb)
     d1 = la * e1[:, 0] + lb * e1[:, 1] + lc
     d2 = la * e2[:, 0] + lb * e2[:, 1] + lc
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = 0.5 * (d1 - d2) / norm
+        d = 0.5 * ((d1 - d2) if signed else (np.abs(d1) + np.abs(d2))) / norm
     return np.where(norm < _DEGENERATE_EPS, np.inf, d)
 
 

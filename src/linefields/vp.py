@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _d_vp_many, _d_vp_signed_many
+from .geometry import LineSegment, _d_vp_many, segments_to_array
 
 __all__ = [
     "VanishingPoint",
@@ -27,6 +27,8 @@ __all__ = [
 
 # Per-line model index, None for unassigned lines.
 VpAssignment = list  # list[int | None]
+
+_SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,10 @@ def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
 def _line_arrays(
     lines: Sequence[LineSegment],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    mids = np.array([[seg.midpoint.x, seg.midpoint.y] for seg in lines])
-    e1 = np.array([[seg.p1.x, seg.p1.y] for seg in lines])
-    e2 = np.array([[seg.p2.x, seg.p2.y] for seg in lines])
+    """Midpoints, first and second endpoints as (n, 2) arrays, and lengths."""
+    pts = segments_to_array(lines)
     lengths = np.array([seg.length for seg in lines])
-    return mids, e1, e2, lengths
+    return 0.5 * (pts[:, 0] + pts[:, 1]), pts[:, 0], pts[:, 1], lengths
 
 
 def _tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +142,7 @@ def refine_vp(
     sqw = np.sqrt(lengths)
 
     def residuals(vec: np.ndarray) -> np.ndarray:
-        return sqw * _d_vp_signed_many(mids, e1p, e2p, vec)
+        return sqw * _d_vp_many(mids, e1p, e2p, vec, signed=True)
 
     cur = np.array(v.v, dtype=float)
     res = residuals(cur)
@@ -206,6 +207,35 @@ def refine_vp(
     return out
 
 
+def _best_candidate(v: np.ndarray, sub: tuple[np.ndarray, ...], params: VpParams) -> int | None:
+    """Index of the row of ``v`` (cross products of candidate line pairs)
+    whose VP wins a round against the lines of ``sub`` (_line_arrays).
+
+    The winner is the first candidate with the largest inlier length among
+    those with at least min_support inliers, as a one-at-a-time scan with a
+    strict ``>`` finds it; pairs on one supporting line are skipped. The
+    (candidates x lines) d_vp matrix is scored in row chunks of at most
+    _SCORE_ELEMENTS entries.
+    """
+    mids, e1, e2, lengths = sub
+    # vecdot runs the dot kernel of np.linalg.norm, so the skip test and
+    # the unit scaling match vp_from_two_lines bit for bit. Its sign flip
+    # is left out: negating v leaves every d_vp bit unchanged.
+    norm = np.sqrt(np.vecdot(v, v))[:, None]
+    index = np.flatnonzero(norm[:, 0] >= 1e-12)
+    v, norm = v[index], norm[index]
+    vecs = np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
+    best, best_len = None, 0.0
+    rows = max(1, _SCORE_ELEMENTS // len(lengths))
+    for start in range(0, len(index), rows):
+        inl = _d_vp_many(mids, e1, e2, vecs[start : start + rows, None, :]) < params.t_vp
+        for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
+            support_len = float(lengths[inl[k]].sum())
+            if support_len > best_len:
+                best, best_len = int(index[start + k]), support_len
+    return best
+
+
 def fit_vps(
     lines: Sequence[LineSegment],
     params: VpParams | None = None,
@@ -227,33 +257,19 @@ def fit_vps(
     if n < 2:
         return models, assignment
 
-    mids, e1, e2, lengths = _line_arrays(lines)
+    arrays = _line_arrays(lines)
+    hom = np.array([seg.homogeneous_line() for seg in lines])
     rng = np.random.default_rng(params.seed)
     remaining = np.arange(n)
 
     while len(models) < params.max_models and len(remaining) >= params.min_support:
-        best_vec: np.ndarray | None = None
-        best_len = 0.0
-        sub_m = mids[remaining]
-        sub_e1 = e1[remaining]
-        sub_e2 = e2[remaining]
-        sub_len = lengths[remaining]
-        for _ in range(params.ransac_iters):
-            i, j = rng.choice(len(remaining), size=2, replace=False)
-            try:
-                cand = vp_from_two_lines(lines[remaining[i]], lines[remaining[j]])
-            except ValueError:
-                continue
-            d = _d_vp_many(sub_m, sub_e1, sub_e2, cand.v)
-            mask = d < params.t_vp
-            if int(mask.sum()) < params.min_support:
-                continue
-            support_len = float(sub_len[mask].sum())
-            if support_len > best_len:
-                best_len = support_len
-                best_vec = cand.v
-        if best_vec is None:
+        sub_m, sub_e1, sub_e2, _ = sub = tuple(x[remaining] for x in arrays)
+        draws = [rng.choice(len(remaining), 2, replace=False) for _ in range(params.ransac_iters)]
+        pairs = remaining[np.array(draws)]
+        best = _best_candidate(np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params)
+        if best is None:
             break
+        best_vec = vp_from_two_lines(lines[pairs[best, 0]], lines[pairs[best, 1]]).v
 
         mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < params.t_vp
         inlier_idx = remaining[mask]
