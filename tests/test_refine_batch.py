@@ -28,7 +28,8 @@ PARAMS = RefineParams()
 def vp_along(seg: LineSegment, turn: float) -> VanishingPoint:
     """A point 600 px from the midpoint, ``turn`` radians off the segment's direction."""
     a = seg.oriented_angle + turn
-    return VanishingPoint(np.array([seg.midpoint.x + 600.0 * math.cos(a), seg.midpoint.y + 600.0 * math.sin(a), 1.0]))
+    mx, my = seg.midpoint
+    return VanishingPoint(np.array([mx + 600.0 * math.cos(a), my + 600.0 * math.sin(a), 1.0]))
 
 
 def make_pool():
@@ -50,7 +51,13 @@ def make_pool():
 
 
 FP, LINES, VPS = make_pool()
-ALONE = [_refine_lines([l], FP, [v], PARAMS) for l, v in zip(LINES, VPS)]
+
+
+def refine_rows(rows):
+    return _refine_lines([LINES[k] for k in rows], FP, [VPS[k] for k in rows], PARAMS)
+
+
+ALONE = [refine_rows([k]) for k in range(len(LINES))]
 
 
 def assert_as_alone(k: int, got: LineSegment, cost: float, converged: bool, alone=None) -> None:
@@ -73,7 +80,7 @@ def test_pool_covers_every_kind_of_line() -> None:
 @given(order=st.permutations(range(len(LINES))), size=st.integers(1, len(LINES)))
 def test_any_subset_in_any_order_refines_as_alone(order: list[int], size: int) -> None:
     rows = order[:size]
-    out, costs, converged = _refine_lines([LINES[k] for k in rows], FP, [VPS[k] for k in rows], PARAMS)
+    out, costs, converged = refine_rows(rows)
     for slot, k in enumerate(rows):
         assert_as_alone(k, out[slot], costs[slot], converged[slot])
     if 7 in rows:
@@ -106,7 +113,7 @@ BATCH = [0, 1, 2, 3, 4, 5]
 
 def test_singular_stack_falls_back_to_single_solves(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = recording_solve(monkeypatch, lambda lhs, rhs: False)
-    out, costs, converged = _refine_lines([LINES[k] for k in BATCH], FP, [VPS[k] for k in BATCH], PARAMS)
+    out, costs, converged = refine_rows(BATCH)
     assert calls["stacked"] > 0
     for slot, k in enumerate(BATCH):
         assert_as_alone(k, out[slot], costs[slot], converged[slot])
@@ -114,31 +121,36 @@ def test_singular_stack_falls_back_to_single_solves(monkeypatch: pytest.MonkeyPa
 
 def test_singular_line_boosts_once_while_the_others_step(monkeypatch: pytest.MonkeyPatch) -> None:
     first = recording_solve(monkeypatch, lambda lhs, rhs: False)
-    _refine_lines([LINES[CHOSEN]], FP, [VPS[CHOSEN]], PARAMS)
-    lhs0, rhs0 = first["single"][0]
+    refine_rows([CHOSEN])
+    rhs0 = first["single"][0][1]
+    # The system of the chosen line's first accepted step: the last one
+    # tried with its first gradient. Earlier ones were rejected anyway.
+    lhs1 = [lhs for lhs, rhs in first["single"] if np.array_equal(rhs, rhs0)][-1]
 
-    def poisoned(lhs, rhs):  # the chosen line's first system only
-        return np.array_equal(lhs, lhs0) and np.array_equal(rhs, rhs0)
+    def poisoned(lhs, rhs):
+        return np.array_equal(lhs, lhs1) and np.array_equal(rhs, rhs0)
 
-    alone = _refine_lines([LINES[CHOSEN]], FP, [VPS[CHOSEN]], PARAMS)
+    recording_solve(monkeypatch, poisoned)
+    alone = refine_rows([CHOSEN])
     calls = recording_solve(monkeypatch, poisoned)
-    out, costs, converged = _refine_lines([LINES[k] for k in BATCH], FP, [VPS[k] for k in BATCH], PARAMS)
+    out, costs, converged = refine_rows(BATCH)
     assert calls["poisoned"] == 1
     for slot, k in enumerate(BATCH):
         if k != CHOSEN:
             assert_as_alone(k, out[slot], costs[slot], converged[slot])
     slot = BATCH.index(CHOSEN)
     assert_as_alone(CHOSEN, out[slot], costs[slot], converged[slot], alone=alone)
-    assert costs[slot] < line_cost(LINES[CHOSEN], FP, VPS[CHOSEN])  # it still stepped
+    assert out[slot].p1 != ALONE[CHOSEN][0][0].p1  # the boost changed its path
+    assert costs[slot] < line_cost(LINES[CHOSEN], FP, VPS[CHOSEN])  # and it still stepped
 
 
 def test_always_singular_line_gives_up_after_every_boost(monkeypatch: pytest.MonkeyPatch) -> None:
     first = recording_solve(monkeypatch, lambda lhs, rhs: False)
-    _refine_lines([LINES[CHOSEN]], FP, [VPS[CHOSEN]], PARAMS)
+    refine_rows([CHOSEN])
     _, rhs0 = first["single"][0]
     # The gradient stays put while the line cannot move: every boost fails.
     calls = recording_solve(monkeypatch, lambda lhs, rhs: np.array_equal(rhs, rhs0))
-    out, costs, converged = _refine_lines([LINES[k] for k in BATCH], FP, [VPS[k] for k in BATCH], PARAMS)
+    out, costs, converged = refine_rows(BATCH)
     assert calls["poisoned"] == _MAX_BOOSTS
     slot = BATCH.index(CHOSEN)
     assert converged[slot]  # no downhill step at any damping level

@@ -39,7 +39,8 @@ def scalar_fit_vps(lines, params, seen: Counter):
     while len(models) < params.max_models and len(remaining) >= params.min_support:
         best_vec = None
         best_len = 0.0
-        sub_m, sub_e1, sub_e2, sub_len = mids[remaining], e1[remaining], e2[remaining], lengths[remaining]
+        sub_m, sub_e1, sub_e2 = mids[remaining], e1[remaining], e2[remaining]
+        sub_len = lengths[remaining]
         for _ in range(params.ransac_iters):
             i, j = rng.choice(len(remaining), size=2, replace=False)
             try:
@@ -113,7 +114,10 @@ def test_matches_reference_with_same_line_pairs() -> None:
     rng = np.random.default_rng(7)
     lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 6)
     # Collinear copies: any pair drawn from one supporting line is skipped.
-    on_one_line = [LineSegment((20.0, 30.0), (60.0, 50.0)), LineSegment((100.0, 70.0), (140.0, 90.0))]
+    on_one_line = [
+        LineSegment((20.0, 30.0), (60.0, 50.0)),
+        LineSegment((100.0, 70.0), (140.0, 90.0)),
+    ]
     lines += on_one_line * 3
     seen = assert_same_fit(lines, VpParams(seed=3, ransac_iters=200))
     assert seen["same_line_pair"] > 0
