@@ -9,6 +9,15 @@ and a candidate survives only when the number of angle-aligned pixels
 inside its rectangle is too large to happen by accident (binomial tail
 test against (width * height)^(5/2) hypothetical tests).
 
+Region growing is pure Python, so its per-pixel work is kept small. It
+runs on the grid padded by one always-taken pixel, where the 8 neighbours
+of any pixel are fixed flat offsets scanned in row-major order. A seed is
+"lonely" when no usable neighbour lies within the tolerance of its own
+angle; such a seed can only grow to itself, which no region size accepts,
+so its turn just marks it taken. A lonely pixel is not taken in advance:
+a region whose running angle has drifted may still absorb it. Neither
+shortcut changes a bit of the output.
+
 Two input flavors are supported: classical image gradients, and surrogate
 magnitude/angle grids derived from attraction fields. Both feed the same
 extractor; only the grid placement differs (a 2x2 gradient estimate sits
@@ -23,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .fields import (
     FieldPair,
@@ -165,7 +174,15 @@ def _log10_binomial_tail(n: int, k: int, p: float) -> float:
         + j * math.log(p)
         + (n - j) * math.log1p(-p)
     )
-    return float(logsumexp(log_terms)) / math.log(10.0)
+    # scipy.special.logsumexp's steps, without its array-API dispatch: the
+    # maximal terms are summed apart, the others relative to them.
+    a_max = log_terms.max()
+    top = log_terms == a_max
+    m = np.float64(np.count_nonzero(top))
+    s = np.sum(np.exp(np.where(top, -np.inf, log_terms) - a_max))
+    if s != 0.0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max) / math.log(10.0)
 
 
 def _fit_rect(
@@ -245,6 +262,65 @@ def _count_in_rect(
     return n, int(aligned.sum())
 
 
+def _scatter(size: int, idx: np.ndarray, values: np.ndarray) -> list[float]:
+    """A list of ``size`` Python floats: ``values`` at ``idx``, 0.0 elsewhere."""
+    out = np.full(size, 0.0, dtype=object)
+    out[idx] = values
+    return out.tolist()
+
+
+def _offsets(wp: int) -> tuple[int, ...]:
+    """Flat offsets of the 8 neighbours on a grid of width ``wp``, row-major."""
+    return (-wp - 1, -wp, -wp + 1, -1, 1, wp - 1, wp, wp + 1)
+
+
+def _padded(ldir2d: np.ndarray, usable_idx: np.ndarray):
+    """The usable pixels (flat indices, row-major) on the grid padded by
+    one unusable pixel.
+
+    Returns the padded width, the padded flat index of every usable pixel,
+    and padded flat arrays of the line direction (0.0 off the usable
+    pixels) and of usability. Every pixel of the image then has its 8
+    neighbours at ``_offsets(wp)``, none of them usable outside the image.
+    """
+    h, w = ldir2d.shape
+    wp = w + 2
+    pidx = usable_idx + 2 * (usable_idx // w) + wp + 1
+    pusable = np.zeros((h + 2) * wp, dtype=bool)
+    pusable[pidx] = True
+    pldir = np.zeros((h + 2) * wp)
+    pldir[pidx] = ldir2d.ravel()[usable_idx]
+    return wp, pidx, pldir, pusable
+
+
+def _lonely(
+    wp: int,
+    pidx: np.ndarray,
+    pldir: np.ndarray,
+    pusable: np.ndarray,
+    tol: float,
+    period: float,
+) -> np.ndarray:
+    """Which of the padded pixels ``pidx`` have no usable 8-neighbour
+    within ``tol`` of their own angle.
+
+    The test is the one region growing applies to a seed's neighbours, so
+    such a seed grows to a region of one pixel whatever is already taken.
+    """
+    half = 0.5 * period
+    own = pldir[pidx]
+    alone = np.ones(len(pidx), dtype=bool)
+    for off in _offsets(wp):
+        q = pidx + off
+        # Directions lie in [0, period], so grow's (x % period) is x or
+        # x + period, the same float.
+        d = pldir[q] - own
+        d = np.where(d < 0.0, d + period, d)
+        d = np.where(d > half, period - d, d)
+        alone &= ~(pusable[q] & (d <= tol))
+    return alone
+
+
 def lsd_extract(
     magnitude: ScalarField,
     angle: ScalarField,
@@ -286,19 +362,26 @@ def lsd_extract(
     min_region_size = max(int(-log_nt / math.log10(p_align)), 2)
 
     flat_mag = mag.ravel()
-    flat_usable = usable2d.ravel()
-    usable_idx = np.flatnonzero(flat_usable)
+    usable_idx = np.flatnonzero(usable2d)
     bins = np.minimum(
         (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
         params.n_bins - 1,
     )
-    seed_order = usable_idx[np.lexsort((usable_idx, -bins))]
+    order = np.lexsort((usable_idx, -bins))
 
-    ldir = ldir2d.ravel().tolist()
-    cos_k = np.cos(k * ldir2d).ravel().tolist()
-    sin_k = np.sin(k * ldir2d).ravel().tolist()
-    # status: 0 free, 1 taken (either in a region or below the threshold)
-    status = bytearray(np.where(flat_usable, 0, 1).astype(np.uint8).tobytes())
+    # Region growing runs on a grid padded by one always-taken pixel, so the
+    # 8 neighbours of any pixel p are p + offsets, in row-major order.
+    wp, pidx, pldir, pusable = _padded(ldir2d, usable_idx)
+    n_pad = len(pusable)
+    offsets = _offsets(wp)
+    seed_order = pidx[order].tolist()
+    lonely = _lonely(wp, pidx, pldir, pusable, tol, period)[order].tolist()
+
+    ldir = _scatter(n_pad, pidx, pldir[pidx])
+    cos_k = _scatter(n_pad, pidx, np.cos(k * ldir2d).ravel()[usable_idx])
+    sin_k = _scatter(n_pad, pidx, np.sin(k * ldir2d).ravel()[usable_idx])
+    # status: 0 free, 1 taken (in a region, below the threshold or padding)
+    status = bytearray((~pusable).astype(np.uint8).tobytes())
 
     def grow(seed: int, grow_tol: float) -> tuple[list[int], float]:
         region = [seed]
@@ -306,47 +389,41 @@ def lsd_extract(
         sx = cos_k[seed]
         sy = sin_k[seed]
         ang = ldir[seed]
-        head = 0
-        while head < len(region):
-            p = region[head]
-            head += 1
-            py, px = divmod(p, w)
-            y0 = py - 1 if py > 0 else 0
-            y1 = py + 1 if py < h - 1 else h - 1
-            x0 = px - 1 if px > 0 else 0
-            x1 = px + 1 if px < w - 1 else w - 1
-            for ny in range(y0, y1 + 1):
-                base = ny * w
-                for q in range(base + x0, base + x1 + 1):
-                    if status[q]:
-                        continue
-                    d = (ldir[q] - ang) % period
-                    if d > half:
-                        d = period - d
-                    if d <= grow_tol:
-                        status[q] = 1
-                        region.append(q)
-                        sx += cos_k[q]
-                        sy += sin_k[q]
-                        ang = math.atan2(sy, sx) / k
+        for p in region:  # also visits the pixels appended below
+            for off in offsets:
+                q = p + off
+                if status[q]:
+                    continue
+                d = (ldir[q] - ang) % period
+                if d > half:
+                    d = period - d
+                if d <= grow_tol:
+                    status[q] = 1
+                    region.append(q)
+                    sx += cos_k[q]
+                    sy += sin_k[q]
+                    ang = math.atan2(sy, sx) / k
         return region, ang
 
     def release(pixels: Sequence[int]) -> None:
         for q in pixels:
             status[q] = 0
 
+    def center(p: int) -> tuple[float, float]:
+        py, px = divmod(p, wp)
+        return px - 1 + grid_offset, py - 1 + grid_offset
+
     def fit(region: list[int], reg_angle: float):
-        idx = np.asarray(region)
-        iy, ix = np.divmod(idx, w)
+        iy, ix = np.divmod(np.asarray(region), wp)
+        iy -= 1
+        ix -= 1
         xs = ix.astype(float) + grid_offset
         ys = iy.astype(float) + grid_offset
-        rect = _fit_rect(xs, ys, flat_mag[idx], reg_angle, period)
-        return rect, xs, ys
+        weights = flat_mag[iy * w + ix]
+        return _fit_rect(xs, ys, weights, reg_angle, period), xs, ys, weights
 
     def local_tolerance(region, xs, ys, seed, width) -> float:
-        sy, sx = divmod(seed, w)
-        sxc = sx + grid_offset
-        syc = sy + grid_offset
+        sxc, syc = center(seed)
         near = (xs - sxc) ** 2 + (ys - syc) ** 2 <= width * width
         if not near.any():
             return tol
@@ -363,16 +440,18 @@ def lsd_extract(
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
     results: list[LineSegment] = []
-    usable_aligned = usable2d  # alignment counting ignores sub-threshold pixels
 
-    for seed in seed_order:
-        seed = int(seed)
+    for seed, alone in zip(seed_order, lonely):
         if status[seed]:
+            continue
+        if alone:
+            # grow() would stop at the seed: smaller than min_region_size.
+            status[seed] = 1
             continue
         region, reg_angle = grow(seed, tol)
         if len(region) < min_region_size:
             continue
-        rect, xs, ys = fit(region, reg_angle)
+        rect, xs, ys, weights = fit(region, reg_angle)
         ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
 
         if not ok and rect is not None:
@@ -383,14 +462,12 @@ def lsd_extract(
             region, reg_angle = grow(seed, tol2)
             if len(region) < min_region_size:
                 continue
-            rect, xs, ys = fit(region, reg_angle)
+            rect, xs, ys, weights = fit(region, reg_angle)
             ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
 
         if not ok and rect is not None:
             # Then shrink the region around the seed, 75% radius steps.
-            sy, sx = divmod(seed, w)
-            sxc = sx + grid_offset
-            syc = sy + grid_offset
+            sxc, syc = center(seed)
             d2 = (xs - sxc) ** 2 + (ys - syc) ** 2
             radius = math.sqrt(float(d2.max()))
             arr_region = np.asarray(region)
@@ -402,11 +479,12 @@ def lsd_extract(
                 arr_region = arr_region[keep]
                 xs = xs[keep]
                 ys = ys[keep]
+                weights = weights[keep]
                 d2 = d2[keep]
                 if len(arr_region) < min_region_size:
                     break
                 region = arr_region.tolist()
-                rect2 = _fit_rect(xs, ys, flat_mag[arr_region], reg_angle, period)
+                rect2 = _fit_rect(xs, ys, weights, reg_angle, period)
                 if rect2 is None:
                     continue
                 rect = rect2
@@ -419,7 +497,8 @@ def lsd_extract(
         if not ok or rect is None:
             continue
 
-        n_in, k_in = _count_in_rect(rect, ldir2d, usable_aligned, tol, period, grid_offset)
+        # Alignment counting ignores sub-threshold pixels.
+        n_in, k_in = _count_in_rect(rect, ldir2d, usable2d, tol, period, grid_offset)
         if n_in == 0:
             continue
         log_nfa = log_nt + _log10_binomial_tail(n_in, k_in, p_align)
