@@ -32,7 +32,6 @@ from .fields import (
     ScalarField,
     bilinear_sample,
     df_normalize,
-    field_losses,
     orient_angles,
     render_fields,
     surrogate_gradient,
@@ -47,10 +46,7 @@ from .geometry import (
     clip_segment_to_rect,
     d_vp,
     orthogonal_distance,
-    point_line_distance,
     point_segment_distance,
-    signed_circular_difference,
-    structural_distance,
     wrap_angle,
 )
 from .io import (
@@ -104,7 +100,6 @@ __all__ = [
     "filter_lines",
     "df_normalize",
     "estimate_homography",
-    "field_losses",
     "fit_vps",
     "generate_pseudo_gt",
     "homography_from_lines",
@@ -115,7 +110,6 @@ __all__ = [
     "match_one_to_one",
     "orient_angles",
     "orthogonal_distance",
-    "point_line_distance",
     "point_segment_distance",
     "read_field_file",
     "read_homography",
@@ -128,8 +122,6 @@ __all__ = [
     "render_fields",
     "repeatability",
     "sample_homography",
-    "signed_circular_difference",
-    "structural_distance",
     "surrogate_gradient",
     "vp_consistency",
     "vp_error_auc",

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 from scipy.special import gammaln
 
 from .fields import (
@@ -548,23 +547,6 @@ def filter_lines(
     return kept
 
 
-_PRESCALE_FACTOR = 0.8
-_PRESCALE_SIGMA = 0.6 / 0.8
-
-
-def _downscale(img: np.ndarray, factor: float) -> np.ndarray:
-    smooth = gaussian_filter(img, sigma=_PRESCALE_SIGMA, mode="nearest")
-    nh = max(int(round(img.shape[0] * factor)), 2)
-    nw = max(int(round(img.shape[1] * factor)), 2)
-    xs = (np.arange(nw) + 0.5) / factor - 0.5
-    ys = (np.arange(nh) + 0.5) / factor - 0.5
-    xs = np.clip(xs, 0.0, img.shape[1] - 1.0)
-    ys = np.clip(ys, 0.0, img.shape[0] - 1.0)
-    gx, gy = np.meshgrid(xs, ys)
-    vals = _bilinear_many(smooth, gx.ravel(), gy.ravel(), circular=False)
-    return vals.reshape(nh, nw)
-
-
 def detect(
     source: FieldPair | np.ndarray,
     params: DetectorParams | None = None,
@@ -572,7 +554,6 @@ def detect(
     *,
     image: np.ndarray | None = None,
     apply_filter: bool = True,
-    prescale: bool = False,
 ) -> list[LineSegment]:
     """Detect line segments in an image or an attraction field pair.
 
@@ -581,8 +562,7 @@ def detect(
     size is given, its gradient directions orient the angles and the full
     2*pi period applies, otherwise matching falls back to period pi.
     Detections are then checked against the fields unless
-    ``apply_filter=False``. Image mode runs the classical gradient path;
-    ``prescale`` optionally smooths and downsamples by 0.8 first.
+    ``apply_filter=False``. Image mode runs the classical gradient path.
     """
     params = params or DetectorParams()
     if isinstance(source, FieldPair):
@@ -606,16 +586,5 @@ def detect(
     img = np.asarray(source, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be a 2-D grayscale array")
-    if prescale:
-        small = _downscale(img, _PRESCALE_FACTOR)
-        lines = detect(small, params, prescale=False)
-        inv = 1.0 / _PRESCALE_FACTOR
-        return [
-            LineSegment(
-                Point2(seg.p1.x * inv, seg.p1.y * inv),
-                Point2(seg.p2.x * inv, seg.p2.y * inv),
-            )
-            for seg in lines
-        ]
     mag, ang = image_gradient(img)
     return lsd_extract(mag, ang, params, grid_offset=1.0)

@@ -20,9 +20,10 @@ from .geometry import (
     CameraIntrinsics,
     Homography,
     LineSegment,
+    _DEGENERATE_EPS,
     _d_vp_many,
+    _orthogonal_many,
     apply_homography,
-    orthogonal_distance,
     segments_to_array,
 )
 from .vp import VanishingPoint, _line_arrays
@@ -59,7 +60,6 @@ class EvalParams:
     distance_kind: Literal["structural", "orthogonal"] = "structural"
     hest_iters: int = 1_000_000  # RANSAC iteration cap
     hest_inlier_threshold: float = 3.0  # orthogonal distance gate, pixels
-    hest_corner_threshold: float = 3.0  # corner error gate, pixels
     seed: int = 0  # reseeded per estimator call
 
     def __post_init__(self) -> None:
@@ -80,22 +80,6 @@ def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _homogeneous_lines(segs: Sequence[LineSegment]) -> np.ndarray:
     return np.stack([seg.homogeneous_line() for seg in segs])
-
-
-def _orthogonal_matrix(
-    a_pts: np.ndarray, b_pts: np.ndarray, a_lines: np.ndarray, b_lines: np.ndarray
-) -> np.ndarray:
-    def pt_to_lines(pts: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        # pts (n, 2, 2), lines (m, 3) -> (n, m, 2) endpoint distances
-        return np.abs(
-            pts[:, None, :, 0] * lines[None, :, None, 0]
-            + pts[:, None, :, 1] * lines[None, :, None, 1]
-            + lines[None, :, None, 2]
-        )
-
-    a_to_b = pt_to_lines(a_pts, b_lines).sum(axis=2)
-    b_to_a = pt_to_lines(b_pts, a_lines).sum(axis=2).T
-    return 0.25 * (a_to_b + b_to_a)
 
 
 def match_one_to_one(
@@ -121,9 +105,8 @@ def match_one_to_one(
     if params.distance_kind == "structural":
         dist = _structural_matrix(a_pts, b_pts)
     else:
-        dist = _orthogonal_matrix(
-            a_pts, b_pts, _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
-        )
+        a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
+        dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
     order = np.argsort(dist, axis=None, kind="stable")
     used_a = np.zeros(len(lines_a), dtype=bool)
     used_b = np.zeros(len(warped_b), dtype=bool)
@@ -237,6 +220,56 @@ def homography_from_lines(
     return Homography(np.linalg.inv(t_b) @ h_norm @ t_a)
 
 
+def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
+    """False when the supporting lines all meet in one point (or are all
+    parallel), so that no 4 of them determine a homography.
+
+    Judged on the whole set's Hartley-normalized unit line vectors at
+    1e-12. A subset of the rows has no larger singular values, and 1e-12
+    leaves three orders of magnitude under the 1e-9 rank gate of
+    homography_from_lines for a sample's own normalization, so no sample
+    of a set rejected here passes that gate. Lines that shrink below
+    1e-12 under the normalization are left out.
+    """
+    pts = segments_to_array(segs).reshape(-1, 2)
+    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ _normalization(pts).T
+    vecs = np.cross(ph[0::2], ph[1::2])
+    norms = np.linalg.norm(vecs, axis=1)
+    keep = norms >= 1e-12
+    return np.linalg.matrix_rank(vecs[keep] / norms[keep, None], tol=1e-12) == 3
+
+
+def _inlier_mask(
+    h: Homography,
+    a_pts: np.ndarray,
+    b_pts: np.ndarray,
+    b_lines: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """Pairs whose a-segment, warped by ``h``, lies within ``threshold``
+    orthogonal distance of its b-segment.
+
+    Every a-endpoint is warped in one pass with apply_homography's
+    arithmetic. A pair is an outlier where apply_homography or LineSegment
+    would raise: an endpoint maps to infinity (|w| <= 1e-12), or the warped
+    endpoints coincide or are not finite, which gives a NaN or infinite
+    distance.
+    """
+    m = h.m
+    x, y = a_pts[..., 0], a_pts[..., 1]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w
+        v = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w
+        # LineSegment.homogeneous_line of the warped segments
+        la, lb = v[:, 0] - v[:, 1], u[:, 1] - u[:, 0]
+        lc = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        norm = np.hypot(la, lb)
+        a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=1)
+        dist = _orthogonal_many(np.stack([u, v], axis=-1), b_pts, a_lines, b_lines)
+    return np.all(np.abs(w) > _DEGENERATE_EPS, axis=1) & (dist < threshold)
+
+
 def estimate_homography(
     pairs: Sequence[tuple[LineSegment, LineSegment]],
     params: EvalParams | None = None,
@@ -245,7 +278,8 @@ def estimate_homography(
 
     Locally optimized RANSAC: minimal 4-pair models, inliers gated by the
     orthogonal distance between the warped a-line and the b-line, repeated
-    least-squares refits on the inlier set while it grows. The internal
+    least-squares refits on the inlier set while it grows. A set whose a-
+    or b-lines all meet in one point fails at once. The internal
     generator is reseeded from params.seed on every call, so the result
     does not depend on input ordering beyond index identity.
 
@@ -259,17 +293,16 @@ def estimate_homography(
     n = len(pairs)
     if n < 4:
         raise ValueError("homography estimation needs at least 4 candidate pairs")
+    lines_a = [p[0] for p in pairs]
+    lines_b = [p[1] for p in pairs]
+    if not (_lines_span_plane(lines_a) and _lines_span_plane(lines_b)):
+        raise ValueError("no homography model found consensus")
     rng = np.random.default_rng(params.seed)
+    a_pts, b_pts = segments_to_array(lines_a), segments_to_array(lines_b)
+    b_lines = _homogeneous_lines(lines_b)
 
     def inlier_mask(h: Homography) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        for i, (sa, sb) in enumerate(pairs):
-            try:
-                warped = apply_homography(h, sa)
-            except ValueError:
-                continue
-            mask[i] = orthogonal_distance(warped, sb) < params.hest_inlier_threshold
-        return mask
+        return _inlier_mask(h, a_pts, b_pts, b_lines, params.hest_inlier_threshold)
 
     best_h: Homography | None = None
     best_mask: np.ndarray | None = None

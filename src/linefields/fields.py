@@ -21,15 +21,10 @@ __all__ = [
     "FieldPair",
     "render_fields",
     "df_normalize",
-    "field_losses",
     "surrogate_gradient",
     "orient_angles",
     "bilinear_sample",
 ]
-
-# Raw distances are clamped here before the log normalization so that
-# pixels lying exactly on a line still produce finite normalized values.
-_DF_FLOOR_SCALE = math.exp(-20.0)
 
 
 @dataclass(frozen=True)
@@ -143,38 +138,6 @@ def df_normalize(value, r: float, direction: Literal["forward", "inverse"] = "fo
     if np.isscalar(value) or np.ndim(value) == 0:
         return float(out)
     return out
-
-
-def field_losses(
-    pred: FieldPair, gt: FieldPair, mask: np.ndarray
-) -> tuple[float, float]:
-    """Supervision-band losses between a predicted and a reference pair.
-
-    Returns (loss_df, loss_af): the mean absolute difference of the
-    log-normalized distances, and the RMS of the angular differences taken
-    modulo pi, both over the masked pixels.
-
-    Raises:
-        ValueError: on shape mismatch or an empty mask.
-    """
-    if pred.df.data.shape != gt.df.data.shape:
-        raise ValueError("field pairs must share a shape")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != gt.df.data.shape:
-        raise ValueError("mask must match the field shape")
-    if not mask.any():
-        raise ValueError("supervision mask is empty")
-
-    floor_p = pred.r * _DF_FLOOR_SCALE
-    floor_g = gt.r * _DF_FLOOR_SCALE
-    dn_pred = -np.log(np.maximum(pred.df.data[mask], floor_p) / pred.r)
-    dn_gt = -np.log(np.maximum(gt.df.data[mask], floor_g) / gt.r)
-    loss_df = float(np.mean(np.abs(dn_pred - dn_gt)))
-
-    diff = np.abs(pred.af.data[mask] - gt.af.data[mask]) % math.pi
-    circ = np.minimum(diff, math.pi - diff)
-    loss_af = float(math.sqrt(np.mean(circ * circ)))
-    return loss_df, loss_af
 
 
 def surrogate_gradient(fp: FieldPair) -> tuple[ScalarField, ScalarField]:

@@ -22,10 +22,7 @@ __all__ = [
     "CameraIntrinsics",
     "wrap_angle",
     "circular_distance",
-    "signed_circular_difference",
     "point_segment_distance",
-    "point_line_distance",
-    "structural_distance",
     "orthogonal_distance",
     "d_vp",
     "apply_homography",
@@ -65,14 +62,6 @@ def circular_distance(a: float, b: float, period: float = math.pi) -> float:
     return min(d, period - d)
 
 
-def signed_circular_difference(a: float, b: float, period: float = math.pi) -> float:
-    """Signed difference a - b reduced into (-period/2, period/2]."""
-    d = wrap_angle(a - b, period)
-    if d > 0.5 * period:
-        d -= period
-    return d
-
-
 @dataclass(frozen=True)
 class LineSegment:
     """Pair of distinct endpoints with finite coordinates."""
@@ -107,11 +96,6 @@ class LineSegment:
     @property
     def midpoint(self) -> Point2:
         return Point2(0.5 * (self.p1.x + self.p2.x), 0.5 * (self.p1.y + self.p2.y))
-
-    def direction(self) -> tuple[float, float]:
-        """Unit vector from p1 to p2."""
-        n = self.length
-        return ((self.p2.x - self.p1.x) / n, (self.p2.y - self.p1.y) / n)
 
     def homogeneous_line(self) -> np.ndarray:
         """Coefficients (a, b, c) of the supporting line, with hypot(a, b) = 1."""
@@ -243,29 +227,28 @@ def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> flo
     return math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
 
 
-def point_line_distance(p: Point2 | Sequence[float], seg: LineSegment) -> float:
-    """Distance from a point to the infinite line supporting a segment."""
-    a, b, c = seg.homogeneous_line()
-    return abs(a * float(p[0]) + b * float(p[1]) + c)
-
-
-def structural_distance(l1: LineSegment, l2: LineSegment) -> float:
-    """Mean endpoint-to-endpoint distance, minimized over the two pairings."""
-    d11 = math.dist(l1.p1, l2.p1)
-    d22 = math.dist(l1.p2, l2.p2)
-    d12 = math.dist(l1.p1, l2.p2)
-    d21 = math.dist(l1.p2, l2.p1)
-    return min(0.5 * (d11 + d22), 0.5 * (d12 + d21))
-
-
 def orthogonal_distance(l1: LineSegment, l2: LineSegment) -> float:
     """Symmetric mean distance of each endpoint to the other supporting line."""
-    return 0.25 * (
-        point_line_distance(l1.p1, l2)
-        + point_line_distance(l1.p2, l2)
-        + point_line_distance(l2.p1, l1)
-        + point_line_distance(l2.p2, l1)
-    )
+    lines = l1.homogeneous_line(), l2.homogeneous_line()
+    return float(_orthogonal_many(l1.as_array(), l2.as_array(), *lines))
+
+
+def _orthogonal_many(
+    a_pts: np.ndarray, b_pts: np.ndarray, a_lines: np.ndarray, b_lines: np.ndarray
+) -> np.ndarray:
+    """Vectorized orthogonal_distance over broadcasting segment stacks.
+
+    ``a_pts``/``b_pts`` are (..., 2, 2) endpoint arrays and ``a_lines``/
+    ``b_lines`` their (..., 3) supporting lines with hypot(a, b) = 1.
+    Row-paired (n, ...) inputs give one value per pair; (n, 1, ...) against
+    (1, m, ...) gives the (n, m) matrix.
+    """
+
+    def to_lines(pts: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        a, b, c = (lines[..., None, k] for k in range(3))
+        return np.abs(pts[..., 0] * a + pts[..., 1] * b + c).sum(axis=-1)
+
+    return 0.25 * (to_lines(a_pts, b_lines) + to_lines(b_pts, a_lines))
 
 
 def d_vp(seg: LineSegment, v) -> float:
@@ -279,17 +262,8 @@ def d_vp(seg: LineSegment, v) -> float:
     vec = np.asarray(getattr(v, "v", v), dtype=float)
     if vec.shape != (3,):
         raise ValueError("vanishing point must be a homogeneous 3-vector")
-    mx, my = seg.midpoint
-    # cross((mx, my, 1), vec): line through the midpoint and the VP
-    la = my * vec[2] - vec[1]
-    lb = vec[0] - mx * vec[2]
-    lc = mx * vec[1] - my * vec[0]
-    n = math.hypot(la, lb)
-    if n < _DEGENERATE_EPS:
-        return math.inf
-    d1 = abs(la * seg.p1.x + lb * seg.p1.y + lc)
-    d2 = abs(la * seg.p2.x + lb * seg.p2.y + lc)
-    return 0.5 * (d1 + d2) / n
+    e = seg.as_array()
+    return float(_d_vp_many(np.array([seg.midpoint]), e[:1], e[1:], vec)[0])
 
 
 def _d_vp_many(

@@ -207,7 +207,9 @@ def read_vp_file(path: str | Path) -> tuple[list[VanishingPoint], list]:
         if (
             not isinstance(triple, list)
             or len(triple) != 3
-            or not all(isinstance(c, (int, float)) for c in triple)
+            or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in triple
+            )
         ):
             raise ValueError(f"{path}: vps[{i}] is not a numeric triple")
         try:

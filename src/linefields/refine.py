@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FieldPair, _bilinear_many
-from .geometry import LineSegment, Point2, _d_vp_many, d_vp
+from .geometry import LineSegment, Point2, _d_vp_many
 from .vp import VanishingPoint, VpAssignment, VpParams, _line_arrays, fit_vps, refine_vp
 
 __all__ = [
@@ -121,13 +121,13 @@ def _line_state(
     params: RefineParams,
 ) -> tuple[np.ndarray, ...]:
     """Per-line angle, midpoint x and y, half length, VP rows (None when no
-    line has one) and VP gate: the VP lies within t_vp (scalar d_vp)."""
-    gate = [v is not None and d_vp(l, v) <= params.t_vp for l, v in zip(lines, vps)]
-    use_v = np.array(gate, dtype=bool)
-    v_vec = None
-    if use_v.any():
-        v_vec = np.array([v.v if u else np.zeros(3) for v, u in zip(vps, use_v)])
-    mids, _, _, lengths = _line_arrays(lines)
+    line has one within the gate) and VP gate: the VP lies within t_vp."""
+    mids, e1, e2, lengths = _line_arrays(lines)
+    # A missing VP is the zero vector: no joining line, so d_vp is +inf.
+    v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps]).reshape(-1, 3)
+    use_v = _d_vp_many(mids, e1, e2, v_vec) <= params.t_vp
+    if not use_v.any():
+        v_vec = None
     mx, my = mids.T.copy()
     theta = np.array([l.oriented_angle for l in lines])
     return theta, mx, my, 0.5 * lengths, v_vec, use_v
@@ -323,8 +323,9 @@ def refine_joint(
                 members = [current[i] for i in range(n) if assignment[i] == j]
                 if len(members) >= 2:
                     vps[j] = refine_vp(vps[j], members)
-            for i, seg in enumerate(current):
-                dists = [d_vp(seg, vp_j) for vp_j in vps]
-                j = int(np.argmin(dists))  # the first closest VP
-                assignment[i] = j if dists[j] < params.t_vp else None
+            mids, e1, e2, _ = _line_arrays(current)
+            dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
+            closest = np.argmin(dists, axis=0)  # the first closest VP
+            close = dists[closest, np.arange(n)] < params.t_vp
+            assignment = [int(j) if c else None for j, c in zip(closest, close)]
     return current, vps, assignment

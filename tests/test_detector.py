@@ -223,20 +223,6 @@ class TestDetect:
         best = [min(orthogonal_distance(l, s) for s in sides) for l in lines]
         assert max(best) < 1.0
 
-    def test_prescale_round_trip(self) -> None:
-        img = square_image().astype(float)
-        q = img.shape[0] // 4
-        sides = [
-            LineSegment((q, q), (3 * q, q)),
-            LineSegment((q, 3 * q), (3 * q, 3 * q)),
-            LineSegment((q, q), (q, 3 * q)),
-            LineSegment((3 * q, q), (3 * q, 3 * q)),
-        ]
-        lines = detect(img, prescale=True)
-        assert len(lines) == 4
-        best = [min(orthogonal_distance(l, s) for s in sides) for l in lines]
-        assert max(best) < 2.0
-
     def test_image_mode_rejects_bad_rank(self) -> None:
         with pytest.raises(ValueError):
             detect(np.zeros((4, 4, 3)))

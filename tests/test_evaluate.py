@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,35 @@ class TestMatchOneToOne:
         )
         assert ms[0].distance == 5.0
         assert mo[0].distance == 0.0
+
+
+class TestStructuralMatrix:
+    """The structural distance, as match_one_to_one computes it."""
+
+    @staticmethod
+    def distance(l1: LineSegment, l2: LineSegment) -> float:
+        return match_one_to_one([l1], [l2], Homography.identity())[0].distance
+
+    def test_parallel_shift(self) -> None:
+        l1 = LineSegment((0.0, 0.0), (10.0, 0.0))
+        l2 = LineSegment((0.0, 1.0), (10.0, 1.0))
+        assert self.distance(l1, l2) == pytest.approx(1.0)
+
+    def test_endpoint_order_invariance(self) -> None:
+        l1 = LineSegment((0.0, 0.0), (10.0, 0.0))
+        assert self.distance(l1, l1.reversed()) == 0.0
+
+    def test_collinear_shift(self) -> None:
+        l1 = LineSegment((0.0, 0.0), (10.0, 0.0))
+        l2 = LineSegment((2.0, 0.0), (12.0, 0.0))
+        assert self.distance(l1, l2) == pytest.approx(2.0)
+
+    def test_symmetric(self) -> None:
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            a = LineSegment(tuple(rng.uniform(0, 50, 2)), tuple(rng.uniform(0, 50, 2) + 1))
+            b = LineSegment(tuple(rng.uniform(0, 50, 2)), tuple(rng.uniform(0, 50, 2) + 1))
+            assert self.distance(a, b) == self.distance(b, a)
 
 
 class TestRepeatability:
@@ -273,6 +303,24 @@ class TestEstimateHomography:
         rng = np.random.default_rng(60)
         with pytest.raises(ValueError):
             estimate_homography(exact_pairs(scattered_segments(rng, 3)))
+
+    @pytest.mark.parametrize("pencil_on", ["both", "a", "b"])
+    @pytest.mark.parametrize("vp", [(300.0, -200.0, 1.0), (1.0, 0.3, 0.0)])
+    def test_concurrent_pencil_fails_fast(self, pencil_on: str, vp: tuple) -> None:
+        # No 4 lines of a pencil (finite or parallel) fix a homography;
+        # sampling them up to the 1e6-iteration cap took about 14 minutes.
+        rng = np.random.default_rng(70)
+        pencil = concurrent_lines(rng, np.array(vp), 30)
+        other = scattered_segments(rng, 30)
+        pairs = {
+            "both": exact_pairs(pencil),
+            "a": list(zip(pencil, other)),
+            "b": list(zip(other, pencil)),
+        }[pencil_on]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no homography model found consensus"):
+            estimate_homography(pairs)
+        assert time.perf_counter() - start < 1.0
 
     def test_no_consensus_on_degenerate_input(self) -> None:
         # Every 4-subset is concurrent or contains the duplicate, so no

@@ -1,4 +1,4 @@
-"""Unit tests for attraction field rendering, losses, and sampling."""
+"""Unit tests for attraction field rendering, normalization, and sampling."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from linefields import (
     ScalarField,
     bilinear_sample,
     df_normalize,
-    field_losses,
     orient_angles,
     render_fields,
     surrogate_gradient,
@@ -129,58 +128,6 @@ class TestDfNormalize:
     def test_array_in_array_out(self) -> None:
         out = df_normalize(np.array([1.0, 2.0]), 5.0)
         assert isinstance(out, np.ndarray)
-
-
-class TestFieldLosses:
-    @staticmethod
-    def _pair(df_value: float, af_value: float, r: float = 5.0) -> FieldPair:
-        return FieldPair(
-            ScalarField(np.full((2, 2), df_value)),
-            ScalarField(np.full((2, 2), af_value)),
-            r,
-        )
-
-    def test_identical_fields_zero(self) -> None:
-        fp = self._pair(2.0, 0.5)
-        mask = np.ones((2, 2), dtype=bool)
-        assert field_losses(fp, fp, mask) == (0.0, 0.0)
-
-    def test_df_loss_in_log_space(self) -> None:
-        pred = self._pair(5.0 * math.exp(-1.0), 0.0)
-        gt = self._pair(5.0 * math.exp(-3.0), 0.0)
-        loss_df, _ = field_losses(pred, gt, np.ones((2, 2), dtype=bool))
-        assert loss_df == pytest.approx(2.0)
-
-    def test_af_loss_wraps(self) -> None:
-        pred = self._pair(1.0, 0.1)
-        gt = self._pair(1.0, 3.1)
-        _, loss_af = field_losses(pred, gt, np.ones((2, 2), dtype=bool))
-        assert loss_af == pytest.approx(math.pi - 3.0)
-
-    def test_mask_selects_pixels(self) -> None:
-        pred = self._pair(1.0, 0.0)
-        gt_df = np.full((2, 2), 1.0)
-        gt_df[0, 0] = math.e  # only this pixel differs
-        gt = FieldPair(ScalarField(gt_df), ScalarField(np.zeros((2, 2))), 5.0)
-        mask = np.zeros((2, 2), dtype=bool)
-        mask[1, 1] = True
-        assert field_losses(pred, gt, mask) == (0.0, 0.0)
-
-    def test_empty_mask_rejected(self) -> None:
-        fp = self._pair(1.0, 0.0)
-        with pytest.raises(ValueError):
-            field_losses(fp, fp, np.zeros((2, 2), dtype=bool))
-
-    def test_shape_mismatch_rejected(self) -> None:
-        fp = self._pair(1.0, 0.0)
-        with pytest.raises(ValueError):
-            field_losses(fp, fp, np.ones((3, 3), dtype=bool))
-
-    def test_zero_distance_stays_finite(self) -> None:
-        pred = self._pair(0.0, 0.0)
-        gt = self._pair(1.0, 0.0)
-        loss_df, _ = field_losses(pred, gt, np.ones((2, 2), dtype=bool))
-        assert math.isfinite(loss_df)
 
 
 class TestSurrogateGradient:

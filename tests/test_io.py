@@ -324,6 +324,13 @@ class TestVpFile:
             "vps[0] is not a numeric triple",
         )
 
+    def test_boolean_coordinates_rejected(self, tmp_path) -> None:
+        self.expect_error(
+            tmp_path,
+            '{"vps": [[true, false, 1]], "assignment": [0]}',
+            "vps[0] is not a numeric triple",
+        )
+
     def test_zero_vector_rejected(self, tmp_path) -> None:
         self.expect_error(
             tmp_path,

@@ -12,13 +12,13 @@ from linefields import (
     LineSegment,
     RefineParams,
     VanishingPoint,
+    circular_distance,
     d_vp,
     line_cost,
     orthogonal_distance,
     refine_joint,
     refine_line,
     render_fields,
-    signed_circular_difference,
 )
 
 from util_synth import pencil_segments, perturb_segment
@@ -127,7 +127,7 @@ class TestRefineLine:
         pert = perturb_segment(GT_SEG, rng, max_lateral=1.0, max_rotation_deg=3.0)
         out, cost, _ = refine_line(pert, fp, full_output=True)
         assert orthogonal_distance(out, GT_SEG) < 0.1
-        angle_err = abs(signed_circular_difference(out.angle, GT_SEG.angle))
+        angle_err = circular_distance(out.angle, GT_SEG.angle)
         assert math.degrees(angle_err) < 0.3
         assert math.isclose(out.length, pert.length, abs_tol=1e-9)
         assert cost <= line_cost(pert, fp)
