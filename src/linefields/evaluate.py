@@ -164,12 +164,16 @@ def _normalization(pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _line_vec(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    v = np.cross(np.append(p, 1.0), np.append(q, 1.0))
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
+def _line_vecs(pts: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit line vectors through the point pairs (rows 2k, 2k + 1) of pts,
+    mapped by the similarity t. Its last row (0, 0, 1) keeps w exactly 1."""
+    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ t.T
+    v = np.cross(ph[0::2], ph[1::2])
+    # vecdot runs the dot kernel np.linalg.norm uses on one vector.
+    n = np.sqrt(np.vecdot(v, v))
+    if np.any(n < 1e-12):
         raise ValueError("coincident endpoints after normalization")
-    return v / n
+    return v / n[:, None]
 
 
 def homography_from_lines(
@@ -193,23 +197,17 @@ def homography_from_lines(
     t_a = _normalization(a_pts)
     t_b = _normalization(b_pts)
 
-    def norm_lines(pts: np.ndarray, t: np.ndarray) -> np.ndarray:
-        ph = np.hstack([pts, np.ones((len(pts), 1))]) @ t.T
-        out = []
-        for k in range(0, len(ph), 2):
-            out.append(_line_vec(ph[k, :2] / ph[k, 2], ph[k + 1, :2] / ph[k + 1, 2]))
-        return np.stack(out)
-
-    la = norm_lines(a_pts, t_a)
-    lb = norm_lines(b_pts, t_b)
+    la = _line_vecs(a_pts, t_a)
+    lb = _line_vecs(b_pts, t_b)
     if np.linalg.matrix_rank(la, tol=1e-9) < 3 or np.linalg.matrix_rank(lb, tol=1e-9) < 3:
         raise ValueError("degenerate configuration: lines span fewer than 3 dimensions")
 
-    rows = []
-    for x, xp in zip(la, lb):
-        rows.append(np.concatenate([np.zeros(3), -xp[2] * x, xp[1] * x]))
-        rows.append(np.concatenate([xp[2] * x, np.zeros(3), -xp[0] * x]))
-    amat = np.stack(rows)
+    # Two DLT rows per pair x <-> x': (0, -x'_2 x, x'_1 x), (x'_2 x, 0, -x'_0 x).
+    amat = np.zeros((2 * len(la), 9))
+    amat[0::2, 3:6] = -lb[:, 2:] * la
+    amat[0::2, 6:] = lb[:, 1:2] * la
+    amat[1::2, :3] = lb[:, 2:] * la
+    amat[1::2, 6:] = -lb[:, :1] * la
     _, s, vt = np.linalg.svd(amat)
     if s[-2] < 1e-9 * max(s[0], 1e-300):
         raise ValueError("degenerate configuration: multiple homographies fit")

@@ -4,6 +4,14 @@ A field pair holds, for every pixel, the distance to the closest point on
 any segment (DF) and the orientation modulo pi of that closest segment
 (AF). Values live at pixel centers: the array entry (iy, ix) describes the
 image point (ix + 0.5, iy + 0.5).
+
+render_fields is exact without drawing every segment over every pixel:
+per tile it skips each segment whose distance from the tile center exceeds
+the smallest one by more than the tile's pixel-center diameter (plus a
+rounding margin). By the triangle inequality such a segment is farther
+from every pixel of the tile than the segment closest to the center, so
+it can neither win nor tie, and the fields equal the full-grid loop's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .geometry import LineSegment
+from .geometry import LineSegment, segments_to_array
 
 __all__ = [
     "ScalarField",
@@ -25,6 +33,9 @@ __all__ = [
     "orient_angles",
     "bilinear_sample",
 ]
+
+_TILE = 32  # side of the pixel tiles render_fields culls segments for
+_RENDER_ELEMENTS = 1 << 16  # candidate-pixel distances render_fields holds at once
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,25 @@ class FieldPair:
         return self.df.width
 
 
+def _distances(px, py, x1, y1, dx, dy, den) -> np.ndarray:
+    """Distances from pixel centers to segments, elementwise over broadcasting
+    arrays, with the arithmetic of geometry.point_segment_distance (in place:
+    the same operations on the same operands)."""
+    t = (px - x1) * dx + (py - y1) * dy
+    t /= den
+    np.clip(t, 0.0, 1.0, out=t)
+    cx = t * dx
+    cx += x1
+    np.subtract(px, cx, out=cx)
+    cx *= cx
+    t *= dy
+    t += y1
+    np.subtract(py, t, out=t)
+    t *= t
+    cx += t
+    return np.sqrt(cx, out=cx)
+
+
 def render_fields(
     lines: Sequence[LineSegment], width: int, height: int, r: float = 5.0
 ) -> FieldPair:
@@ -83,7 +113,20 @@ def render_fields(
 
     Every pixel gets the distance from its center to the closest segment
     point, and the orientation (mod pi) of the segment realizing it. Exact
-    distance ties go to the segment with the lowest index.
+    distance ties go to the segment with the lowest index. A segment so
+    short that its squared length underflows to 0 is measured from p1.
+
+    The grid is drawn in _TILE x _TILE tiles (partial at the right and
+    bottom edges), each from the segments that can win one of its pixels.
+    With c the tile center and R the half-diagonal of its pixel centers,
+    |d(p, S) - d(c, S)| <= R for every pixel p of the tile, so a segment
+    with d(c, S_k) > min_j d(c, S_j) + 2R is farther from every pixel than
+    the segment closest to c, and cannot win or tie. The margin added to
+    that limit is orders above the rounding of the computed distances, and
+    a NaN center distance keeps the segment. Survivors are measured with
+    the per-pixel arithmetic of the full-grid loop and reduced in index
+    order under a strict ``<``, so the fields are bit for bit those of
+    drawing every segment over every pixel.
 
     Raises:
         ValueError: on an empty segment list or non-positive dimensions.
@@ -94,23 +137,49 @@ def render_fields(
     height = int(height)
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
-    px = np.arange(width, dtype=float) + 0.5
-    py = (np.arange(height, dtype=float) + 0.5)[:, None]
+    ends = segments_to_array(lines).reshape(-1, 4)
+    angles = np.array([seg.angle for seg in lines])
+    x1, y1 = ends[:, 0], ends[:, 1]
+    dx = ends[:, 2] - x1
+    dy = ends[:, 3] - y1
+    den = dx * dx + dy * dy
+    flat = den == 0.0
+    seg = np.stack(
+        [x1, y1, np.where(flat, 0.0, dx), np.where(flat, 0.0, dy), np.where(flat, 1.0, den)]
+    )
+    scale = float(np.max(np.abs(ends)))
+    # Below 1e150 no product overflows, so every distance is finite and
+    # within a few ulps of scale + width + height of the true one. Above,
+    # nothing is culled.
+    margin = 1e-9 * (1.0 + scale + width + height) if scale < 1e150 else np.inf
+    left = np.arange(0, width, _TILE)
+    right = np.minimum(left + _TILE, width)
+    center_x = (0.5 * (left + right))[:, None]
+    rows = max(1, _RENDER_ELEMENTS // (_TILE * _TILE))
     best_df = np.full((height, width), np.inf)
     best_af = np.zeros((height, width))
-    for seg in lines:
-        x1, y1 = seg.p1
-        dx = seg.p2.x - x1
-        dy = seg.p2.y - y1
-        # Same arithmetic as geometry.point_segment_distance, vectorized.
-        t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
-        t = np.clip(t, 0.0, 1.0)
-        cx = x1 + t * dx
-        cy = y1 + t * dy
-        d = np.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
-        closer = d < best_df
-        best_df[closer] = d[closer]
-        best_af[closer] = seg.angle
+    for top in range(0, height, _TILE):
+        bottom = min(top + _TILE, height)
+        py = (np.arange(top, bottom, dtype=float) + 0.5)[:, None]
+        # (tiles in this row, segments) center distances
+        dc = _distances(center_x, 0.5 * (top + bottom), *seg)
+        radius = 0.5 * np.hypot(right - left - 1, bottom - top - 1)
+        limit = dc.min(axis=1) + 2.0 * radius + margin
+        keep = ~(dc > limit[:, None])
+        for x_lo, x_hi, kept in zip(left.tolist(), right.tolist(), keep):
+            px = np.arange(x_lo, x_hi, dtype=float) + 0.5
+            df = best_df[top:bottom, x_lo:x_hi]
+            af = best_af[top:bottom, x_lo:x_hi]
+            index = np.flatnonzero(kept)
+            for start in range(0, len(index), rows):
+                part = index[start : start + rows]
+                d = _distances(px, py, *seg[:, part, None, None])
+                np.fmin(d, np.inf, out=d)  # a NaN never wins, as under `<`
+                k = d.argmin(axis=0)
+                d = d.min(axis=0)
+                closer = d < df
+                df[closer] = d[closer]
+                af[closer] = angles[part][k][closer]
     return FieldPair(ScalarField(best_df), ScalarField(best_af), float(r))
 
 

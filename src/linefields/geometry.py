@@ -212,12 +212,17 @@ def apply_homography(h: Homography, obj):
 
 
 def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> float:
-    """Euclidean distance from a point to the closest point of a segment."""
+    """Euclidean distance from a point to the closest point of a segment.
+
+    A segment so short that its squared length underflows to 0 is measured
+    from p1.
+    """
     px, py = float(p[0]), float(p[1])
     x1, y1 = seg.p1
     dx = seg.p2.x - x1
     dy = seg.p2.y - y1
-    t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
+    den = dx * dx + dy * dy
+    t = ((px - x1) * dx + (py - y1) * dy) / den if den > 0.0 else 0.0
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
