@@ -44,6 +44,7 @@ from .geometry import (
     TWO_PI,
     LineSegment,
     Point2,
+    _require_finite,
     circular_distance,
     clip_segment_to_rect,
 )
@@ -70,6 +71,7 @@ class DetectorParams:
     angle_period: float = TWO_PI  # 2*pi oriented angles, pi unoriented
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.mag_threshold < 0.0:
             raise ValueError("mag_threshold must be non-negative")
         if not (0.0 < self.angle_tolerance < 0.5 * math.pi):
@@ -92,6 +94,7 @@ class FilterParams:
     min_inlier_frac: float = 0.5  # keep when this fraction of samples agrees
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
         if self.eta_df <= 0.0:

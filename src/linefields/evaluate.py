@@ -23,6 +23,7 @@ from .geometry import (
     _DEGENERATE_EPS,
     _d_vp_many,
     _orthogonal_many,
+    _require_finite,
     apply_homography,
     segments_to_array,
 )
@@ -63,6 +64,7 @@ class EvalParams:
     seed: int = 0  # reseeded per estimator call
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rep_threshold <= 0.0 or self.hest_inlier_threshold <= 0.0:
             raise ValueError("distance thresholds must be positive")
         if self.le_top_k < 1 or self.hest_iters < 1:

@@ -8,6 +8,7 @@ angle is explicitly requested.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -41,6 +42,15 @@ class Point2(NamedTuple):
 
     x: float
     y: float
+
+
+def _require_finite(params: object) -> None:
+    """Raise ValueError unless every float field of a parameter dataclass is
+    finite. Range checks such as ``x <= 0.0`` are False for NaN, so without
+    this a NaN would pass them and reach the arithmetic."""
+    for f in dataclasses.fields(params):
+        if f.type in ("float", float) and not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 def wrap_angle(a: float, period: float = math.pi) -> float:

@@ -17,7 +17,13 @@ import numpy as np
 
 from .detector import DetectorParams, detect
 from .fields import FieldPair, ScalarField, _bilinear_many, render_fields
-from .geometry import Homography, LineSegment, apply_homography, clip_segment_to_rect
+from .geometry import (
+    Homography,
+    LineSegment,
+    _require_finite,
+    apply_homography,
+    clip_segment_to_rect,
+)
 
 __all__ = [
     "HomographySamplerParams",
@@ -42,6 +48,7 @@ class HomographySamplerParams:
     max_perspective: float = 0.1  # bound before the 2/dimension scaling
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         lo, hi = self.scale_range
         if not (0.0 < lo <= hi):
             raise ValueError("scale_range must be positive and ordered")

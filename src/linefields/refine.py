@@ -8,6 +8,9 @@ damped Newton scheme that only ever accepts downhill steps. All lines of
 a set are refined as one batch with per-line damping, VP gate and stopping
 state; per-line numbers come only from elementwise operations and row-wise
 reductions, so a line refines bit for bit the same alone as in any batch.
+That independence lets an iteration score every damping level of every
+line in one call and keep, per line, the first level that went downhill:
+the same step a level-by-level search takes.
 Joint refinement alternates line refinement, vanishing point
 re-estimation, and re-association.
 """
@@ -20,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldPair, _bilinear_many
-from .geometry import LineSegment, Point2, _d_vp_many
+from .fields import FieldPair, _bilinear_corners
+from .geometry import LineSegment, Point2, _d_vp_many, _require_finite
 from .vp import VanishingPoint, VpAssignment, VpParams, _line_arrays, fit_vps, refine_vp
 
 __all__ = [
@@ -34,7 +37,7 @@ __all__ = [
 # A line's 8 central-difference probes, in angle and lateral probe sizes.
 _PROBE_A = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _PROBE_T = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-_MAX_BOOSTS = 14  # damping increases tried per iteration
+_MAX_BOOSTS = 14  # damping levels tried per iteration: mu, 10 mu, ...
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,7 @@ class RefineParams:
     tol: float = 1e-6  # step-size convergence threshold
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_opt < 2:
             raise ValueError("n_opt must be at least 2")
         if min(self.lambda_df, self.lambda_af, self.lambda_vp) < 0.0:
@@ -63,8 +67,24 @@ class RefineParams:
             raise ValueError("iteration counts must be positive")
 
 
+def _sampling_tables(
+    fp: FieldPair, window: tuple[slice, slice] = (slice(None), slice(None))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grids _batch_costs samples: DF, cos(2 AF) and sin(2 AF).
+
+    Angles mod pi interpolate on the doubled circle; tabulating it once
+    gives each sample the values _bilinear_many computes at its corners.
+    Only the ``window`` (rows, columns) of the AF tables is filled, the
+    rest reads 0.
+    """
+    cos2, sin2 = np.zeros((2, *fp.af.data.shape))
+    af2 = 2.0 * fp.af.data[window]
+    cos2[window], sin2[window] = np.cos(af2), np.sin(af2)
+    return fp.df.data, cos2, sin2
+
+
 def _batch_costs(
-    fp: FieldPair,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
     thetas: np.ndarray,
     mxs: np.ndarray,
     mys: np.ndarray,
@@ -75,11 +95,13 @@ def _batch_costs(
 ) -> np.ndarray:
     """Cost of several (theta, midpoint, half length) configurations at once.
 
-    Row k adds the vanishing point term of ``v_vec[k]`` where ``use_v[k]``
-    is set; ``v_vec`` is None when no row has one. Configurations whose
-    endpoints leave the sampleable area get +inf.
+    ``tables`` comes from _sampling_tables. Row k adds the vanishing point
+    term of ``v_vec[k]`` where ``use_v[k]`` is set; ``v_vec`` is None when
+    no row has one. Configurations whose endpoints leave the sampleable
+    area get +inf.
     """
-    h, w = fp.height, fp.width
+    df, cos2, sin2 = tables
+    h, w = df.shape
     ux = np.cos(thetas)
     uy = np.sin(thetas)
     x1 = mxs - half_len * ux
@@ -98,13 +120,24 @@ def _batch_costs(
     # Clip so out-of-bounds rows stay evaluable; their cost is overridden.
     gx = np.clip(xs - 0.5, 0.0, w - 1.0).ravel()
     gy = np.clip(ys - 0.5, 0.0, h - 1.0).ravel()
-    df_s = _bilinear_many(fp.df.data, gx, gy, circular=False).reshape(xs.shape)
-    af_s = _bilinear_many(fp.af.data, gx, gy, circular=True).reshape(xs.shape)
+    # One set of corners and weights for all three tables, blended in the
+    # order of _bilinear_many so that every sample matches it bit for bit.
+    x0, y0, x1c, y1c, wx, wy = _bilinear_corners(df.shape, gx, gy)
+    ax = 1.0 - wx
+    ay = 1.0 - wy
+    corners = y0 * w + x0, y0 * w + x1c, y1c * w + x0, y1c * w + x1c
+
+    def lerp(t: np.ndarray) -> np.ndarray:
+        v00, v01, v10, v11 = (t.ravel().take(i) for i in corners)
+        return (ay * (ax * v00 + wx * v01) + wy * (ax * v10 + wx * v11)).reshape(xs.shape)
+
+    ang = 0.5 * np.arctan2(lerp(sin2), lerp(cos2))
+    af_s = np.where(ang < 0.0, ang + math.pi, ang)
 
     delta = np.mod(af_s - thetas[:, None], math.pi)
     delta = np.where(delta > 0.5 * math.pi, delta - math.pi, delta)
     c_af = np.mean(1.0 - np.cos(delta), axis=1)
-    c_df = np.mean(df_s, axis=1)
+    c_df = np.mean(lerp(df), axis=1)
     cost = params.lambda_af * c_af + params.lambda_df * c_df
     if v_vec is not None:
         mids = np.stack([mxs, mys], axis=1)
@@ -154,7 +187,15 @@ def line_cost(
     for p in (l.p1, l.p2):
         if not (0.5 <= p.x <= w - 0.5 and 0.5 <= p.y <= h - 0.5):
             raise ValueError(f"line endpoint {tuple(p)} falls outside the field")
-    return float(_batch_costs(fp, *_line_state([l], [v], params), params)[0])
+    # Samples lie between the endpoints (up to rounding), so they read no
+    # grid cell outside the endpoints' box widened by 2.
+    (x1, y1), (x2, y2) = l.p1, l.p2
+    window = (
+        slice(max(int(min(y1, y2)) - 2, 0), int(max(y1, y2)) + 2),
+        slice(max(int(min(x1, x2)) - 2, 0), int(max(x1, x2)) + 2),
+    )
+    state = _line_state([l], [v], params)
+    return float(_batch_costs(_sampling_tables(fp, window), *state, params)[0])
 
 
 def _solve_2x2(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,15 +226,17 @@ def _refine_lines(
     """Refine a set of lines at once; returns (lines, costs, converged).
 
     ``vps`` holds one VanishingPoint or None per line. Each iteration makes
-    one _batch_costs call on the 8 probes of every running line, then one
-    per damping level on the lines whose trial step was still rejected.
-    The rules are per line, as described in refine_line.
+    two _batch_costs calls: one on the 8 probes of every running line, one
+    on the trial steps of all _MAX_BOOSTS damping levels of every line
+    that probed inside the field. Each line takes its first downhill level,
+    so the rules are per line, as described in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps, params)
+    tables = _sampling_tables(fp)
 
     def costs(rows: np.ndarray, th: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         vv = None if v_vec is None else v_vec[rows]
-        return _batch_costs(fp, th, cx, cy, half_len[rows], vv, use_v[rows], params)
+        return _batch_costs(tables, th, cx, cy, half_len[rows], vv, use_v[rows], params)
 
     f = costs(np.arange(len(lines)), theta, mx, my)
     evaluable = np.flatnonzero(np.isfinite(f))
@@ -222,35 +265,37 @@ def _refine_lines(
         haa = (fa_p - 2.0 * f0 + fa_m) / (ha * ha)
         htt = (ft_p - 2.0 * f0 + ft_m) / (h_t * h_t)
         hat = (fpp - fpm - fmp + fmm) / (4.0 * ha * h_t)
-        hess = np.stack([haa, hat, hat, htt], axis=1).reshape(-1, 2, 2)
+        hess = np.stack([haa, hat, hat, htt], axis=1).reshape(-1, 1, 2, 2)
         damp = np.zeros_like(hess)
-        damp[:, 0, 0] = np.maximum(np.abs(haa), 1e-8)
-        damp[:, 1, 1] = np.maximum(np.abs(htt), 1e-8)
+        damp[..., 0, 0] = np.maximum(np.abs(haa), 1e-8)[:, None]
+        damp[..., 1, 1] = np.maximum(np.abs(htt), 1e-8)[:, None]
 
-        stepped = np.zeros(len(a), dtype=bool)
-        pending = np.arange(len(a))  # rows of ``a`` still without a step
-        for _boost in range(_MAX_BOOSTS):
-            if pending.size == 0:
-                break
-            i = a[pending]
-            lhs = hess[pending] + mu[i, None, None] * damp[pending]
-            delta, solved = _solve_2x2(lhs, -g[pending])
-            mu[i[~solved]] *= 10.0
-            p, i, d0, d1 = pending[solved], i[solved], delta[solved, 0], delta[solved, 1]
-            lat = params.max_lateral_step
-            d1 = np.where(np.abs(d1) > lat, np.copysign(lat, d1), d1)
-            t_th, t_mx, t_my = theta[i] + d0, mx[i] + d1 * nx[p], my[i] + d1 * ny[p]
-            trial = costs(i, t_th, t_mx, t_my)
-            down = np.isfinite(trial) & (trial < f[i])
-            j = i[down]
-            improvement = f[j] - trial[down]
-            f[j], theta[j], mx[j], my[j] = trial[down], t_th[down], t_mx[down], t_my[down]
-            mu[j] = np.maximum(mu[j] / 3.0, 1e-12)
-            step = np.hypot(d0[down] * np.maximum(half_len[j], 1.0), d1[down])
-            converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
-            stepped[p[down]] = True
-            mu[i[~down]] *= 10.0
-            pending = np.sort(np.concatenate([pending[~solved], p[~down]]))
+        # Level b damps with mu times 10, b times over (one rounding per
+        # product, as raising mu level by level does), for all levels at once.
+        n, levels = len(a), _MAX_BOOSTS
+        mus = np.full((n, levels), 10.0)
+        mus[:, 0] = mu[a]
+        mus = np.cumprod(mus, axis=1)
+        lhs = hess + mus[:, :, None, None] * damp
+        delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), np.repeat(-g, levels, axis=0))
+        d0, d1 = delta.reshape(n, levels, 2).transpose(2, 0, 1)
+        lat = params.max_lateral_step
+        d1 = np.where(np.abs(d1) > lat, np.copysign(lat, d1), d1)
+        t_th = theta[a, None] + d0
+        t_mx = mx[a, None] + d1 * nx[:, None]
+        t_my = my[a, None] + d1 * ny[:, None]
+        trial = costs(np.repeat(a, levels), t_th.ravel(), t_mx.ravel(), t_my.ravel())
+        trial = trial.reshape(n, levels)
+        down = solved.reshape(n, levels) & np.isfinite(trial) & (trial < f0[:, None])
+
+        stepped = down.any(axis=1)
+        r, lvl = np.flatnonzero(stepped), np.argmax(down[stepped], axis=1)  # first downhill level
+        j = a[r]
+        improvement = f0[r] - trial[r, lvl]
+        f[j], theta[j], mx[j], my[j] = trial[r, lvl], t_th[r, lvl], t_mx[r, lvl], t_my[r, lvl]
+        mu[j] = np.maximum(mus[r, lvl] / 3.0, 1e-12)
+        step = np.hypot(d0[r, lvl] * np.maximum(half_len[j], 1.0), d1[r, lvl])
+        converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _d_vp_many, segments_to_array
+from .geometry import LineSegment, _d_vp_many, _require_finite, segments_to_array
 
 __all__ = [
     "VanishingPoint",
@@ -74,6 +74,7 @@ class VpParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.t_vp <= 0.0:
             raise ValueError("t_vp must be positive")
         if self.min_support < 2:
@@ -162,9 +163,13 @@ def refine_vp(
             w = cur + a * b1 + b * b2
             return w / np.linalg.norm(w)
 
+        # The four probes in one call; at() stays per vector, because
+        # np.linalg.norm rounds differently on a stack.
+        probes = np.stack([at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)])
+        r = residuals(probes[:, None, :])
         jac = np.empty((len(inliers), 2))
-        jac[:, 0] = (residuals(at(h, 0.0)) - residuals(at(-h, 0.0))) / (2.0 * h)
-        jac[:, 1] = (residuals(at(0.0, h)) - residuals(at(0.0, -h))) / (2.0 * h)
+        jac[:, 0] = (r[0] - r[1]) / (2.0 * h)
+        jac[:, 1] = (r[2] - r[3]) / (2.0 * h)
         if not np.all(np.isfinite(jac)):
             break
         g = jac.T @ res

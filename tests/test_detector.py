@@ -39,6 +39,16 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             DetectorParams(density_threshold=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["mag_threshold", "angle_tolerance", "density_threshold", "log_nfa_max", "angle_period"],
+    )
+    def test_rejects_non_finite(self, name: str, value: float) -> None:
+        # A NaN log_nfa_max used to switch the NFA test off.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DetectorParams(**{name: value})
+
 
 class TestFilterParams:
     def test_rejects_too_few_samples(self) -> None:
@@ -48,6 +58,12 @@ class TestFilterParams:
     def test_rejects_bad_fraction(self) -> None:
         with pytest.raises(ValueError):
             FilterParams(min_inlier_frac=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["eta_df", "eta_theta", "min_inlier_frac"])
+    def test_rejects_non_finite(self, name: str, value: float) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FilterParams(**{name: value})
 
 
 class TestImageGradient:

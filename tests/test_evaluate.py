@@ -75,6 +75,13 @@ class TestEvalParams:
         with pytest.raises(ValueError):
             EvalParams(distance_kind="chamfer")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rep_threshold", "hest_inlier_threshold"])
+    def test_rejects_non_finite(self, name: str, value: float) -> None:
+        # Both come straight from CLI options.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EvalParams(**{name: value})
+
 
 class TestMatchOneToOne:
     def test_identity_matches_index_to_itself(self) -> None:

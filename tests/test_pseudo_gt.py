@@ -44,6 +44,14 @@ class TestHomographySamplerParams:
         with pytest.raises(ValueError):
             HomographySamplerParams(max_perspective=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["max_rotation", "max_translation_frac", "max_perspective"]
+    )
+    def test_rejects_non_finite(self, name: str, value: float) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            HomographySamplerParams(**{name: value})
+
 
 class TestSampleHomography:
     def test_degenerate_ranges_give_identity(self) -> None:

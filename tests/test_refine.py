@@ -60,6 +60,16 @@ class TestRefineParams:
         with pytest.raises(ValueError):
             RefineParams(max_iter=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["lambda_df", "lambda_af", "lambda_vp", "t_vp", "max_lateral_step", "fd_step", "tol"],
+    )
+    def test_rejects_non_finite(self, name: str, value: float) -> None:
+        # NaN passes every range check (comparisons with it are False).
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RefineParams(**{name: value})
+
 
 class TestLineCost:
     def test_zero_on_the_generating_line(self) -> None:

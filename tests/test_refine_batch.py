@@ -123,15 +123,18 @@ def test_singular_line_boosts_once_while_the_others_step(monkeypatch: pytest.Mon
     first = recording_solve(monkeypatch, lambda lhs, rhs: False)
     refine_rows([CHOSEN])
     rhs0 = first["single"][0][1]
-    # The system of the chosen line's first accepted step: the last one
-    # tried with its first gradient. Earlier ones were rejected anyway.
-    lhs1 = [lhs for lhs, rhs in first["single"] if np.array_equal(rhs, rhs0)][-1]
+    # The system of the chosen line's first accepted step: the lowest
+    # damping level tried with its first gradient whose failure changes the
+    # line's path. Lower levels were rejected anyway, higher ones unused.
+    for lhs1 in [lhs for lhs, rhs in first["single"] if np.array_equal(rhs, rhs0)]:
 
-    def poisoned(lhs, rhs):
-        return np.array_equal(lhs, lhs1) and np.array_equal(rhs, rhs0)
+        def poisoned(lhs, rhs, lhs1=lhs1):
+            return np.array_equal(lhs, lhs1) and np.array_equal(rhs, rhs0)
 
-    recording_solve(monkeypatch, poisoned)
-    alone = refine_rows([CHOSEN])
+        recording_solve(monkeypatch, poisoned)
+        alone = refine_rows([CHOSEN])
+        if alone[0][0].p1 != ALONE[CHOSEN][0][0].p1:
+            break
     calls = recording_solve(monkeypatch, poisoned)
     out, costs, converged = refine_rows(BATCH)
     assert calls["poisoned"] == 1

@@ -86,6 +86,11 @@ class TestVpParams:
         with pytest.raises(ValueError):
             VpParams(t_vp=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, value: float) -> None:
+        with pytest.raises(ValueError, match="t_vp must be finite"):
+            VpParams(t_vp=value)
+
     def test_rejects_tiny_support(self) -> None:
         with pytest.raises(ValueError):
             VpParams(min_support=1)
