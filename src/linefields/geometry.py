@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -46,11 +47,24 @@ class Point2(NamedTuple):
 
 def _require_finite(params: object) -> None:
     """Raise ValueError unless every float field of a parameter dataclass is
-    finite. Range checks such as ``x <= 0.0`` are False for NaN, so without
-    this a NaN would pass them and reach the arithmetic."""
+    finite and every int field holds an integer (a field named ``seed`` a
+    non-negative one). Range checks such as ``x <= 0.0`` are False for NaN,
+    so without this a NaN would pass them and reach the arithmetic."""
     for f in dataclasses.fields(params):
-        if f.type in ("float", float) and not math.isfinite(getattr(params, f.name)):
+        value = getattr(params, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
+        if f.type in ("int", int):
+            _require_int(f.name, value, minimum=0 if f.name == "seed" else None)
+
+
+def _require_int(name: str, value: object, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 def wrap_angle(a: float, period: float = math.pi) -> float:

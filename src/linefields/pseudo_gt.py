@@ -21,6 +21,7 @@ from .geometry import (
     Homography,
     LineSegment,
     _require_finite,
+    _require_int,
     apply_homography,
     clip_segment_to_rect,
 )
@@ -198,6 +199,7 @@ def generate_pseudo_gt(
     Raises:
         ValueError: when more than half of the warps yield no segments.
     """
+    _require_int("seed", seed, minimum=0)
     if n_homographies < 1:
         raise ValueError("need at least one homography")
     img = np.asarray(image, dtype=float)

@@ -222,17 +222,20 @@ def _refine_lines(
     fp: FieldPair,
     vps: Sequence[VanishingPoint | None],
     params: RefineParams,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[LineSegment], np.ndarray, np.ndarray]:
     """Refine a set of lines at once; returns (lines, costs, converged).
 
-    ``vps`` holds one VanishingPoint or None per line. Each iteration makes
+    ``vps`` holds one VanishingPoint or None per line; ``tables`` is
+    _sampling_tables(fp), built here when not given. Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
     on the trial steps of all _MAX_BOOSTS damping levels of every line
     that probed inside the field. Each line takes its first downhill level,
     so the rules are per line, as described in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps, params)
-    tables = _sampling_tables(fp)
+    if tables is None:
+        tables = _sampling_tables(fp)
 
     def costs(rows: np.ndarray, th: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         vv = None if v_vec is None else v_vec[rows]
@@ -360,9 +363,10 @@ def refine_joint(
         return [], [], []
 
     vps, assignment = fit_vps(current, vp_params)
+    tables = _sampling_tables(fp)
     for _ in range(params.k_alternations):
         line_vps = [vps[j] if j is not None else None for j in assignment]
-        current, _, _ = _refine_lines(current, fp, line_vps, params)
+        current, _, _ = _refine_lines(current, fp, line_vps, params, tables)
         if vps:
             for j in range(len(vps)):
                 members = [current[i] for i in range(n) if assignment[i] == j]

@@ -212,15 +212,45 @@ def refine_vp(
     return out
 
 
-def _best_candidate(v: np.ndarray, sub: tuple[np.ndarray, ...], params: VpParams) -> int | None:
-    """Index of the row of ``v`` (cross products of candidate line pairs)
-    whose VP wins a round against the lines of ``sub`` (_line_arrays).
+def _pair_draws(rng: np.random.Generator, m: int, iters: int) -> np.ndarray:
+    """``iters`` rows of ``rng.choice(m, 2, replace=False)``, drawn at once.
+
+    For m of 3 or more, numpy's choice runs Floyd's sampling over Lemire's
+    bounded integers: one 32-bit word for the first index in [0, m - 1),
+    one for the second in [0, m) (taken as m - 1 if it repeats the first),
+    and one for the coin of the final shuffle. So one block of 3 words per
+    draw gives the same pairs and leaves the generator in the same state.
+    When a word would be rejected and redrawn (the low half of its product
+    falls below (2**32 - n) % n), when m < 3 (no word for the first index)
+    or m >= 2**32, and for bit generators other than PCG64, the state is
+    restored and the draws are made one call at a time.
+    """
+    if 3 <= m < 2**32 and isinstance(rng.bit_generator, np.random.PCG64):
+        state = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=(iters, 3), dtype=np.uint32).astype(np.uint64)
+        first, second = words[:, 0] * np.uint64(m - 1), words[:, 1] * np.uint64(m)
+        rejected = ((first & 0xFFFFFFFF) < (2**32 - (m - 1)) % (m - 1)) | (
+            (second & 0xFFFFFFFF) < (2**32 - m) % m
+        )
+        if not rejected.any():
+            a, b = (first >> 32).astype(np.intp), (second >> 32).astype(np.intp)
+            b[b == a] = m - 1
+            keep = (words[:, 2] >> 31) == 1
+            return np.where(keep[:, None], np.stack([a, b], axis=1), np.stack([b, a], axis=1))
+        rng.bit_generator.state = state
+    return np.array([rng.choice(m, 2, replace=False) for _ in range(iters)])
+
+
+def _best_candidate(
+    v: np.ndarray, sub: tuple[np.ndarray, ...], params: VpParams, best_len: float
+) -> tuple[int | None, float]:
+    """The row of ``v`` (cross products of candidate line pairs) whose VP
+    wins against the lines of ``sub`` (_line_arrays), and its inlier length.
 
     The winner is the first candidate with the largest inlier length among
-    those with at least min_support inliers, as a one-at-a-time scan with a
-    strict ``>`` finds it; pairs on one supporting line are skipped. The
-    (candidates x lines) d_vp matrix is scored in row chunks of at most
-    _SCORE_ELEMENTS entries.
+    those with at least min_support inliers and more than ``best_len``, as
+    a one-at-a-time scan with a strict ``>`` finds it; pairs on one
+    supporting line are skipped. Returns (None, best_len) when no row wins.
     """
     mids, e1, e2, lengths = sub
     # vecdot runs the dot kernel of np.linalg.norm, so the skip test and
@@ -230,15 +260,13 @@ def _best_candidate(v: np.ndarray, sub: tuple[np.ndarray, ...], params: VpParams
     index = np.flatnonzero(norm[:, 0] >= 1e-12)
     v, norm = v[index], norm[index]
     vecs = np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
-    best, best_len = None, 0.0
-    rows = max(1, _SCORE_ELEMENTS // len(lengths))
-    for start in range(0, len(index), rows):
-        inl = _d_vp_many(mids, e1, e2, vecs[start : start + rows, None, :]) < params.t_vp
-        for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
-            support_len = float(lengths[inl[k]].sum())
-            if support_len > best_len:
-                best, best_len = int(index[start + k]), support_len
-    return best
+    best = None
+    inl = _d_vp_many(mids, e1, e2, vecs[:, None, :]) < params.t_vp
+    for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
+        support_len = float(lengths[inl[k]].sum())
+        if support_len > best_len:
+            best, best_len = int(index[k]), support_len
+    return best, best_len
 
 
 def fit_vps(
@@ -269,12 +297,22 @@ def fit_vps(
 
     while len(models) < params.max_models and len(remaining) >= params.min_support:
         sub_m, sub_e1, sub_e2, _ = sub = tuple(x[remaining] for x in arrays)
-        draws = [rng.choice(len(remaining), 2, replace=False) for _ in range(params.ransac_iters)]
-        pairs = remaining[np.array(draws)]
-        best = _best_candidate(np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params)
+        # Candidates are drawn, crossed and scored in chunks of at most
+        # _SCORE_ELEMENTS d_vp entries, in stream order, so memory does not
+        # grow with ransac_iters.
+        best, best_len = None, 0.0
+        rows = max(1, _SCORE_ELEMENTS // len(remaining))
+        for start in range(0, params.ransac_iters, rows):
+            count = min(rows, params.ransac_iters - start)
+            pairs = remaining[_pair_draws(rng, len(remaining), count)]
+            k, best_len = _best_candidate(
+                np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params, best_len
+            )
+            if k is not None:
+                best = pairs[k]
         if best is None:
             break
-        best_vec = vp_from_two_lines(lines[pairs[best, 0]], lines[pairs[best, 1]]).v
+        best_vec = vp_from_two_lines(lines[best[0]], lines[best[1]]).v
 
         mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < params.t_vp
         inlier_idx = remaining[mask]

@@ -256,6 +256,24 @@ class TestVps:
         assert rc == 1
         assert "error: image dimensions must be positive" in capsys.readouterr().err
 
+    def test_rejects_negative_seed(self, tmp_path, capsys) -> None:
+        # numpy's own message ("expected non-negative integer") named no flag.
+        lines_path, _ = write_gt_inputs(tmp_path)
+        out = tmp_path / "v.json"
+        rc = main(
+            [
+                "vps",
+                "--lines", str(lines_path),
+                "--width", "256",
+                "--height", "256",
+                "--seed", "-1",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def write_pair(self, tmp_path):

@@ -49,6 +49,11 @@ class TestDetectorParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             DetectorParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_rejects_non_integer_bins(self, value: object) -> None:
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            DetectorParams(n_bins=value)
+
 
 class TestFilterParams:
     def test_rejects_too_few_samples(self) -> None:
@@ -64,6 +69,11 @@ class TestFilterParams:
     def test_rejects_non_finite(self, name: str, value: float) -> None:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             FilterParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_rejects_non_integer_samples(self, value: object) -> None:
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            FilterParams(n_samples=value)
 
 
 class TestImageGradient:

@@ -82,6 +82,17 @@ class TestEvalParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             EvalParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("name", ["le_top_k", "hest_iters", "seed"])
+    def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EvalParams(**{name: value})
+
+    def test_rejects_negative_seed(self) -> None:
+        # It used to fail only inside numpy, without naming the field.
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            EvalParams(seed=-1)
+
 
 class TestMatchOneToOne:
     def test_identity_matches_index_to_itself(self) -> None:

@@ -221,3 +221,10 @@ class TestGeneratePseudoGt:
     def test_needs_positive_count(self) -> None:
         with pytest.raises(ValueError):
             generate_pseudo_gt(square_image().astype(float), 0)
+
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "seed must be at least 0"), (1.5, "seed must be an integer")]
+    )
+    def test_rejects_bad_seed(self, seed: object, message: str) -> None:
+        with pytest.raises(ValueError, match=message):
+            generate_pseudo_gt(square_image().astype(float), 2, seed=seed)

@@ -70,6 +70,12 @@ class TestRefineParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RefineParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("name", ["n_opt", "k_alternations", "max_iter"])
+    def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RefineParams(**{name: value})
+
 
 class TestLineCost:
     def test_zero_on_the_generating_line(self) -> None:

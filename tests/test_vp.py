@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefields import (
     LineSegment,
@@ -100,6 +103,19 @@ class TestVpParams:
             VpParams(max_models=0)
         with pytest.raises(ValueError):
             VpParams(ransac_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("name", ["min_support", "max_models", "ransac_iters", "seed"])
+    def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            VpParams(**{name: value})
+
+    def test_rejects_negative_seed(self) -> None:
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            VpParams(seed=-1)
+
+    def test_accepts_numpy_integers(self) -> None:
+        assert VpParams(seed=np.int64(3), ransac_iters=np.int32(10)).seed == 3
 
 
 class TestVpFromTwoLines:
@@ -299,3 +315,77 @@ class TestFitVps:
         models, assignment = fit_vps(lines, VpParams(max_models=1))
         assert len(models) == 1
         assert all(idx in (0, None) for idx in assignment)
+
+    def test_memory_does_not_grow_with_ransac_iters(self) -> None:
+        # Drawn, crossed and scored in chunks: 300k candidates used to hold
+        # about 87 MB of pair and cross-product arrays at once.
+        rng = np.random.default_rng(47)
+        mids = rng.uniform(20.0, 236.0, (30, 2))
+        angles = rng.uniform(0.0, math.pi, 30)
+        halves = 20.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        lines = [LineSegment(tuple(m - h), tuple(m + h)) for m, h in zip(mids, halves)]
+        tracemalloc.start()
+        try:
+            fit_vps(lines, VpParams(ransac_iters=300_000, max_models=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pencils=st.lists(st.tuples(st.integers(2, 10), st.booleans()), max_size=3),
+    clutter=st.integers(0, 8),
+    noise=st.sampled_from([0.0, 0.5, 2.0]),
+    min_support=st.integers(2, 6),
+    max_models=st.integers(1, 4),
+    ransac_iters=st.integers(1, 300),
+    t_vp=st.sampled_from([0.5, 1.5, 3.0]),
+)
+def test_fit_vps_invariants(
+    seed: int,
+    pencils: list[tuple[int, bool]],
+    clutter: int,
+    noise: float,
+    min_support: int,
+    max_models: int,
+    ransac_iters: int,
+    t_vp: float,
+) -> None:
+    rng = np.random.default_rng(seed)
+    lines: list[LineSegment] = []
+    for count, at_infinity in pencils:
+        if at_infinity:
+            a = rng.uniform(0.0, math.pi)
+            vp = np.array([math.cos(a), math.sin(a), 0.0])
+        else:
+            vp = np.array([*rng.uniform(-600.0, 850.0, 2), 1.0])
+        lines += concurrent_lines(rng, vp, count, noise=noise)
+    for _ in range(clutter):
+        m = rng.uniform(20.0, 236.0, 2)
+        a = rng.uniform(0.0, math.pi)
+        h = rng.uniform(5.0, 40.0) * np.array([math.cos(a), math.sin(a)])
+        lines.append(LineSegment(tuple(m - h), tuple(m + h)))
+    params = VpParams(
+        t_vp=t_vp,
+        min_support=min_support,
+        max_models=max_models,
+        ransac_iters=ransac_iters,
+        seed=seed,
+    )
+
+    models, assignment = fit_vps(lines, params)
+
+    assert len(assignment) == len(lines)
+    assert len(models) <= max_models
+    for k in range(len(models)):
+        assert assignment.count(k) >= min_support
+    for seg, idx in zip(lines, assignment):
+        if idx is not None:
+            assert d_vp(seg, models[idx]) < t_vp
+    again_models, again_assignment = fit_vps(lines, params)
+    assert again_assignment == assignment
+    assert len(again_models) == len(models)
+    assert all(np.array_equal(x.v, y.v) for x, y in zip(again_models, models))

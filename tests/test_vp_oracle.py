@@ -6,7 +6,8 @@ scores a round's candidates as one matrix but draws from the RNG in the
 same order, so on any input the two must agree bit for bit: the same
 models, in the same order, and the same assignment. The reference also
 counts which branches a scene took, so each test can show it covered the
-case it names.
+case it names. The pair draws themselves are checked against one
+``rng.choice`` call per draw, outputs and generator state.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from linefields import LineSegment, VanishingPoint, VpParams, fit_vps, refine_vp, vp_from_two_lines
 from linefields.geometry import _d_vp_many
+from linefields.vp import _pair_draws
 
 from util_synth import concurrent_lines
 
@@ -37,6 +39,7 @@ def scalar_fit_vps(lines, params, seen: Counter):
     remaining = np.arange(n)
 
     while len(models) < params.max_models and len(remaining) >= params.min_support:
+        seen["two_line_round"] += len(remaining) == 2
         best_vec = None
         best_len = 0.0
         sub_m, sub_e1, sub_e2 = mids[remaining], e1[remaining], e2[remaining]
@@ -157,3 +160,66 @@ def test_matches_reference_when_scored_in_many_chunks(monkeypatch: pytest.Monkey
     # About two candidates per chunk: chunk edges must not change the winner.
     monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", 2 * len(lines))
     assert_same_fit(lines, VpParams(seed=6, ransac_iters=100))
+
+
+def test_matches_reference_when_the_last_round_has_two_lines() -> None:
+    # A pencil takes all but two lines; the two left form a model of their
+    # own, drawn by numpy's choice with no word for the first index.
+    rng = np.random.default_rng(13)
+    lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 8, half_range=(40.0, 60.0))
+    lines += [LineSegment((10.0, 200.0), (40.0, 240.0)), LineSegment((200.0, 20.0), (150.0, 60.0))]
+    seen = assert_same_fit(lines, VpParams(seed=4, min_support=2, ransac_iters=50))
+    assert seen["two_line_round"] == 1
+    models, assignment = fit_vps(lines, VpParams(seed=4, min_support=2, ransac_iters=50))
+    assert len(models) == 2
+    assert assignment[-2:] == [1, 1]
+
+
+def choice_loop(rng: np.random.Generator, m: int, iters: int) -> np.ndarray:
+    return np.array([rng.choice(m, 2, replace=False) for _ in range(iters)])
+
+
+@pytest.mark.parametrize("advanced", [False, True])
+@pytest.mark.parametrize("iters", [1, 1000])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 60, 61, 1000, 99_999, 2**31 + 1])
+def test_pair_draws_match_one_choice_per_draw(m: int, iters: int, advanced: bool) -> None:
+    # m = 2 draws no word for the first index, and 2**31 + 1 rejects about
+    # half its words, so both take the one-call-per-draw path; an advanced
+    # generator holds half of a 64-bit output in its buffer.
+    want_rng, got_rng = np.random.default_rng(m), np.random.default_rng(m)
+    if advanced:
+        for r in (want_rng, got_rng):
+            r.integers(0, 2**32, dtype=np.uint32)
+    want = choice_loop(want_rng, m, iters)
+    got = _pair_draws(got_rng, m, iters)
+    assert got.shape == (iters, 2)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [2**31 + 2, 3 * 2**30])
+def test_pair_draws_replay_rejections_of_either_word(m: int) -> None:
+    # Both bounds reject about a quarter to a half of their words here, so
+    # across the seeds a block sees rejections of the first word alone, the
+    # second alone, and both.
+    for seed in range(40):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_pair_draws(got_rng, m, 2), choice_loop(want_rng, m, 2))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_pair_draws_with_another_bit_generator() -> None:
+    want_rng = np.random.Generator(np.random.MT19937(3))
+    got_rng = np.random.Generator(np.random.MT19937(3))
+    assert np.array_equal(_pair_draws(got_rng, 40, 200), choice_loop(want_rng, 40, 200))
+    got, want = (r.bit_generator.state["state"] for r in (got_rng, want_rng))
+    assert np.array_equal(got["key"], want["key"]) and got["pos"] == want["pos"]
+
+
+def test_pair_draws_continue_the_stream_across_blocks() -> None:
+    # fit_vps draws a round in chunks; reading them in order is one stream.
+    want_rng, got_rng = np.random.default_rng(21), np.random.default_rng(21)
+    want = choice_loop(want_rng, 30, 700)
+    got = np.concatenate([_pair_draws(got_rng, 30, k) for k in (1, 2, 97, 600)])
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
