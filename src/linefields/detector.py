@@ -58,6 +58,8 @@ __all__ = [
     "detect",
 ]
 
+_NFA_ELEMENTS = 1 << 13  # candidate pixels the NFA count tests at once
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -229,39 +231,62 @@ def _fit_rect(
     return rect
 
 
-def _count_in_rect(
-    rect: _Rect,
+def _count_in_rects(
+    rects: Sequence[_Rect],
     ldir: np.ndarray,
     usable: np.ndarray,
     tol: float,
     period: float,
     offset: float,
-) -> tuple[int, int]:
-    """Pixels whose center lies in the rectangle, and the aligned subset."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels whose center lies in each rectangle, and the aligned subset.
+
+    Every rectangle is tested over the grid pixels of its corners' bounding
+    box. The boxes of all rectangles are laid end to end and scanned in
+    chunks of at most _NFA_ELEMENTS pixels, each pixel with the arithmetic
+    of its own rectangle, so the counts do not depend on the chunking.
+    """
     h, w = ldir.shape
-    corner_l = np.array([rect.lmin, rect.lmin, rect.lmax, rect.lmax])
-    corner_w = np.array([rect.wmin, rect.wmax, rect.wmin, rect.wmax])
-    cxs = rect.cx + corner_l * rect.ux - corner_w * rect.uy
-    cys = rect.cy + corner_l * rect.uy + corner_w * rect.ux
-    x_lo = max(int(math.floor(cxs.min() - offset)), 0)
-    x_hi = min(int(math.ceil(cxs.max() - offset)), w - 1)
-    y_lo = max(int(math.floor(cys.min() - offset)), 0)
-    y_hi = min(int(math.ceil(cys.max() - offset)), h - 1)
-    if x_lo > x_hi or y_lo > y_hi:
-        return 0, 0
-    gx = np.arange(x_lo, x_hi + 1, dtype=float) + offset - rect.cx
-    gy = (np.arange(y_lo, y_hi + 1, dtype=float) + offset - rect.cy)[:, None]
-    pl = gx * rect.ux + gy * rect.uy
-    pw = -gx * rect.uy + gy * rect.ux
-    inside = (pl >= rect.lmin) & (pl <= rect.lmax) & (pw >= rect.wmin) & (pw <= rect.wmax)
-    n = int(inside.sum())
-    if n == 0:
-        return 0, 0
-    sub_dir = ldir[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    diff = np.mod(sub_dir - rect.theta, period)
-    circ = np.minimum(diff, period - diff)
-    aligned = inside & (circ <= tol) & usable[y_lo : y_hi + 1, x_lo : x_hi + 1]
-    return n, int(aligned.sum())
+    cx, cy, ux, uy, lmin, lmax, wmin, wmax, theta = np.array(
+        [(r.cx, r.cy, r.ux, r.uy, r.lmin, r.lmax, r.wmin, r.wmax, r.theta) for r in rects]
+    ).reshape(-1, 9).T
+    corner_l = np.stack([lmin, lmin, lmax, lmax], axis=1)
+    corner_w = np.stack([wmin, wmax, wmin, wmax], axis=1)
+    cxs = cx[:, None] + corner_l * ux[:, None] - corner_w * uy[:, None]
+    cys = cy[:, None] + corner_l * uy[:, None] + corner_w * ux[:, None]
+    x_lo = np.maximum(np.floor(cxs.min(axis=1) - offset), 0).astype(np.intp)
+    x_hi = np.minimum(np.ceil(cxs.max(axis=1) - offset), w - 1).astype(np.intp)
+    y_lo = np.maximum(np.floor(cys.min(axis=1) - offset), 0).astype(np.intp)
+    y_hi = np.minimum(np.ceil(cys.max(axis=1) - offset), h - 1).astype(np.intp)
+    box_w = np.maximum(x_hi - x_lo + 1, 0)
+    sizes = box_w * np.maximum(y_hi - y_lo + 1, 0)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    n_in = np.zeros(len(rects), dtype=np.intp)
+    k_in = np.zeros(len(rects), dtype=np.intp)
+    flat_dir, flat_usable = ldir.ravel(), usable.ravel()
+    total = int(sizes.sum())
+    for start in range(0, total, _NFA_ELEMENTS):
+        pos = np.arange(start, min(start + _NFA_ELEMENTS, total))
+        rid = np.searchsorted(ends, pos, side="right")  # the box holding pos
+        iy, ix = np.divmod(pos - starts[rid], box_w[rid])
+        ix += x_lo[rid]
+        iy += y_lo[rid]
+        # _fit_rect's operations in its order: a region's extreme pixels
+        # project exactly onto the rectangle's edges and count as inside.
+        gx = ix + offset - cx[rid]
+        gy = iy + offset - cy[rid]
+        pl = gx * ux[rid] + gy * uy[rid]
+        pw = -gx * uy[rid] + gy * ux[rid]
+        inside = (pl >= lmin[rid]) & (pl <= lmax[rid]) & (pw >= wmin[rid]) & (pw <= wmax[rid])
+        rid = rid[inside]
+        n_in += np.bincount(rid, minlength=len(rects))
+        flat = iy[inside] * w + ix[inside]
+        diff = np.mod(flat_dir[flat] - theta[rid], period)
+        circ = np.minimum(diff, period - diff)
+        aligned = (circ <= tol) & flat_usable[flat]
+        k_in += np.bincount(rid[aligned], minlength=len(rects))
+    return n_in, k_in
 
 
 def _scatter(size: int, idx: np.ndarray, values: np.ndarray) -> list[float]:
@@ -369,7 +394,7 @@ def lsd_extract(
         (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
         params.n_bins - 1,
     )
-    order = np.lexsort((usable_idx, -bins))
+    order = np.argsort(-bins, kind="stable")
 
     # Region growing runs on a grid padded by one always-taken pixel, so the
     # 8 neighbours of any pixel p are p + offsets, in row-major order.
@@ -380,8 +405,9 @@ def lsd_extract(
     lonely = _lonely(wp, pidx, pldir, pusable, tol, period)[order].tolist()
 
     ldir = _scatter(n_pad, pidx, pldir[pidx])
-    cos_k = _scatter(n_pad, pidx, np.cos(k * ldir2d).ravel()[usable_idx])
-    sin_k = _scatter(n_pad, pidx, np.sin(k * ldir2d).ravel()[usable_idx])
+    k_dir = k * pldir[pidx]
+    cos_k = _scatter(n_pad, pidx, np.cos(k_dir))
+    sin_k = _scatter(n_pad, pidx, np.sin(k_dir))
     # status: 0 free, 1 taken (in a region, below the threshold or padding)
     status = bytearray((~pusable).astype(np.uint8).tobytes())
 
@@ -441,7 +467,7 @@ def lsd_extract(
         two_std = 2.0 * math.sqrt(float(np.mean(arr * arr)))
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
-    results: list[LineSegment] = []
+    rects: list[_Rect] = []
 
     for seed, alone in zip(seed_order, lonely):
         if status[seed]:
@@ -498,12 +524,17 @@ def lsd_extract(
 
         if not ok or rect is None:
             continue
+        rects.append(rect)
 
-        # Alignment counting ignores sub-threshold pixels.
-        n_in, k_in = _count_in_rect(rect, ldir2d, usable2d, tol, period, grid_offset)
+    # The NFA test reads only the static grids and takes no pixel, so all
+    # rectangles are counted after growing. Alignment counting ignores
+    # sub-threshold pixels.
+    counts = _count_in_rects(rects, ldir2d, usable2d, tol, period, grid_offset)
+    results: list[LineSegment] = []
+    for rect, n_in, k_in in zip(rects, *counts):
         if n_in == 0:
             continue
-        log_nfa = log_nt + _log10_binomial_tail(n_in, k_in, p_align)
+        log_nfa = log_nt + _log10_binomial_tail(int(n_in), int(k_in), p_align)
         if log_nfa > params.log_nfa_max:
             continue
         results.append(
@@ -533,21 +564,26 @@ def filter_lines(
     xmin, ymin = 0.5, 0.5
     xmax, ymax = head_w - 0.5, h - 0.5
     ts = np.linspace(0.0, 1.0, params.n_samples)
-    kept: list[LineSegment] = []
+    inside: list[LineSegment] = []
+    rows: list[tuple[float, ...]] = []  # clipped endpoints and the line's angle
     for seg in lines:
         clipped = clip_segment_to_rect(seg, xmin, ymin, xmax, ymax)
-        if clipped is None:
-            continue
-        xs = clipped.p1.x + ts * (clipped.p2.x - clipped.p1.x)
-        ys = clipped.p1.y + ts * (clipped.p2.y - clipped.p1.y)
-        df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
-        af_s = _bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
-        diff = np.mod(np.abs(af_s - seg.angle), math.pi)
-        circ = np.minimum(diff, math.pi - diff)
-        agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
-        if float(agrees.mean()) >= params.min_inlier_frac:
-            kept.append(seg)
-    return kept
+        if clipped is not None:
+            inside.append(seg)
+            rows.append((*clipped.p1, *clipped.p2, seg.angle))
+    if not inside:
+        return []
+    # All survivors are sampled in one (lines, n_samples) pass.
+    x1, y1, x2, y2, angle = (col[:, None] for col in np.array(rows).T)
+    xs = x1 + ts * (x2 - x1)
+    ys = y1 + ts * (y2 - y1)
+    df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
+    af_s = _bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
+    diff = np.mod(np.abs(af_s - angle), math.pi)
+    circ = np.minimum(diff, math.pi - diff)
+    agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
+    keep = agrees.mean(axis=1) >= params.min_inlier_frac
+    return [seg for seg, k in zip(inside, keep) if k]
 
 
 def detect(

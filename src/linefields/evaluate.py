@@ -84,6 +84,35 @@ def _homogeneous_lines(segs: Sequence[LineSegment]) -> np.ndarray:
     return np.stack([seg.homogeneous_line() for seg in segs])
 
 
+def _greedy_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs a greedy one-to-one scan of
+    ``dist`` claims, in the order it claims them.
+
+    The scan visits entries in stable ascending order (NaN last) and claims
+    each whose row and column are both free. It runs in rounds on the rank
+    matrix instead: a round claims every free pair that is the first
+    minimum of both its row and its column among the free entries, which
+    the scan claims too, since nothing before it in the order touches its
+    row or column. Each round claims at least the free minimum.
+    """
+    na, nb = dist.shape
+    rank = np.empty(na * nb, dtype=np.intp)
+    rank[np.argsort(dist, axis=None, kind="stable")] = np.arange(na * nb)
+    rank = rank.reshape(na, nb)
+    rows, cols = np.arange(na), np.arange(nb)
+    claimed = [np.empty((3, 0), dtype=np.intp)]  # rank, row, column
+    while len(rows) and len(cols):
+        best = rank.argmin(axis=1)
+        mutual = np.flatnonzero(rank.argmin(axis=0)[best] == np.arange(len(rows)))
+        taken = best[mutual]
+        claimed.append(np.stack([rank[mutual, taken], rows[mutual], cols[taken]]))
+        rows, cols = np.delete(rows, mutual), np.delete(cols, taken)
+        rank = np.delete(np.delete(rank, mutual, axis=0), taken, axis=1)
+    ranks, i, j = np.concatenate(claimed, axis=1)
+    order = np.argsort(ranks)
+    return i[order], j[order]
+
+
 def match_one_to_one(
     lines_a: Sequence[LineSegment],
     lines_b: Sequence[LineSegment],
@@ -109,21 +138,11 @@ def match_one_to_one(
     else:
         a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
         dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
-    order = np.argsort(dist, axis=None, kind="stable")
-    used_a = np.zeros(len(lines_a), dtype=bool)
-    used_b = np.zeros(len(warped_b), dtype=bool)
-    matches: list[LineMatch] = []
-    limit = min(len(lines_a), len(warped_b))
-    for flat in order:
-        i, j = divmod(int(flat), len(warped_b))
-        if used_a[i] or used_b[j]:
-            continue
-        used_a[i] = True
-        used_b[j] = True
-        matches.append(LineMatch(i, j, float(dist[i, j])))
-        if len(matches) == limit:
-            break
-    return matches
+    rows, cols = _greedy_pairs(dist)
+    return [
+        LineMatch(i, j, d)
+        for i, j, d in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist())
+    ]
 
 
 def repeatability(

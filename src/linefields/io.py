@@ -151,9 +151,16 @@ def read_lines(path: str | Path) -> tuple[list[LineSegment], str | None]:
 def write_lines(
     path: str | Path, lines: Sequence[LineSegment], header: str | None = None
 ) -> None:
-    """Write segments as CSV records with full decimal precision."""
+    """Write segments as CSV records with full decimal precision.
+
+    Raises:
+        ValueError: when ``header`` holds a line break, which would leave
+            part of it where read_lines expects records.
+    """
     rows = []
     if header is not None:
+        if header.splitlines() not in ([], [header]):
+            raise ValueError("header must be a single line")
         rows.append(f"#{header}")
     for seg in lines:
         rows.append(

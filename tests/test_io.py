@@ -178,6 +178,23 @@ class TestLinesFile:
         assert len(back) == 1
         assert path.read_text().startswith("#x1,y1,x2,y2\n")
 
+    @pytest.mark.parametrize("header", ["a\nb", "a\n", "\n", "a\r\nb", "a\rb", "a\x0bb", "a\u2028b"])
+    def test_multi_line_header_rejected(self, tmp_path, header) -> None:
+        path = tmp_path / "l.csv"
+        with pytest.raises(ValueError, match="header must be a single line"):
+            write_lines(path, [LineSegment((0.0, 0.0), (1.0, 1.0))], header=header)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header", ["", " ", "a b,c\td", "#x"])
+    def test_single_line_header_rereads(self, tmp_path, header) -> None:
+        """Write, read and write again give the same bytes."""
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_lines(first, [LineSegment((0.0, 0.0), (1.0, 1.0))], header=header)
+        back, got = read_lines(first)
+        assert got == header
+        write_lines(second, back, header=got)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_empty(self, tmp_path) -> None:
         path = tmp_path / "l.csv"
         write_lines(path, [])

@@ -2,9 +2,12 @@
 
 ``oracle_lsd_extract`` is the extractor before its fast path: region
 growing on the unpadded grid with clamped 8-neighbourhoods, every seed
-grown, and the NFA tail through ``scipy.special.logsumexp``. The fast path
-pads the grid, skips seeds that can only grow to one pixel and spells the
-log-sum-exp out in numpy. None of that may change a bit of the output, so
+grown, each rectangle's pixels counted by ``oracle_count_in_rect`` as soon
+as it is fitted, and the NFA tail through ``scipy.special.logsumexp``. The
+fast path pads the grid, skips seeds that can only grow to one pixel,
+counts the pixels of all rectangles after growing in fixed-size chunks,
+and spells the log-sum-exp out in numpy. None of that may change a bit of
+the output, so
 on any grid the two must return the same segments, coordinate for
 coordinate. The oracle also counts which branches a grid took, so the
 fixed scenes can show they covered the retry, shrink and NFA paths.
@@ -14,10 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
@@ -32,8 +36,10 @@ from linefields import (
     surrogate_gradient,
     warp_image,
 )
+from linefields import detector
 from linefields.detector import (
-    _count_in_rect,
+    _Rect,
+    _count_in_rects,
     _fit_rect,
     _lonely,
     _log10_binomial_tail,
@@ -58,6 +64,34 @@ def oracle_log10_tail(n: int, k: int, p: float) -> float:
         + (n - j) * math.log1p(-p)
     )
     return float(logsumexp(log_terms)) / math.log(10.0)
+
+
+def oracle_count_in_rect(rect, ldir, usable, tol, period, offset):
+    """Pixels whose center lies in the rectangle, and the aligned subset."""
+    h, w = ldir.shape
+    corner_l = np.array([rect.lmin, rect.lmin, rect.lmax, rect.lmax])
+    corner_w = np.array([rect.wmin, rect.wmax, rect.wmin, rect.wmax])
+    cxs = rect.cx + corner_l * rect.ux - corner_w * rect.uy
+    cys = rect.cy + corner_l * rect.uy + corner_w * rect.ux
+    x_lo = max(int(math.floor(cxs.min() - offset)), 0)
+    x_hi = min(int(math.ceil(cxs.max() - offset)), w - 1)
+    y_lo = max(int(math.floor(cys.min() - offset)), 0)
+    y_hi = min(int(math.ceil(cys.max() - offset)), h - 1)
+    if x_lo > x_hi or y_lo > y_hi:
+        return 0, 0
+    gx = np.arange(x_lo, x_hi + 1, dtype=float) + offset - rect.cx
+    gy = (np.arange(y_lo, y_hi + 1, dtype=float) + offset - rect.cy)[:, None]
+    pl = gx * rect.ux + gy * rect.uy
+    pw = -gx * rect.uy + gy * rect.ux
+    inside = (pl >= rect.lmin) & (pl <= rect.lmax) & (pw >= rect.wmin) & (pw <= rect.wmax)
+    n = int(inside.sum())
+    if n == 0:
+        return 0, 0
+    sub_dir = ldir[y_lo : y_hi + 1, x_lo : x_hi + 1]
+    diff = np.mod(sub_dir - rect.theta, period)
+    circ = np.minimum(diff, period - diff)
+    aligned = inside & (circ <= tol) & usable[y_lo : y_hi + 1, x_lo : x_hi + 1]
+    return n, int(aligned.sum())
 
 
 def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=None):
@@ -212,7 +246,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
         if not ok or rect is None:
             continue
 
-        n_in, k_in = _count_in_rect(rect, ldir2d, usable2d, tol, period, grid_offset)
+        n_in, k_in = oracle_count_in_rect(rect, ldir2d, usable2d, tol, period, grid_offset)
         if n_in == 0:
             continue
         log_nfa = log_nt + oracle_log10_tail(n_in, k_in, p_align)
@@ -312,8 +346,7 @@ def test_pseudo_gt_warps_match_oracle():
         assert seen[branch] > 0, branch
 
 
-def test_rendered_field_pair_matches_oracle():
-    """Field-mode detection: the surrogate gradient of a rendered pair."""
+def rendered_pair_matches_oracle():
     rng = np.random.default_rng(11)
     segs = random_segments(rng, size=128, k_range=(5, 7))
     mag, theta = surrogate_gradient(render_fields(segs, 128, 128, 5.0))
@@ -323,6 +356,116 @@ def test_rendered_field_pair_matches_oracle():
     )
     assert len(lines) >= len(segs)
     assert seen["accepted"] > 0
+
+
+def test_rendered_field_pair_matches_oracle():
+    """Field-mode detection: the surrogate gradient of a rendered pair."""
+    rendered_pair_matches_oracle()
+
+
+def test_rendered_field_pair_matches_oracle_in_small_chunks():
+    with mock.patch.object(detector, "_NFA_ELEMENTS", 37):
+        rendered_pair_matches_oracle()
+
+
+# ------------------------------------------------------------ NFA counts
+
+
+def random_rect(draw, h, w, reach):
+    """A rectangle centered within ``reach / 3`` pixels of an h x w grid,
+    possibly off it, thin enough to hold no pixel center, or wider than
+    the grid."""
+    theta = draw(st.floats(0.0, TWO_PI, allow_nan=False))
+    cx = draw(st.floats(-reach / 3.0, w + reach / 3.0, allow_nan=False))
+    cy = draw(st.floats(-reach / 3.0, h + reach / 3.0, allow_nan=False))
+    lmin = draw(st.floats(-reach, 0.0, allow_nan=False))
+    lmax = draw(st.floats(1e-9, reach, allow_nan=False))
+    wmin = draw(st.floats(-reach / 4.0, 0.0, allow_nan=False))
+    wmax = draw(st.one_of(st.just(wmin), st.floats(wmin, wmin + reach / 2.0)))
+    return _Rect(cx, cy, theta, lmin, lmax, wmin, wmax)
+
+
+@st.composite
+def rect_scenes(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rects = [random_rect(draw, h, w, 30.0) for _ in range(draw(st.integers(0, 6)))]
+    return h, w, rng, rects
+
+
+def assert_counts_match(rects, ldir, usable, tol, period, offset):
+    n_in, k_in = _count_in_rects(rects, ldir, usable, tol, period, offset)
+    want = [oracle_count_in_rect(r, ldir, usable, tol, period, offset) for r in rects]
+    assert list(zip(n_in.tolist(), k_in.tolist())) == want
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scene=rect_scenes(),
+    chunk=st.sampled_from([1, 2, detector._NFA_ELEMENTS]),
+    period=st.sampled_from([TWO_PI, math.pi]),
+    offset=st.sampled_from([0.5, 1.0]),
+)
+def test_chunked_counts_match_scalar_count(scene, chunk, period, offset):
+    h, w, rng, rects = scene
+    ldir = rng.uniform(0.0, period, (h, w))
+    usable = rng.random((h, w)) < 0.7
+    with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
+        assert_counts_match(rects, ldir, usable, math.pi / 8.0, period, offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(2, 40),
+    w=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 2, detector._NFA_ELEMENTS]),
+    period=st.sampled_from([TWO_PI, math.pi]),
+    offset=st.sampled_from([0.5, 1.0]),
+)
+def test_fitted_rectangles_count_their_own_pixels(h, w, seed, chunk, period, offset):
+    """Rectangles fitted to pixel regions, as lsd_extract fits them: the
+    extreme pixels project exactly onto the rectangle's edges, so every
+    region pixel must count as inside, on both sides of the comparison."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.mgrid[0:h, 0:w]
+    t = rng.uniform(0.0, math.pi)
+    c = rng.uniform(0.0, [w, h])
+    across = np.abs(-(xs + offset - c[0]) * math.sin(t) + (ys + offset - c[1]) * math.cos(t))
+    region = np.flatnonzero((across <= rng.uniform(0.5, 3.0)) & (rng.random((h, w)) < 0.9))
+    assume(len(region) >= 2)
+    iy, ix = np.divmod(region, w)
+    rect = _fit_rect(ix + offset, iy + offset, rng.uniform(1.0, 5.0, len(region)), t, period)
+    assume(rect is not None)
+    ldir = rng.uniform(0.0, period, (h, w))
+    usable = rng.random((h, w)) < 0.8
+    with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
+        (n_in, _), = assert_counts_match([rect], ldir, usable, math.pi / 8.0, period, offset)
+    assert n_in >= len(region)
+
+
+@pytest.mark.parametrize("chunk", [1000, detector._NFA_ELEMENTS])
+def test_rectangles_larger_than_a_chunk(chunk):
+    """Boxes of up to 2.4 default chunks, next to empty and off-grid ones."""
+    h = w = 200
+    rng = np.random.default_rng(5)
+    ldir = rng.uniform(0.0, math.pi, (h, w))
+    ldir[50:150, :] = 0.25  # an aligned band
+    usable = rng.random((h, w)) < 0.9
+    rects = [
+        _Rect(100.0, 100.0, 0.25, -140.0, 140.0, -90.0, 90.0),  # whole grid
+        _Rect(-50.0, -50.0, 1.0, -10.0, 10.0, -2.0, 2.0),  # off the grid
+        _Rect(100.3, 100.3, 0.0, -0.2, 0.2, 0.0, 0.0),  # no pixel center
+        _Rect(20.0, 180.0, 2.0, -60.0, 60.0, -1.0, 1.5),
+        _Rect(100.0, 100.0, 0.25, -90.0, 90.0, -40.0, 40.0),
+    ]
+    with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
+        want = assert_counts_match(rects, ldir, usable, math.pi / 8.0, math.pi, 0.5)
+    assert want[0][0] > detector._NFA_ELEMENTS
+    assert want[1] == (0, 0) and want[2] == (0, 0)
+    assert 0 < want[4][1] < want[4][0]
 
 
 # --------------------------------------------------------- lonely seeds

@@ -306,6 +306,29 @@ class TestFitVps:
             )
             assert closest < 1e-6
 
+    def test_refinement_that_loses_support_keeps_the_candidate(self) -> None:
+        """The candidate is where lines 0 and 3 meet; the other three lie
+        0.5-1.4 px (d_vp) from it. The length-weighted refinement pushes
+        one of them past t_vp, leaving 4 of the 5 lines required, so
+        fit_vps keeps the unrefined two-line candidate and all 5 of its
+        inliers."""
+        lines = [
+            LineSegment((89.4, 98.7), (35.7, 91.9)),
+            LineSegment((69.7, 115.0), (37.8, 130.8)),
+            LineSegment((120.1, 107.5), (153.7, 116.3)),
+            LineSegment((113.9, 131.4), (158.1, 251.8)),
+            LineSegment((134.5, 86.6), (260.6, 41.2)),
+        ]
+        params = VpParams(min_support=5, max_models=1, ransac_iters=200)
+        models, assignment = fit_vps(lines, params)
+        assert len(models) == 1
+        assert assignment == [0] * 5
+        pair_vps = [vp_from_two_lines(a, b) for i, a in enumerate(lines) for b in lines[i + 1 :]]
+        assert any(np.array_equal(models[0].v, v.v) for v in pair_vps)
+        refined = refine_vp(models[0], lines)
+        assert sum(d_vp(seg, refined) < params.t_vp for seg in lines) == 4
+        assert all(d_vp(seg, models[0]) < params.t_vp for seg in lines)
+
     def test_max_models_caps_output(self) -> None:
         rng = np.random.default_rng(46)
         lines: list[LineSegment] = []
