@@ -9,6 +9,7 @@ across runs given the same seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -179,7 +180,12 @@ def _cmd_eval_vp_consistency(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call.
+
+    Parsing leaves it unchanged: each ``parse_args`` fills a new Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="linefields",
         description="Attraction-field line detection, refinement, and evaluation.",

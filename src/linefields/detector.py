@@ -27,6 +27,7 @@ at the block center, a field value at the pixel center).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -196,14 +197,19 @@ def _fit_rect(
     reg_angle: float,
     period: float,
 ) -> _Rect | None:
-    total = weights.sum()
-    cx = float((weights * xs).sum() / total)
-    cy = float((weights * ys).sum() / total)
+    # Row sums of a contiguous stack add up like the 1-D sums of each row.
+    total, sum_x, sum_y = np.array([weights, weights * xs, weights * ys]).sum(axis=1)
+    cx = float(sum_x / total)
+    cy = float(sum_y / total)
     dx = xs - cx
     dy = ys - cy
-    ixx = float((weights * dy * dy).sum() / total)
-    iyy = float((weights * dx * dx).sum() / total)
-    ixy = -float((weights * dx * dy).sum() / total)
+    wdx = weights * dx
+    wdy = weights * dy
+    # weights * dy * dy etc., multiplied left to right.
+    sum_yy, sum_xx, sum_xy = np.array([wdy * dy, wdx * dx, wdx * dy]).sum(axis=1)
+    ixx = float(sum_yy / total)
+    iyy = float(sum_xx / total)
+    ixy = -float(sum_xy / total)
     lam = 0.5 * ((ixx + iyy) - math.sqrt((ixx - iyy) ** 2 + 4.0 * ixy * ixy))
     if abs(ixx) > abs(iyy):
         theta = math.atan2(lam - ixx, ixy)
@@ -215,17 +221,9 @@ def _fit_rect(
         theta += math.pi
     ux = math.cos(theta)
     uy = math.sin(theta)
-    pl = dx * ux + dy * uy
-    pw = -dx * uy + dy * ux
-    rect = _Rect(
-        cx,
-        cy,
-        theta,
-        float(pl.min()),
-        float(pl.max()),
-        float(pw.min()),
-        float(pw.max()),
-    )
+    proj = np.array([dx * ux + dy * uy, dy * ux - dx * uy])  # q - p is q + (-p)
+    (lmin, wmin), (lmax, wmax) = proj.min(axis=1).tolist(), proj.max(axis=1).tolist()
+    rect = _Rect(cx, cy, theta, lmin, lmax, wmin, wmax)
     if rect.length < 1e-12:
         return None
     return rect
@@ -287,13 +285,6 @@ def _count_in_rects(
         aligned = (circ <= tol) & flat_usable[flat]
         k_in += np.bincount(rid[aligned], minlength=len(rects))
     return n_in, k_in
-
-
-def _scatter(size: int, idx: np.ndarray, values: np.ndarray) -> list[float]:
-    """A list of ``size`` Python floats: ``values`` at ``idx``, 0.0 elsewhere."""
-    out = np.full(size, 0.0, dtype=object)
-    out[idx] = values
-    return out.tolist()
 
 
 def _offsets(wp: int) -> tuple[int, ...]:
@@ -394,7 +385,9 @@ def lsd_extract(
         (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
         params.n_bins - 1,
     )
-    order = np.argsort(-bins, kind="stable")
+    # Strongest bin first, ties in pixel order; numpy radix-sorts 16-bit keys.
+    key_type = np.int16 if params.n_bins <= 1 << 15 else np.intp
+    order = np.argsort((params.n_bins - 1 - bins).astype(key_type), kind="stable")
 
     # Region growing runs on a grid padded by one always-taken pixel, so the
     # 8 neighbours of any pixel p are p + offsets, in row-major order.
@@ -404,10 +397,13 @@ def lsd_extract(
     seed_order = pidx[order].tolist()
     lonely = _lonely(wp, pidx, pldir, pusable, tol, period)[order].tolist()
 
-    ldir = _scatter(n_pad, pidx, pldir[pidx])
+    # Region growing reads these per pixel as Python floats. An array("d")
+    # holds a padded grid's doubles as they are; a list would need a float
+    # object per pixel, built anew at every call.
     k_dir = k * pldir[pidx]
-    cos_k = _scatter(n_pad, pidx, np.cos(k_dir))
-    sin_k = _scatter(n_pad, pidx, np.sin(k_dir))
+    trig = np.zeros((2, n_pad))
+    trig[:, pidx] = np.cos(k_dir), np.sin(k_dir)
+    ldir, cos_k, sin_k = (array("d", grid.tobytes()) for grid in (pldir, *trig))
     # status: 0 free, 1 taken (in a region, below the threshold or padding)
     status = bytearray((~pusable).astype(np.uint8).tobytes())
 
@@ -455,26 +451,21 @@ def lsd_extract(
         near = (xs - sxc) ** 2 + (ys - syc) ** 2 <= width * width
         if not near.any():
             return tol
-        ref = ldir[seed]
-        diffs = []
-        for q, close in zip(region, near):
-            if close:
-                d = (ldir[q] - ref) % period
-                if d > half:
-                    d -= period
-                diffs.append(d)
-        arr = np.asarray(diffs)
-        two_std = 2.0 * math.sqrt(float(np.mean(arr * arr)))
+        # np.mod is Python's float %, element by element.
+        d = np.mod(pldir[np.asarray(region)[near]] - ldir[seed], period)
+        d = np.where(d > half, d - period, d)
+        two_std = 2.0 * math.sqrt(float(np.mean(d * d)))
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
     rects: list[_Rect] = []
 
     for seed, alone in zip(seed_order, lonely):
-        if status[seed]:
-            continue
         if alone:
-            # grow() would stop at the seed: smaller than min_region_size.
+            # grow() would stop at the seed, smaller than min_region_size;
+            # taken or not, the seed is taken after its turn.
             status[seed] = 1
+            continue
+        if status[seed]:
             continue
         region, reg_angle = grow(seed, tol)
         if len(region) < min_region_size:
@@ -499,24 +490,20 @@ def lsd_extract(
             d2 = (xs - sxc) ** 2 + (ys - syc) ** 2
             radius = math.sqrt(float(d2.max()))
             arr_region = np.asarray(region)
+            cols = np.stack([xs, ys, weights, d2])
             for _ in range(5):
                 radius *= 0.75
-                keep = d2 <= radius * radius
-                dropped = arr_region[~keep]
-                release(dropped.tolist())
+                keep = cols[3] <= radius * radius
+                release(arr_region[~keep].tolist())
                 arr_region = arr_region[keep]
-                xs = xs[keep]
-                ys = ys[keep]
-                weights = weights[keep]
-                d2 = d2[keep]
+                cols = cols[:, keep]
                 if len(arr_region) < min_region_size:
                     break
-                region = arr_region.tolist()
-                rect2 = _fit_rect(xs, ys, weights, reg_angle, period)
+                rect2 = _fit_rect(cols[0], cols[1], cols[2], reg_angle, period)
                 if rect2 is None:
                     continue
                 rect = rect2
-                if len(region) / (rect.length * rect.width) >= params.density_threshold:
+                if len(arr_region) / (rect.length * rect.width) >= params.density_threshold:
                     ok = True
                     break
             if len(arr_region) < min_region_size:

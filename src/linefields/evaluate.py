@@ -74,9 +74,13 @@ class EvalParams:
 
 
 def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(a[:, None, :, None, :] - b[None, :, None, :, :], axis=-1)
-    same = 0.5 * (d[:, :, 0, 0] + d[:, :, 1, 1])
-    swapped = 0.5 * (d[:, :, 0, 1] + d[:, :, 1, 0])
+    def endpoint_distance(p: int, q: int) -> np.ndarray:
+        dx = a[:, None, p, 0] - b[None, :, q, 0]
+        dy = a[:, None, p, 1] - b[None, :, q, 1]
+        return np.sqrt(dx * dx + dy * dy)
+
+    same = 0.5 * (endpoint_distance(0, 0) + endpoint_distance(1, 1))
+    swapped = 0.5 * (endpoint_distance(0, 1) + endpoint_distance(1, 0))
     return np.minimum(same, swapped)
 
 
@@ -93,7 +97,12 @@ def _greedy_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix instead: a round claims every free pair that is the first
     minimum of both its row and its column among the free entries, which
     the scan claims too, since nothing before it in the order touches its
-    row or column. Each round claims at least the free minimum.
+    row or column. Each round claims at least the free minimum. Once a
+    round claims fewer than an eighth of the free rows (a chain of
+    preferences would take one round per pair), the scan itself finishes
+    on the free entries: the pairs it claims there are the ones it claims
+    on the whole matrix, since no pair claimed so far shares a row or
+    column with them.
     """
     na, nb = dist.shape
     rank = np.empty(na * nb, dtype=np.intp)
@@ -106,8 +115,24 @@ def _greedy_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mutual = np.flatnonzero(rank.argmin(axis=0)[best] == np.arange(len(rows)))
         taken = best[mutual]
         claimed.append(np.stack([rank[mutual, taken], rows[mutual], cols[taken]]))
+        few = 8 * len(mutual) < len(rows)
         rows, cols = np.delete(rows, mutual), np.delete(cols, taken)
         rank = np.delete(np.delete(rank, mutual, axis=0), taken, axis=1)
+        if few:
+            break
+    if len(rows) and len(cols):
+        free_rows = [True] * len(rows)
+        free_cols = [True] * len(cols)
+        found = []
+        for flat in np.argsort(rank, axis=None).tolist():  # ranks are distinct
+            i, j = divmod(flat, len(cols))
+            if free_rows[i] and free_cols[j]:
+                free_rows[i] = free_cols[j] = False
+                found.append((i, j))
+                if len(found) == min(rank.shape):
+                    break
+        i, j = np.array(found).T
+        claimed.append(np.stack([rank[i, j], rows[i], cols[j]]))
     ranks, i, j = np.concatenate(claimed, axis=1)
     order = np.argsort(ranks)
     return i[order], j[order]

@@ -38,6 +38,8 @@ __all__ = [
 # Segments shorter than this after clipping to the base frame are dropped.
 MIN_WARPED_LENGTH = 5.0
 
+_AGG_ELEMENTS = 1 << 16  # stacked angle samples the circular median scores at once
+
 
 @dataclass(frozen=True)
 class HomographySamplerParams:
@@ -153,6 +155,14 @@ def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:
     fields aggregate with the circular median modulo pi: the sample value
     whose summed circular distances to all samples is minimal, ties going
     to the smallest value.
+
+    The angle samples of a pixel are sorted, and candidate i sums its
+    distances d(i, j) in ascending j, so the rounding (and therefore tie
+    resolution) cannot depend on input order. |a - b| is bitwise |b - a|,
+    so each of the n (n - 1) / 2 pair distances is computed once and added
+    to both of its candidates, each in its own j order; the self term is
+    an exact +0.0 and is not added. Pixel rows are processed in chunks of
+    at most _AGG_ELEMENTS stacked samples, which bounds the temporaries.
     """
     if len(pairs) == 0:
         raise ValueError("cannot aggregate an empty list of field pairs")
@@ -166,18 +176,25 @@ def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:
 
     df_stack = np.stack([fp.df.data for fp in pairs])
     n = df_stack.shape[0]
-    df_med = np.sort(df_stack, axis=0)[(n - 1) // 2]
+    df_stack.sort(axis=0)
+    df_med = df_stack[(n - 1) // 2].copy()  # a view would keep the stack alive
+    del df_stack
 
-    # Candidates are evaluated in per-pixel sorted order so the summed
-    # rounding (and therefore tie resolution) cannot depend on input order.
-    af_stack = np.sort(np.stack([fp.af.data for fp in pairs]), axis=0)
-    cost = np.zeros_like(af_stack)
-    for j in range(n):
-        diff = np.abs(af_stack - af_stack[j]) % math.pi
-        cost += np.minimum(diff, math.pi - diff)
-    best = cost.min(axis=0)
-    candidates = np.where(cost == best, af_stack, np.inf)
-    af_med = candidates.min(axis=0)
+    af_stack = np.stack([fp.af.data for fp in pairs])
+    af_stack.sort(axis=0)
+    af_med = np.empty(shape)
+    rows = max(_AGG_ELEMENTS // (n * shape[1]), 1)
+    for r0 in range(0, shape[0], rows):
+        vals = af_stack[:, r0 : r0 + rows]
+        cost = np.zeros_like(vals)
+        for j in range(n - 1):
+            diff = np.abs(vals[j + 1 :] - vals[j]) % math.pi
+            dist = np.minimum(diff, math.pi - diff)  # d(i, j) for i > j
+            cost[j + 1 :] += dist
+            for d in dist:
+                cost[j] += d
+        best = cost.min(axis=0)
+        af_med[r0 : r0 + rows] = np.where(cost == best, vals, np.inf).min(axis=0)
 
     return FieldPair(ScalarField(df_med), ScalarField(af_med), r)
 

@@ -464,3 +464,47 @@ class TestErrorReporting:
         )
         assert rc == 1
         assert "expected 4 comma-separated" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys, monkeypatch) -> None:
+        """gen-fields, eval rep, vps, a bad argument, then gen-fields again
+        in one process: every call parses into a new Namespace that holds
+        only its own subcommand's options, and writes what it always did."""
+        from linefields import cli
+
+        parsed = []
+        parse_args = cli.build_parser().parse_args
+
+        def recording_parse_args(argv):
+            parsed.append(parse_args(argv))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli.build_parser(), "parse_args", recording_parse_args)
+        lines_path, fields_path = write_gt_inputs(tmp_path)
+        gen = ["gen-fields", "--lines", str(lines_path), "--width", "256", "--height", "256"]
+        h = tmp_path / "h.txt"
+        h.write_text(IDENTITY_H)
+        rep = ["eval", "rep", "--lines-a", str(lines_path), "--lines-b", str(lines_path)]
+        pencil = tmp_path / "pencil.csv"
+        write_lines(pencil, pencil_segments(np.random.default_rng(82), (600.0, 128.0), 256, 8))
+        vps = ["vps", "--lines", str(pencil), "--width", "256", "--height", "256"]
+
+        assert main(gen + ["--out", str(tmp_path / "a.dlsf")]) == 0
+        assert main(rep + ["--homography", str(h)]) == 0
+        assert capsys.readouterr().out == "repeatability 1.0\n"
+        assert main(vps + ["--out", str(tmp_path / "v.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["vps", "--lines", str(pencil), "--width", "wide"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'wide'" in capsys.readouterr().err
+        assert main(gen + ["--r", "3.0", "--out", str(tmp_path / "b.dlsf")]) == 0
+
+        assert (tmp_path / "a.dlsf").read_bytes() == fields_path.read_bytes()
+        assert read_field_file(tmp_path / "b.dlsf").r == 3.0
+        assert len(read_vp_file(tmp_path / "v.json")[0]) == 1
+        assert len({id(ns) for ns in parsed}) == len(parsed) == 4
+        first, second, third, last = (vars(ns) for ns in parsed)
+        assert first["r"] == 5.0 and last["r"] == 3.0
+        assert "width" not in second and "lines_a" not in third
+        assert set(first) == set(last)

@@ -1,15 +1,17 @@
 """lsd_extract against the plain region-growing extractor it replaced.
 
 ``oracle_lsd_extract`` is the extractor before its fast path: region
-growing on the unpadded grid with clamped 8-neighbourhoods, every seed
-grown, each rectangle's pixels counted by ``oracle_count_in_rect`` as soon
-as it is fitted, and the NFA tail through ``scipy.special.logsumexp``. The
-fast path pads the grid, skips seeds that can only grow to one pixel,
-counts the pixels of all rectangles after growing in fixed-size chunks,
-and spells the log-sum-exp out in numpy. None of that may change a bit of
-the output, so
-on any grid the two must return the same segments, coordinate for
-coordinate. The oracle also counts which branches a grid took, so the
+growing on the unpadded grid with clamped 8-neighbourhoods, seeds ordered
+by a lexsort, every seed grown, each rectangle fitted by
+``oracle_fit_rect`` (one 1-D sum per moment), its pixels counted by
+``oracle_count_in_rect`` as soon as it is fitted, the local tolerance
+taken pixel by pixel, and the NFA tail through ``scipy.special.logsumexp``.
+The fast path pads the grid, sorts 16-bit seed keys, skips seeds that can
+only grow to one pixel, sums stacked moments, takes the local tolerance
+in one array pass, counts the pixels of all rectangles after growing in
+fixed-size chunks, and spells the log-sum-exp out in numpy. None of that
+may change a bit of the output, so on any grid the two must return the
+same segments, coordinate for coordinate. The oracle also counts which branches a grid took, so the
 fixed scenes can show they covered the retry, shrink and NFA paths.
 """
 
@@ -45,7 +47,7 @@ from linefields.detector import (
     _log10_binomial_tail,
     _padded,
 )
-from linefields.geometry import TWO_PI, LineSegment, Point2
+from linefields.geometry import TWO_PI, LineSegment, Point2, circular_distance
 
 from util_synth import random_segments
 
@@ -64,6 +66,34 @@ def oracle_log10_tail(n: int, k: int, p: float) -> float:
         + (n - j) * math.log1p(-p)
     )
     return float(logsumexp(log_terms)) / math.log(10.0)
+
+
+def oracle_fit_rect(xs, ys, weights, reg_angle, period):
+    total = weights.sum()
+    cx = float((weights * xs).sum() / total)
+    cy = float((weights * ys).sum() / total)
+    dx = xs - cx
+    dy = ys - cy
+    ixx = float((weights * dy * dy).sum() / total)
+    iyy = float((weights * dx * dx).sum() / total)
+    ixy = -float((weights * dx * dy).sum() / total)
+    lam = 0.5 * ((ixx + iyy) - math.sqrt((ixx - iyy) ** 2 + 4.0 * ixy * ixy))
+    if abs(ixx) > abs(iyy):
+        theta = math.atan2(lam - ixx, ixy)
+    else:
+        theta = math.atan2(ixy, lam - iyy)
+    if period > 1.5 * math.pi and circular_distance(theta, reg_angle, TWO_PI) > 0.5 * math.pi:
+        theta += math.pi
+    ux = math.cos(theta)
+    uy = math.sin(theta)
+    pl = dx * ux + dy * uy
+    pw = -dx * uy + dy * ux
+    rect = _Rect(
+        cx, cy, theta, float(pl.min()), float(pl.max()), float(pw.min()), float(pw.max())
+    )
+    if rect.length < 1e-12:
+        return None
+    return rect
 
 
 def oracle_count_in_rect(rect, ldir, usable, tol, period, offset):
@@ -168,7 +198,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
         iy, ix = np.divmod(idx, w)
         xs = ix.astype(float) + grid_offset
         ys = iy.astype(float) + grid_offset
-        rect = _fit_rect(xs, ys, flat_mag[idx], reg_angle, period)
+        rect = oracle_fit_rect(xs, ys, flat_mag[idx], reg_angle, period)
         return rect, xs, ys
 
     def local_tolerance(region, xs, ys, seed, width):
@@ -233,7 +263,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
                 if len(arr_region) < min_region_size:
                     break
                 region = arr_region.tolist()
-                rect2 = _fit_rect(xs, ys, flat_mag[arr_region], reg_angle, period)
+                rect2 = oracle_fit_rect(xs, ys, flat_mag[arr_region], reg_angle, period)
                 if rect2 is None:
                     continue
                 rect = rect2
@@ -321,6 +351,15 @@ def test_random_grids_match_oracle(h, w, kind, period, offset, threshold, seed):
     assert_matches_oracle(mag, ang, params, offset)
 
 
+@pytest.mark.parametrize("n_bins", [1 << 15, (1 << 15) + 1, 1 << 20])
+def test_wide_seed_keys_match_oracle(n_bins):
+    """Bin counts at and above the 16-bit key range."""
+    mag, ang = make_grid("bars", 40, 40, n_bins)
+    for period in (TWO_PI, math.pi):
+        params = DetectorParams(angle_period=period, n_bins=n_bins)
+        assert_matches_oracle(mag, ang, params, 1.0)
+
+
 def test_pseudo_gt_warps_match_oracle():
     """Image-mode detection on warps of a noisy bar image, as gen-gt runs it."""
     rng = np.random.default_rng(7)
@@ -366,6 +405,50 @@ def test_rendered_field_pair_matches_oracle():
 def test_rendered_field_pair_matches_oracle_in_small_chunks():
     with mock.patch.object(detector, "_NFA_ELEMENTS", 37):
         rendered_pair_matches_oracle()
+
+
+# ------------------------------------------------------ rectangle fits
+
+
+def rect_bits(rect):
+    if rect is None:
+        return None
+    return [getattr(rect, name).hex() for name in _Rect.__slots__]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4000),
+    spread=st.floats(0.0, 6.0),
+    log_w=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    period=st.sampled_from([TWO_PI, math.pi]),
+    offset=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4000, spread=3.0, log_w=(-3.0, 3.0), period=TWO_PI, offset=1.0, seed=0)
+@example(n=2, spread=0.0, log_w=(0.0, 0.0), period=math.pi, offset=0.5, seed=1)
+def test_fit_rect_matches_oracle(n, spread, log_w, period, offset, seed):
+    """Pixel bands of any direction and width, weights 1e-3 to 1e3; eight
+    bands per example, as a last-bit slip moves the rectangle only now and
+    then."""
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(log_w)
+    for _ in range(8):
+        t = rng.uniform(0.0, math.pi)
+        along = rng.uniform(-n, n, 4 * n)
+        across = rng.uniform(-spread, spread, 4 * n)
+        ix = np.round(along * math.cos(t) - across * math.sin(t))
+        iy = np.round(along * math.sin(t) + across * math.cos(t))
+        _, first = np.unique(np.stack([ix, iy], axis=1), axis=0, return_index=True)
+        pick = rng.permutation(first)[:n]
+        if len(pick) < 2:
+            continue
+        xs, ys = ix[pick] + 500.0 + offset, iy[pick] + 500.0 + offset
+        weights = 10.0 ** rng.uniform(lo, hi, len(pick))
+        reg_angle = rng.uniform(0.0, period)
+        got = _fit_rect(xs, ys, weights, reg_angle, period)
+        want = oracle_fit_rect(xs, ys, weights, reg_angle, period)
+        assert rect_bits(got) == rect_bits(want)
 
 
 # ------------------------------------------------------------ NFA counts

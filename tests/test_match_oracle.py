@@ -4,14 +4,20 @@
 matrix in Python and claims every pair whose row and column are still
 free, stopping after min(na, nb) claims. The new matcher claims pairs in
 rounds on the rank matrix (every free pair that is the first minimum of
-its row and its column) and returns them in rank order. Both must claim
+its row and its column), finishes with the scan on the free entries once
+a round claims few pairs, and returns them in rank order. Both must claim
 the same pairs in the same order on any matrix: exact ties, +-inf and NaN
 entries included, since the ranks carry the scan's tie and NaN order.
+
+``oracle_structural_matrix`` is the structural distance before it was
+spelled out per endpoint pair: one (na, nb, 2, 2, 2) difference tensor
+and ``np.linalg.norm``. Both must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from linefields import EvalParams, Homography, LineMatch, LineSegment, match_one_to_one
+from linefields import evaluate
 from linefields.evaluate import (
     _greedy_pairs,
     _homogeneous_lines,
@@ -48,6 +55,13 @@ def oracle_greedy_pairs(dist):
     return pairs
 
 
+def oracle_structural_matrix(a, b):
+    d = np.linalg.norm(a[:, None, :, None, :] - b[None, :, None, :, :], axis=-1)
+    same = 0.5 * (d[:, :, 0, 0] + d[:, :, 1, 1])
+    swapped = 0.5 * (d[:, :, 0, 1] + d[:, :, 1, 0])
+    return np.minimum(same, swapped)
+
+
 def oracle_match_one_to_one(lines_a, lines_b, h_gt, params=None):
     params = params or EvalParams()
     if len(lines_a) == 0 or len(lines_b) == 0:
@@ -57,7 +71,7 @@ def oracle_match_one_to_one(lines_a, lines_b, h_gt, params=None):
     a_pts = segments_to_array(lines_a)
     b_pts = segments_to_array(warped_b)
     if params.distance_kind == "structural":
-        dist = _structural_matrix(a_pts, b_pts)
+        dist = oracle_structural_matrix(a_pts, b_pts)
     else:
         a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
         dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
@@ -111,6 +125,38 @@ def test_one_claim_per_round(n):
     dist = np.where(j >= i, i * n + j, n * n + i).astype(float)
     assert_pairs_match(dist)
     assert_pairs_match(dist.T)
+
+
+def test_long_chain_takes_one_round():
+    """The n = 1000 chain: a round claims one pair, then the scan finishes,
+    so the rank matrix is cut down once (four np.delete calls)."""
+    n = 1000
+    i, j = np.mgrid[0:n, 0:n]
+    dist = np.where(j >= i, i * n + j, n * n + i).astype(float)
+    for d in (dist, dist.T):
+        with mock.patch.object(evaluate.np, "delete", wraps=np.delete) as delete:
+            assert_pairs_match(d)
+        assert delete.call_count == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    na=st.integers(1, 9),
+    nb=st.integers(1, 9),
+    data=st.data(),
+)
+def test_structural_matrix_matches_oracle(na, nb, data):
+    """Bit for bit, except the sign of a NaN: when both operands of an add
+    are NaN, which one numpy returns depends on its loop (a vector body or
+    a scalar tail), and neither sorting nor printing reads the sign."""
+    coords = st.one_of(special, st.floats(-1e6, 1e6), st.floats(allow_nan=True))
+    a = data.draw(hnp.arrays(np.float64, (na, 2, 2), elements=coords))
+    b = data.draw(hnp.arrays(np.float64, (nb, 2, 2), elements=coords))
+    with np.errstate(all="ignore"):
+        got, want = _structural_matrix(a, b), oracle_structural_matrix(a, b)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def random_lines(rng, n, size=100.0):
