@@ -22,12 +22,14 @@ from .geometry import (
     LineSegment,
     _DEGENERATE_EPS,
     _d_vp_many,
+    _homogeneous_lines,
+    _line_arrays,
     _orthogonal_many,
     _require_finite,
     apply_homography,
     segments_to_array,
 )
-from .vp import VanishingPoint, _line_arrays
+from .vp import VanishingPoint
 
 __all__ = [
     "LineMatch",
@@ -82,10 +84,6 @@ def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     same = 0.5 * (endpoint_distance(0, 0) + endpoint_distance(1, 1))
     swapped = 0.5 * (endpoint_distance(0, 1) + endpoint_distance(1, 0))
     return np.minimum(same, swapped)
-
-
-def _homogeneous_lines(segs: Sequence[LineSegment]) -> np.ndarray:
-    return np.stack([seg.homogeneous_line() for seg in segs])
 
 
 def _greedy_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,11 +403,6 @@ def corner_error(
     return total / 4.0
 
 
-def _cluster_dvp(cluster: Sequence[LineSegment], v: VanishingPoint) -> np.ndarray:
-    mids, e1, e2, _ = _line_arrays(cluster)
-    return _d_vp_many(mids, e1, e2, v.v)
-
-
 def vp_consistency(
     gt_clusters: Sequence[Sequence[LineSegment]],
     predicted: Sequence[VanishingPoint],
@@ -430,15 +423,13 @@ def vp_consistency(
     ths = [float(t) for t in thresholds]
     if len(ths) == 0:
         raise ValueError("at least one threshold is required")
+    if any(math.isnan(t) for t in ths):
+        raise ValueError("thresholds must not be NaN")
     if len(predicted) == 0:
         return [0.0 for _ in ths]
 
-    med = np.array(
-        [
-            [float(np.median(_cluster_dvp(c, v))) for v in predicted]
-            for c in clusters
-        ]
-    )
+    ends = [_line_arrays(c)[:3] for c in clusters]  # midpoints, first and second endpoints
+    med = np.array([[float(np.median(_d_vp_many(*e, v.v))) for v in predicted] for e in ends])
     claimed: dict[int, int] = {}
     free_c = set(range(len(clusters)))
     free_v = set(range(len(predicted)))
@@ -457,11 +448,8 @@ def vp_consistency(
     out = []
     for t in ths:
         good = 0
-        for ci, cluster in enumerate(clusters):
-            if ci not in claimed:
-                continue
-            d = _cluster_dvp(cluster, predicted[claimed[ci]])
-            good += int((d < t).sum())
+        for ci, vi in claimed.items():
+            good += int((_d_vp_many(*ends[ci], predicted[vi].v) < t).sum())
         out.append(good / total_lines)
     return out
 
@@ -483,8 +471,8 @@ def vp_error_auc(
     """
     if len(gt_vps) == 0:
         raise ValueError("vp error needs at least one ground truth point")
-    if max_angle_deg <= 0.0:
-        raise ValueError("max_angle_deg must be positive")
+    if not (math.isfinite(max_angle_deg) and max_angle_deg > 0.0):
+        raise ValueError("max_angle_deg must be positive and finite")
     if len(predicted) == 0:
         return math.inf, 0.0
     kinv = intrinsics.inverse_matrix()

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, segments_to_array
+from .geometry import LineSegment, _point_segment_many, _segment_terms, segments_to_array
 
 __all__ = [
     "ScalarField",
@@ -87,25 +87,6 @@ class FieldPair:
         return self.df.width
 
 
-def _distances(px, py, x1, y1, dx, dy, den) -> np.ndarray:
-    """Distances from pixel centers to segments, elementwise over broadcasting
-    arrays, with the arithmetic of geometry.point_segment_distance (in place:
-    the same operations on the same operands)."""
-    t = (px - x1) * dx + (py - y1) * dy
-    t /= den
-    np.clip(t, 0.0, 1.0, out=t)
-    cx = t * dx
-    cx += x1
-    np.subtract(px, cx, out=cx)
-    cx *= cx
-    t *= dy
-    t += y1
-    np.subtract(py, t, out=t)
-    t *= t
-    cx += t
-    return np.sqrt(cx, out=cx)
-
-
 def render_fields(
     lines: Sequence[LineSegment], width: int, height: int, r: float = 5.0
 ) -> FieldPair:
@@ -139,14 +120,7 @@ def render_fields(
         raise ValueError("field dimensions must be positive")
     ends = segments_to_array(lines).reshape(-1, 4)
     angles = np.array([seg.angle for seg in lines])
-    x1, y1 = ends[:, 0], ends[:, 1]
-    dx = ends[:, 2] - x1
-    dy = ends[:, 3] - y1
-    den = dx * dx + dy * dy
-    flat = den == 0.0
-    seg = np.stack(
-        [x1, y1, np.where(flat, 0.0, dx), np.where(flat, 0.0, dy), np.where(flat, 1.0, den)]
-    )
+    seg = _segment_terms(ends)
     scale = float(np.max(np.abs(ends)))
     # Below 1e150 no product overflows, so every distance is finite and
     # within a few ulps of scale + width + height of the true one. Above,
@@ -162,7 +136,7 @@ def render_fields(
         bottom = min(top + _TILE, height)
         py = (np.arange(top, bottom, dtype=float) + 0.5)[:, None]
         # (tiles in this row, segments) center distances
-        dc = _distances(center_x, 0.5 * (top + bottom), *seg)
+        dc = _point_segment_many(center_x, 0.5 * (top + bottom), *seg)
         radius = 0.5 * np.hypot(right - left - 1, bottom - top - 1)
         limit = dc.min(axis=1) + 2.0 * radius + margin
         keep = ~(dc > limit[:, None])
@@ -173,7 +147,7 @@ def render_fields(
             index = np.flatnonzero(kept)
             for start in range(0, len(index), rows):
                 part = index[start : start + rows]
-                d = _distances(px, py, *seg[:, part, None, None])
+                d = _point_segment_many(px, py, *seg[:, part, None, None])
                 np.fmin(d, np.inf, out=d)  # a NaN never wins, as under `<`
                 k = d.argmin(axis=0)
                 d = d.min(axis=0)

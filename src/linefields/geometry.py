@@ -239,21 +239,45 @@ def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> flo
     """Euclidean distance from a point to the closest point of a segment.
 
     A segment so short that its squared length underflows to 0 is measured
-    from p1.
+    from p1. One point of the render_fields kernel, _point_segment_many.
     """
-    px, py = float(p[0]), float(p[1])
-    x1, y1 = seg.p1
-    dx = seg.p2.x - x1
-    dy = seg.p2.y - y1
+    px, py = np.array([float(p[0])]), np.array([float(p[1])])
+    terms = _segment_terms(seg.as_array().reshape(1, 4))
+    return float(_point_segment_many(px, py, *terms)[0])
+
+
+def _segment_terms(ends: np.ndarray) -> np.ndarray:
+    """Rows x1, y1, dx, dy, den of the (n, 4) endpoint rows ``ends``, as
+    _point_segment_many takes them. A segment whose squared length den
+    underflows to 0 gets dx = dy = 0 and den = 1: it is measured from p1."""
+    x1, y1 = ends[:, 0], ends[:, 1]
+    dx = ends[:, 2] - x1
+    dy = ends[:, 3] - y1
     den = dx * dx + dy * dy
-    t = ((px - x1) * dx + (py - y1) * dy) / den if den > 0.0 else 0.0
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    cx = x1 + t * dx
-    cy = y1 + t * dy
-    return math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
+    flat = den == 0.0
+    return np.stack(
+        [x1, y1, np.where(flat, 0.0, dx), np.where(flat, 0.0, dy), np.where(flat, 1.0, den)]
+    )
+
+
+def _point_segment_many(px, py, x1, y1, dx, dy, den) -> np.ndarray:
+    """Distances from points to segments, elementwise over broadcasting
+    arrays (at least one of them not 0-d) of point coordinates and the
+    _segment_terms rows. Computed in place: the closest point is p1 + t d,
+    t the projection clipped to [0, 1]."""
+    t = (px - x1) * dx + (py - y1) * dy
+    t /= den
+    np.clip(t, 0.0, 1.0, out=t)
+    cx = t * dx
+    cx += x1
+    np.subtract(px, cx, out=cx)
+    cx *= cx
+    t *= dy
+    t += y1
+    np.subtract(py, t, out=t)
+    t *= t
+    cx += t
+    return np.sqrt(cx, out=cx)
 
 
 def orthogonal_distance(l1: LineSegment, l2: LineSegment) -> float:
@@ -369,3 +393,17 @@ def segments_to_array(lines: Sequence[LineSegment]) -> np.ndarray:
     if len(lines) == 0:
         return np.zeros((0, 2, 2))
     return np.stack([seg.as_array() for seg in lines])
+
+
+def _line_arrays(
+    lines: Sequence[LineSegment],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoints, first and second endpoints as (n, 2) arrays, and lengths."""
+    pts = segments_to_array(lines)
+    lengths = np.array([seg.length for seg in lines])
+    return 0.5 * (pts[:, 0] + pts[:, 1]), pts[:, 0], pts[:, 1], lengths
+
+
+def _homogeneous_lines(lines: Sequence[LineSegment]) -> np.ndarray:
+    """(n, 3) supporting lines, one LineSegment.homogeneous_line per row."""
+    return np.stack([seg.homogeneous_line() for seg in lines])

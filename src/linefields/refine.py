@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FieldPair, _bilinear_corners
-from .geometry import LineSegment, Point2, _d_vp_many, _require_finite
-from .vp import VanishingPoint, VpAssignment, VpParams, _line_arrays, fit_vps, refine_vp
+from .geometry import LineSegment, Point2, _d_vp_many, _line_arrays, _require_finite
+from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, fit_vps, refine_vp
 
 __all__ = [
     "RefineParams",
@@ -198,25 +198,6 @@ def line_cost(
     return float(_batch_costs(_sampling_tables(fp, window), *state, params)[0])
 
 
-def _solve_2x2(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of 2x2 systems; returns (solutions, solved mask).
-
-    One singular matrix makes np.linalg.solve raise for the whole stack;
-    then each system is solved alone, so only the singular ones fail.
-    """
-    solved = np.ones(len(rhs), dtype=bool)
-    try:
-        return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0], solved
-    except np.linalg.LinAlgError:
-        out = np.zeros_like(rhs)
-        for k in range(len(rhs)):
-            try:
-                out[k] = np.linalg.solve(lhs[k], rhs[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return out, solved
-
-
 def _refine_lines(
     lines: Sequence[LineSegment],
     fp: FieldPair,
@@ -230,8 +211,9 @@ def _refine_lines(
     _sampling_tables(fp), built here when not given. Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
     on the trial steps of all _MAX_BOOSTS damping levels of every line
-    that probed inside the field. Each line takes its first downhill level,
-    so the rules are per line, as described in refine_line.
+    that probed inside the field (one _damping_ladder call). Each line
+    takes its first downhill level, so the rules are per line, as
+    described in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps, params)
     if tables is None:
@@ -268,36 +250,30 @@ def _refine_lines(
         haa = (fa_p - 2.0 * f0 + fa_m) / (ha * ha)
         htt = (ft_p - 2.0 * f0 + ft_m) / (h_t * h_t)
         hat = (fpp - fpm - fmp + fmm) / (4.0 * ha * h_t)
-        hess = np.stack([haa, hat, hat, htt], axis=1).reshape(-1, 1, 2, 2)
+        hess = np.stack([haa, hat, hat, htt], axis=1).reshape(-1, 2, 2)
         damp = np.zeros_like(hess)
-        damp[..., 0, 0] = np.maximum(np.abs(haa), 1e-8)[:, None]
-        damp[..., 1, 1] = np.maximum(np.abs(htt), 1e-8)[:, None]
+        damp[:, 0, 0] = np.maximum(np.abs(haa), 1e-8)
+        damp[:, 1, 1] = np.maximum(np.abs(htt), 1e-8)
 
-        # Level b damps with mu times 10, b times over (one rounding per
-        # product, as raising mu level by level does), for all levels at once.
-        n, levels = len(a), _MAX_BOOSTS
-        mus = np.full((n, levels), 10.0)
-        mus[:, 0] = mu[a]
-        mus = np.cumprod(mus, axis=1)
-        lhs = hess + mus[:, :, None, None] * damp
-        delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), np.repeat(-g, levels, axis=0))
-        d0, d1 = delta.reshape(n, levels, 2).transpose(2, 0, 1)
-        lat = params.max_lateral_step
-        d1 = np.where(np.abs(d1) > lat, np.copysign(lat, d1), d1)
-        t_th = theta[a, None] + d0
-        t_mx = mx[a, None] + d1 * nx[:, None]
-        t_my = my[a, None] + d1 * ny[:, None]
-        trial = costs(np.repeat(a, levels), t_th.ravel(), t_mx.ravel(), t_my.ravel())
-        trial = trial.reshape(n, levels)
-        down = solved.reshape(n, levels) & np.isfinite(trial) & (trial < f0[:, None])
+        def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
+            d0, d1 = delta.transpose(2, 0, 1)
+            lat = params.max_lateral_step
+            d1 = np.where(np.abs(d1) > lat, np.copysign(lat, d1), d1)
+            t_th = theta[a, None] + d0
+            t_mx = mx[a, None] + d1 * nx[:, None]
+            t_my = my[a, None] + d1 * ny[:, None]
+            rows = np.repeat(a, _MAX_BOOSTS)
+            cost = costs(rows, t_th.ravel(), t_mx.ravel(), t_my.ravel())
+            return cost.reshape(len(a), _MAX_BOOSTS), t_th, t_mx, t_my, d0, d1
 
-        stepped = down.any(axis=1)
-        r, lvl = np.flatnonzero(stepped), np.argmax(down[stepped], axis=1)  # first downhill level
-        j = a[r]
-        improvement = f0[r] - trial[r, lvl]
-        f[j], theta[j], mx[j], my[j] = trial[r, lvl], t_th[r, lvl], t_mx[r, lvl], t_my[r, lvl]
-        mu[j] = np.maximum(mus[r, lvl] / 3.0, 1e-12)
-        step = np.hypot(d0[r, lvl] * np.maximum(half_len[j], 1.0), d1[r, lvl])
+        stepped, mu_next, *moved, d0, d1 = _damping_ladder(
+            hess, damp, g, mu[a], f0, _MAX_BOOSTS, trial
+        )
+        j = a[stepped]
+        improvement = f0[stepped] - moved[0]
+        f[j], theta[j], mx[j], my[j] = moved
+        mu[j] = mu_next
+        step = np.hypot(d0 * np.maximum(half_len[j], 1.0), d1)
         converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]

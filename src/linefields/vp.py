@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _d_vp_many, _require_finite, segments_to_array
+from .geometry import LineSegment, _d_vp_many, _homogeneous_lines, _line_arrays, _require_finite
 
 __all__ = [
     "VanishingPoint",
@@ -29,6 +29,9 @@ __all__ = [
 VpAssignment = list  # list[int | None]
 
 _SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
+_VP_LEVELS = 12  # damping levels refine_vp tries per iteration: mu, 10 mu, ...
+_VP_MAX_ITER = 100  # refine_vp iterations
+_VP_TOL = 1e-12  # refine_vp step size and relative gain convergence threshold
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,6 @@ def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
     return VanishingPoint(v)
 
 
-def _line_arrays(
-    lines: Sequence[LineSegment],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoints, first and second endpoints as (n, 2) arrays, and lengths."""
-    pts = segments_to_array(lines)
-    lengths = np.array([seg.length for seg in lines])
-    return 0.5 * (pts[:, 0] + pts[:, 1]), pts[:, 0], pts[:, 1], lengths
-
-
 def _tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(v)))] = 1.0
@@ -118,21 +112,62 @@ def _tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def refine_vp(
-    v: VanishingPoint,
-    inliers: Sequence[LineSegment],
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-12,
-    full_output: bool = False,
-):
+def _solve_2x2(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of 2x2 systems; returns (solutions, solved mask).
+
+    One singular matrix makes np.linalg.solve raise for the whole stack;
+    then each system is solved alone, so only the singular ones fail.
+    """
+    solved = np.ones(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(rhs)
+        for k in range(len(rhs)):
+            try:
+                out[k] = np.linalg.solve(lhs[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return out, solved
+
+
+def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
+    """One Levenberg-Marquardt damping ladder for each of n 2x2 systems.
+
+    System k is damped at mu[k], 10 mu[k], ... (``levels`` of them, each
+    the one before times 10, as raising mu level by level does): the
+    (n, 2, 2) hess[k] + mu_level damp[k] are solved against -g[k] as one
+    _solve_2x2 stack. ``trial`` maps the (n, levels, 2) steps to their
+    (n, levels) costs followed by any per-step (n, levels, ...) arrays.
+    System k steps at its first level that solved, costs a finite amount
+    and goes below f0[k]; one with no such level has converged. Returns
+    the stepped mask and, for the systems that stepped, the next mu (that
+    level's mu / 3, at least 1e-12) and the entries of ``trial`` there.
+    """
+    n = len(g)
+    mus = np.full((n, levels), 10.0)
+    mus[:, 0] = mu
+    mus = np.cumprod(mus, axis=1)
+    lhs = hess[:, None] + mus[:, :, None, None] * damp[:, None]
+    delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), np.repeat(-g, levels, axis=0))
+    cost, *steps = trial(delta.reshape(n, levels, 2))
+    down = solved.reshape(n, levels) & np.isfinite(cost) & (cost < f0[:, None])
+    stepped = down.any(axis=1)
+    r, lvl = np.flatnonzero(stepped), np.argmax(down[stepped], axis=1)  # first downhill level
+    return stepped, np.maximum(mus[r, lvl] / 3.0, 1e-12), cost[r, lvl], *(s[r, lvl] for s in steps)
+
+
+def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output: bool = False):
     """Minimize the length-weighted squared d_vp over the unit sphere.
 
     Levenberg-Marquardt on a 2-parameter tangent-plane chart, numeric
     central-difference Jacobian, uphill steps rejected. Residuals carry
     the side sign (squaring removes it from the cost) so the Jacobian
-    stays meaningful where segments cross the joining line. Returns the
-    best iterate; with ``full_output=True`` returns (vp, cost, converged).
+    stays meaningful where segments cross the joining line. Each iteration
+    scores its _VP_LEVELS damping levels in one _damping_ladder call.
+    Converged means the gradient vanished, the step or its relative gain
+    fell below _VP_TOL, or no level went downhill. Returns the best
+    iterate; with ``full_output=True`` returns (vp, cost, converged).
 
     Raises:
         ValueError: with fewer than 2 inlier lines.
@@ -148,28 +183,21 @@ def refine_vp(
     cur = np.array(v.v, dtype=float)
     res = residuals(cur)
     cost = float(res @ res)
-    if not math.isfinite(cost):
-        if full_output:
-            return VanishingPoint(cur), cost, False
-        return VanishingPoint(cur)
-
-    mu = 1e-3
+    mu = np.array([1e-3])
     converged = False
     h = 1e-7
-    for _ in range(max_iter):
+    # A cost that cannot be evaluated leaves the point where it is.
+    for _ in range(_VP_MAX_ITER if math.isfinite(cost) else 0):
         b1, b2 = _tangent_basis(cur)
 
-        def at(a: float, b: float) -> np.ndarray:
-            w = cur + a * b1 + b * b2
-            return w / np.linalg.norm(w)
+        def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            # vecdot runs the dot kernel of np.linalg.norm and of r @ r, so
+            # stacked vectors and costs round as each one alone.
+            w = cur + a[..., None] * b1 + b[..., None] * b2
+            return w / np.sqrt(np.vecdot(w, w))[..., None]
 
-        # The four probes in one call; at() stays per vector, because
-        # np.linalg.norm rounds differently on a stack.
-        probes = np.stack([at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)])
-        r = residuals(probes[:, None, :])
-        jac = np.empty((len(inliers), 2))
-        jac[:, 0] = (r[0] - r[1]) / (2.0 * h)
-        jac[:, 1] = (r[2] - r[3]) / (2.0 * h)
+        r = residuals(at(np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))[:, None])
+        jac = np.stack([(r[0] - r[1]) / (2.0 * h), (r[2] - r[3]) / (2.0 * h)], axis=1)
         if not np.all(np.isfinite(jac)):
             break
         g = jac.T @ res
@@ -177,33 +205,24 @@ def refine_vp(
             converged = True
             break
         jtj = jac.T @ jac
-        damp_scale = np.maximum(np.diag(jtj), 1e-12)
-        stepped = False
-        for _boost in range(12):
-            try:
-                delta = np.linalg.solve(jtj + mu * np.diag(damp_scale), -g)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            trial = at(float(delta[0]), float(delta[1]))
-            trial_res = residuals(trial)
-            trial_cost = float(trial_res @ trial_res)
-            if math.isfinite(trial_cost) and trial_cost < cost:
-                step = float(np.linalg.norm(delta))
-                cur = trial
-                res = trial_res
-                improvement = cost - trial_cost
-                cost = trial_cost
-                mu = max(mu / 3.0, 1e-12)
-                stepped = True
-                if step < tol or improvement < tol * max(cost, 1.0):
-                    converged = True
-                break
-            mu *= 10.0
-        if not stepped:
+
+        def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
+            w = at(delta[..., 0], delta[..., 1])
+            w_res = residuals(w[..., None, :])
+            return np.vecdot(w_res, w_res), w, w_res, delta
+
+        damp = np.diag(np.maximum(np.diag(jtj), 1e-12))
+        stepped, *moved = _damping_ladder(
+            jtj[None], damp[None], g[None], mu, np.array([cost]), _VP_LEVELS, trial
+        )
+        if not stepped[0]:
             converged = True  # no downhill step at any damping: local minimum
             break
-        if converged:
+        mu, (trial_cost,), (cur,), (res,), (delta,) = moved
+        improvement = cost - trial_cost
+        cost = float(trial_cost)
+        if float(np.linalg.norm(delta)) < _VP_TOL or improvement < _VP_TOL * max(cost, 1.0):
+            converged = True
             break
 
     out = VanishingPoint(cur)
@@ -291,7 +310,7 @@ def fit_vps(
         return models, assignment
 
     arrays = _line_arrays(lines)
-    hom = np.array([seg.homogeneous_line() for seg in lines])
+    hom = _homogeneous_lines(lines)
     rng = np.random.default_rng(params.seed)
     remaining = np.arange(n)
 

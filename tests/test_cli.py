@@ -11,6 +11,7 @@ from linefields import (
     DetectorParams,
     HomographySamplerParams,
     LineSegment,
+    VanishingPoint,
     generate_pseudo_gt,
     orthogonal_distance,
     read_field_file,
@@ -20,6 +21,7 @@ from linefields import (
     write_field_file,
     write_lines,
     write_pgm,
+    write_vp_file,
 )
 from linefields.cli import main
 
@@ -425,6 +427,45 @@ class TestEval:
         )
         assert rc == 1
         assert "error: assignment length" in capsys.readouterr().err
+
+    def test_vp_rejects_non_finite_max_angle(self, tmp_path, capsys) -> None:
+        vps_path = tmp_path / "v.json"
+        write_vp_file(vps_path, [VanishingPoint(np.array([600.0, 128.0, 1.0]))], [])
+        for bad in ("nan", "inf"):
+            rc = main(
+                [
+                    "eval", "vp",
+                    "--vps", str(vps_path),
+                    "--gt-vps", str(vps_path),
+                    "--fx", "256", "--fy", "256", "--cx", "128", "--cy", "128",
+                    "--max-angle", bad,
+                ]
+            )
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: max_angle_deg must be positive and finite" in captured.err
+
+    def test_vp_consistency_rejects_nan_threshold(self, tmp_path, capsys) -> None:
+        rng = np.random.default_rng(86)
+        lines = pencil_segments(rng, vp_xy=(600.0, 128.0), size=256, n=8)
+        lines_path = tmp_path / "l.csv"
+        write_lines(lines_path, lines)
+        vps_path = tmp_path / "v.json"
+        write_vp_file(vps_path, [VanishingPoint(np.array([600.0, 128.0, 1.0]))], [0] * 8)
+        rc = main(
+            [
+                "eval", "vp-consistency",
+                "--lines", str(lines_path),
+                "--gt-vps", str(vps_path),
+                "--vps", str(vps_path),
+                "--thresholds", "1,nan",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: thresholds must not be NaN" in captured.err
 
 
 class TestErrorReporting:

@@ -5,7 +5,9 @@ kernels ``_orthogonal_many`` and ``_d_vp_many``; a pair gives bit for bit
 the entry the matching matrix holds for it. The scalar functions they
 replaced are frozen here: they sum in another order (orthogonal distance)
 or normalize with ``math.hypot`` instead of ``np.hypot`` (d_vp), so they
-agree to the last bits only.
+agree to the last bits only. ``point_segment_distance`` is one point of
+the render kernel ``_point_segment_many``, which does the scalar
+function's arithmetic: the two agree bit for bit.
 
 ``estimate_homography`` tests every pair against a model in one array
 pass. ``per_pair_inliers`` is the loop it replaced: scalar
@@ -19,12 +21,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linefields import Homography, LineSegment, apply_homography, d_vp, orthogonal_distance
-from linefields.evaluate import _homogeneous_lines, _inlier_mask
-from linefields.geometry import _d_vp_many, _orthogonal_many, segments_to_array
+from linefields import (
+    Homography,
+    LineSegment,
+    apply_homography,
+    d_vp,
+    orthogonal_distance,
+    point_segment_distance,
+)
+from linefields.evaluate import _inlier_mask
+from linefields.geometry import _d_vp_many, _homogeneous_lines, _orthogonal_many, segments_to_array
 
 RTOL = 1e-15  # a few float64 ulps: rounding order and hypot differ, nothing else
 
@@ -54,6 +63,22 @@ def scalar_d_vp(seg: LineSegment, vec: np.ndarray) -> float:
     d1 = abs(la * seg.p1.x + lb * seg.p1.y + lc)
     d2 = abs(la * seg.p2.x + lb * seg.p2.y + lc)
     return 0.5 * (d1 + d2) / n
+
+
+def scalar_point_segment_distance(p, seg: LineSegment) -> float:
+    px, py = float(p[0]), float(p[1])
+    x1, y1 = seg.p1
+    dx = seg.p2.x - x1
+    dy = seg.p2.y - y1
+    den = dx * dx + dy * dy
+    t = ((px - x1) * dx + (py - y1) * dy) / den if den > 0.0 else 0.0
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    cx = x1 + t * dx
+    cy = y1 + t * dy
+    return math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
 
 
 def orthogonal_matrix(a_pts, b_pts, a_lines, b_lines) -> np.ndarray:
@@ -137,6 +162,45 @@ def test_d_vp_is_its_kernel_row(lines, vec) -> None:
         d = d_vp(seg, v)
         assert d == row
         assert math.isclose(d, scalar_d_vp(seg, v), rel_tol=RTOL)
+
+
+@st.composite
+def point_and_segment(draw):
+    """A segment and a point past p1, past p2, on the segment, anywhere, or
+    near a segment whose squared length underflows to 0."""
+    coord = st.floats(-1e4, 1e4)
+    where = draw(st.sampled_from(["before", "after", "on", "anywhere", "underflow"]))
+    if where == "underflow":
+        small = st.floats(-1e-165, 1e-165)
+        x1, y1 = draw(small), draw(small)
+        x2, y2 = x1 + draw(small), y1 + draw(small)
+        assume((x1, y1) != (x2, y2))
+        assert (x2 - x1) ** 2 + (y2 - y1) ** 2 == 0.0
+        return (draw(coord), draw(coord)), LineSegment((x1, y1), (x2, y2))
+    ends = draw(coord), draw(coord), draw(coord), draw(coord)
+    assume(ends[:2] != ends[2:])
+    seg = LineSegment(ends[:2], ends[2:])
+    (x1, y1), (x2, y2) = seg.p1, seg.p2
+    t = draw(st.floats(0.0, 1.0))
+    if where == "before":
+        t = -draw(st.floats(0.0, 10.0))
+    elif where == "after":
+        t = 1.0 + draw(st.floats(0.0, 10.0))
+    elif where == "anywhere":
+        return (draw(coord), draw(coord)), seg
+    off = 0.0 if where == "on" else draw(st.floats(-100.0, 100.0))
+    # Offset along the normal (-dy, dx): the projection stays t.
+    return (x1 + t * (x2 - x1) - off * (y2 - y1), y1 + t * (y2 - y1) + off * (x2 - x1)), seg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=point_and_segment())
+@example(case=((3.0, 4.0), LineSegment((0.0, 0.0), (1e-170, -1e-170))))
+@example(case=((-0.0, 0.0), LineSegment((-0.0, -0.0), (-1e-170, 0.0))))
+def test_point_segment_distance_is_the_render_kernel(case) -> None:
+    p, seg = case
+    want = scalar_point_segment_distance(p, seg)
+    assert point_segment_distance(p, seg).hex() == want.hex()
 
 
 @st.composite

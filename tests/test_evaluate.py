@@ -444,6 +444,16 @@ class TestVpConsistency:
         with pytest.raises(ValueError):
             vp_consistency([ca, cb], [va, vb], [])
 
+    @pytest.mark.parametrize("n_pred", [0, 2])
+    def test_rejects_nan_threshold(self, n_pred: int) -> None:
+        ca, cb, va, vb = self.make_clusters()
+        with pytest.raises(ValueError, match="NaN"):
+            vp_consistency([ca, cb], [va, vb][:n_pred], [1.0, math.nan])
+
+    def test_infinite_threshold_counts_every_claimed_line(self) -> None:
+        ca, cb, va, vb = self.make_clusters()
+        assert vp_consistency([ca, cb], [va, vb], [math.inf]) == [1.0]
+
 
 class TestVpErrorAuc:
     K = CameraIntrinsics(100.0, 100.0, 64.0, 64.0)
@@ -501,3 +511,10 @@ class TestVpErrorAuc:
         gt = [self.from_direction(0.0)]
         with pytest.raises(ValueError):
             vp_error_auc(gt, gt, self.K, max_angle_deg=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n_pred", [0, 1])
+    def test_rejects_non_finite_max_angle(self, bad: float, n_pred: int) -> None:
+        gt = [self.from_direction(0.0)]
+        with pytest.raises(ValueError, match="finite"):
+            vp_error_auc(gt, gt[:n_pred], self.K, max_angle_deg=bad)

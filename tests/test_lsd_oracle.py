@@ -432,7 +432,7 @@ def test_fit_rect_matches_oracle(n, spread, log_w, period, offset, seed):
     bands per example, as a last-bit slip moves the rectangle only now and
     then."""
     rng = np.random.default_rng(seed)
-    lo, hi = sorted(log_w)
+    lo, hi = sorted(w + 0.0 for w in log_w)  # -0.0 + 0.0 is 0.0: uniform(0.0, -0.0) raises
     for _ in range(8):
         t = rng.uniform(0.0, math.pi)
         along = rng.uniform(-n, n, 4 * n)

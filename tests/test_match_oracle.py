@@ -27,13 +27,13 @@ from hypothesis.extra import numpy as hnp
 
 from linefields import EvalParams, Homography, LineMatch, LineSegment, match_one_to_one
 from linefields import evaluate
-from linefields.evaluate import (
-    _greedy_pairs,
+from linefields.evaluate import _greedy_pairs, _structural_matrix
+from linefields.geometry import (
     _homogeneous_lines,
     _orthogonal_many,
-    _structural_matrix,
+    apply_homography,
+    segments_to_array,
 )
-from linefields.geometry import apply_homography, segments_to_array
 
 
 def oracle_greedy_pairs(dist):

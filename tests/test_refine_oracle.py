@@ -42,8 +42,8 @@ from linefields.refine import (
     _line_state,
     _refine_lines,
     _sampling_tables,
-    _solve_2x2,
 )
+from linefields.vp import _solve_2x2
 
 from util_synth import perturb_segment, random_segments
 

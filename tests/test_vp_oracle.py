@@ -8,6 +8,11 @@ models, in the same order, and the same assignment. The reference also
 counts which branches a scene took, so each test can show it covered the
 case it names. The pair draws themselves are checked against one
 ``rng.choice`` call per draw, outputs and generator state.
+
+``oracle_refine_vp`` is refine_vp before it shared the damping ladder of
+line refinement: per iteration one solve, one trial vector and one cost
+per damping level, tried in order. refine_vp scores all levels as one
+stack, and must return the same VP bits, cost bits and convergence flag.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linefields import LineSegment, VanishingPoint, VpParams, fit_vps, refine_vp, vp_from_two_lines
 from linefields.geometry import _d_vp_many
@@ -223,3 +230,201 @@ def test_pair_draws_continue_the_stream_across_blocks() -> None:
     got = np.concatenate([_pair_draws(got_rng, 30, k) for k in (1, 2, 97, 600)])
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ------------------------------------------------------------ refine_vp
+
+
+def oracle_signed_dvp(mids, e1, e2, v):
+    """geometry._d_vp_many(..., signed=True), frozen."""
+    la = mids[:, 1] * v[..., 2] - v[..., 1]
+    lb = v[..., 0] - mids[:, 0] * v[..., 2]
+    lc = mids[:, 0] * v[..., 1] - mids[:, 1] * v[..., 0]
+    norm = np.hypot(la, lb)
+    d1 = la * e1[:, 0] + lb * e1[:, 1] + lc
+    d2 = la * e2[:, 0] + lb * e2[:, 1] + lc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 0.5 * (d1 - d2) / norm
+    return np.where(norm < 1e-12, np.inf, d)
+
+
+def oracle_tangent_basis(v):
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(v)))] = 1.0
+    e1 = np.cross(v, axis)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(v, e1)
+    e2 /= np.linalg.norm(e2)
+    return e1, e2
+
+
+def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
+    """refine_vp before the shared damping ladder: per iteration, one
+    np.linalg.solve, one trial vector and one cost per damping level, tried
+    in order until one goes downhill. Returns (vector, cost, converged)."""
+    mids = np.array([[seg.midpoint.x, seg.midpoint.y] for seg in inliers])
+    e1p = np.array([[seg.p1.x, seg.p1.y] for seg in inliers])
+    e2p = np.array([[seg.p2.x, seg.p2.y] for seg in inliers])
+    sqw = np.sqrt(np.array([seg.length for seg in inliers]))
+
+    def residuals(vec):
+        return sqw * oracle_signed_dvp(mids, e1p, e2p, vec)
+
+    cur = np.array(v.v, dtype=float)
+    res = residuals(cur)
+    cost = float(res @ res)
+    if not math.isfinite(cost):
+        seen["nonfinite_start"] += 1
+        return cur, cost, False
+
+    mu = 1e-3
+    converged = False
+    h = 1e-7
+    for _ in range(max_iter):
+        b1, b2 = oracle_tangent_basis(cur)
+
+        def at(a, b):
+            w = cur + a * b1 + b * b2
+            return w / np.linalg.norm(w)
+
+        probes = np.stack([at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)])
+        r = residuals(probes[:, None, :])
+        jac = np.empty((len(inliers), 2))
+        jac[:, 0] = (r[0] - r[1]) / (2.0 * h)
+        jac[:, 1] = (r[2] - r[3]) / (2.0 * h)
+        if not np.all(np.isfinite(jac)):
+            seen["nonfinite_jacobian"] += 1
+            break
+        g = jac.T @ res
+        if float(np.linalg.norm(g)) < 1e-14:
+            seen["zero_gradient"] += 1
+            converged = True
+            break
+        jtj = jac.T @ jac
+        damp_scale = np.maximum(np.diag(jtj), 1e-12)
+        stepped = False
+        for level in range(12):
+            try:
+                delta = np.linalg.solve(jtj + mu * np.diag(damp_scale), -g)
+            except np.linalg.LinAlgError:
+                seen["singular"] += 1
+                mu *= 10.0
+                continue
+            trial = at(float(delta[0]), float(delta[1]))
+            trial_res = residuals(trial)
+            trial_cost = float(trial_res @ trial_res)
+            if math.isfinite(trial_cost) and trial_cost < cost:
+                seen[f"level_{level}"] += 1
+                step = float(np.linalg.norm(delta))
+                cur = trial
+                res = trial_res
+                improvement = cost - trial_cost
+                cost = trial_cost
+                mu = max(mu / 3.0, 1e-12)
+                stepped = True
+                if step < tol or improvement < tol * max(cost, 1.0):
+                    seen["small_step"] += 1
+                    converged = True
+                break
+            mu *= 10.0
+        if not stepped:
+            seen["no_downhill"] += 1
+            converged = True
+            break
+        if converged:
+            break
+    return cur, cost, converged
+
+
+def assert_same_refine(v, inliers) -> Counter:
+    seen: Counter = Counter()
+    want_v, want_cost, want_conv = oracle_refine_vp(v, inliers, seen)
+    got, got_cost, got_conv = refine_vp(v, inliers, full_output=True)
+    assert np.array_equal(got.v, VanishingPoint(want_v).v)
+    assert got_cost.hex() == want_cost.hex()
+    assert got_conv == want_conv
+    return seen
+
+
+def pencil_with_outliers(seed, vp, n, noise, outliers, jitter):
+    """``n`` lines through ``vp`` (with endpoint noise) plus ``outliers``
+    random ones, and a start ``jitter`` off ``vp`` along the unit sphere."""
+    rng = np.random.default_rng(seed)
+    lines = concurrent_lines(rng, vp, n, noise=noise)
+    for _ in range(outliers):
+        m = rng.uniform(30.0, 226.0, 2)
+        a = rng.uniform(0.0, math.pi)
+        d = rng.uniform(10.0, 40.0) * np.array([math.cos(a), math.sin(a)])
+        lines.append(LineSegment(m - d, m + d))
+    unit = vp / np.linalg.norm(vp)
+    start = VanishingPoint(unit + jitter * rng.normal(size=3))
+    return start, lines
+
+
+VP_KINDS = {
+    "finite_near": np.array([400.0, 120.0, 1.0]),
+    "finite_far": np.array([-5000.0, 3000.0, 1.0]),
+    "ideal": np.array([0.3, 1.0, 0.0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(VP_KINDS)),
+    n=st.integers(2, 25),
+    noise=st.sampled_from([0.0, 0.3, 1.5]),
+    outliers=st.integers(0, 4),
+    jitter=st.sampled_from([0.0, 1e-4, 1e-2]),
+)
+@example(seed=0, kind="ideal", n=2, noise=0.0, outliers=0, jitter=1e-2)
+@example(seed=6, kind="finite_near", n=10, noise=0.0, outliers=1, jitter=1e-2)  # hits max_iter
+def test_refine_vp_matches_level_by_level_loop(seed, kind, n, noise, outliers, jitter) -> None:
+    start, lines = pencil_with_outliers(seed, VP_KINDS[kind], n, noise, outliers, jitter)
+    assert_same_refine(start, lines)
+
+
+def test_refine_vp_no_downhill_level() -> None:
+    # Noisy lines settle where no damping level improves the cost.
+    start, lines = pencil_with_outliers(1, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2)
+    seen = assert_same_refine(start, lines)
+    assert seen["no_downhill"] == 1
+
+
+def test_refine_vp_nonfinite_start() -> None:
+    # The start lies on a midpoint: d_vp and so the cost are +inf.
+    lines = [LineSegment((-1.0, -1.0), (1.0, 1.0)), LineSegment((5.0, 0.0), (9.0, 3.0))]
+    start = VanishingPoint(np.array([0.0, 0.0, 1.0]))
+    seen = assert_same_refine(start, lines)
+    assert seen["nonfinite_start"] == 1
+    out, cost, converged = refine_vp(start, lines, full_output=True)
+    assert math.isinf(cost) and not converged and np.array_equal(out.v, start.v)
+
+
+def test_refine_vp_with_a_singular_level(monkeypatch: pytest.MonkeyPatch) -> None:
+    start, lines = pencil_with_outliers(1, VP_KINDS["finite_near"], 10, 0.0, 1, 1e-2)
+    first_ladder = []
+    real = np.linalg.solve
+
+    def record(lhs, rhs):
+        first_ladder.append(np.copy(lhs))
+        return real(lhs, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", record)
+        seen = Counter()
+        oracle_refine_vp(start, lines, seen, max_iter=1)
+    assert seen["level_0"] == 1 and len(first_ladder) == 1
+    clean = refine_vp(start, lines)
+
+    def solve(lhs, rhs):
+        # A stack holding the poisoned matrix raises, as LAPACK does.
+        stack = lhs if np.ndim(lhs) == 3 else lhs[None]
+        if any(np.array_equal(mat, first_ladder[0]) for mat in stack):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    seen = assert_same_refine(start, lines)
+    assert seen["singular"] == 1 and seen["level_1"] >= 1
+    assert not np.array_equal(refine_vp(start, lines).v, clean.v)  # the failure changed its path
