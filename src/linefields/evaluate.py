@@ -411,7 +411,9 @@ def vp_consistency(
     """Fraction of ground truth lines consistent with their assigned VP.
 
     Clusters claim predicted points greedily by the median d_vp over the
-    cluster's lines, each point used at most once. For every threshold the
+    cluster's lines (the scan of match_one_to_one: ascending, ties in index
+    order), each point used at most once; pairs whose median is not finite
+    (NaN or +inf) are not claimed. For every threshold the
     returned fraction counts lines (over all clusters) whose d_vp to the
     claimed point stays below it; lines of unmatched clusters count as
     inconsistent.
@@ -430,25 +432,11 @@ def vp_consistency(
 
     ends = [_line_arrays(c)[:3] for c in clusters]  # midpoints, first and second endpoints
     med = np.array([[float(np.median(_d_vp_many(*e, v.v))) for v in predicted] for e in ends])
-    claimed: dict[int, int] = {}
-    free_c = set(range(len(clusters)))
-    free_v = set(range(len(predicted)))
-    while free_c and free_v:
-        best = None
-        for ci in sorted(free_c):
-            for vi in sorted(free_v):
-                if best is None or med[ci, vi] < med[best[0], best[1]]:
-                    best = (ci, vi)
-        if best is None or not math.isfinite(med[best[0], best[1]]):
-            break
-        claimed[best[0]] = best[1]
-        free_c.discard(best[0])
-        free_v.discard(best[1])
-
+    claimed = [(ci, vi) for ci, vi in zip(*_greedy_pairs(med)) if math.isfinite(med[ci, vi])]
     out = []
     for t in ths:
         good = 0
-        for ci, vi in claimed.items():
+        for ci, vi in claimed:
             good += int((_d_vp_many(*ends[ci], predicted[vi].v) < t).sum())
         out.append(good / total_lines)
     return out

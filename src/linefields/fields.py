@@ -220,44 +220,48 @@ def orient_angles(theta: ScalarField, image_grad_angle: ScalarField) -> ScalarFi
 
 def _bilinear_corners(
     shape: tuple[int, int], xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Flat indices of the four grid corners around each (xs, ys), stacked
+    as (y0 x0, y0 x1, y1 x0, y1 x1) on a new first axis, and the two-sided
+    weights (1 - wx, wx, 1 - wy, wy) that _blend takes."""
     h, w = shape
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.clip(x0, 0, max(w - 2, 0))
-    y0 = np.clip(y0, 0, max(h - 2, 0))
+    x0 = np.clip(np.floor(xs).astype(int), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(ys).astype(int), 0, max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     wx = xs - x0
     wy = ys - y0
-    return x0, y0, x1, y1, wx, wy
+    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    return corners, (1.0 - wx, wx, 1.0 - wy, wy)
+
+
+def _blend(values: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Bilinear blend of corner values (stacked as _bilinear_corners orders
+    them). Two-sided weights are exact at wx/wy of 0 and 1, which clipped
+    border coordinates hit, so sampling on the grid reproduces stored values."""
+    v00, v01, v10, v11 = values
+    ax, wx, ay, wy = weights
+    return ay * (ax * v00 + wx * v01) + wy * (ax * v10 + wx * v11)
+
+
+def _half_angle(sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
+    """Angle in [0, pi) of a blend on the doubled circle: angles mod pi
+    interpolate there so that values just below pi and just above 0 blend
+    as neighbors."""
+    ang = 0.5 * np.arctan2(sin2, cos2)
+    return np.where(ang < 0.0, ang + math.pi, ang)
 
 
 def _bilinear_many(
     data: np.ndarray, xs: np.ndarray, ys: np.ndarray, circular: bool
 ) -> np.ndarray:
     """Vectorized bilinear lookup at grid coordinates (no bounds checks)."""
-    x0, y0, x1, y1, wx, wy = _bilinear_corners(data.shape, xs, ys)
-    v00 = data[y0, x0]
-    v01 = data[y0, x1]
-    v10 = data[y1, x0]
-    v11 = data[y1, x1]
-    # Two-sided weights: exact at wx/wy of 0 and 1, which clipped border
-    # coordinates hit, so sampling on the grid reproduces stored values.
-    ax = 1.0 - wx
-    ay = 1.0 - wy
+    corners, weights = _bilinear_corners(data.shape, xs, ys)
+    values = data.ravel().take(corners)
     if not circular:
-        top = ax * v00 + wx * v01
-        bot = ax * v10 + wx * v11
-        return ay * top + wy * bot
-    # Angles mod pi interpolate on the doubled circle so that values just
-    # below pi and just above 0 blend as neighbors.
-    cs = np.cos(2.0 * v00), np.cos(2.0 * v01), np.cos(2.0 * v10), np.cos(2.0 * v11)
-    sn = np.sin(2.0 * v00), np.sin(2.0 * v01), np.sin(2.0 * v10), np.sin(2.0 * v11)
-    c = ay * (ax * cs[0] + wx * cs[1]) + wy * (ax * cs[2] + wx * cs[3])
-    s = ay * (ax * sn[0] + wx * sn[1]) + wy * (ax * sn[2] + wx * sn[3])
-    ang = 0.5 * np.arctan2(s, c)
-    return np.where(ang < 0.0, ang + math.pi, ang)
+        return _blend(values, weights)
+    twice = 2.0 * values
+    return _half_angle(_blend(np.sin(twice), weights), _blend(np.cos(twice), weights))
 
 
 def bilinear_sample(

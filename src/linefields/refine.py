@@ -5,7 +5,7 @@ term, a mean distance term, and optionally the distance to an associated
 vanishing point. Each line is optimized over two degrees of freedom
 (rotation about its midpoint and lateral translation, length fixed) with a
 damped Newton scheme that only ever accepts downhill steps. All lines of
-a set are refined as one batch with per-line damping, VP gate and stopping
+a set are refined as one batch with per-line damping, VP and stopping
 state; per-line numbers come only from elementwise operations and row-wise
 reductions, so a line refines bit for bit the same alone as in any batch.
 That independence lets an iteration score every damping level of every
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldPair, _bilinear_corners
+from .fields import FieldPair, _bilinear_corners, _blend, _half_angle
 from .geometry import LineSegment, Point2, _d_vp_many, _line_arrays, _require_finite
 from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, fit_vps, refine_vp
 
@@ -49,7 +49,6 @@ class RefineParams:
     lambda_vp: float = 0.2  # weight of the vanishing point distance
     n_opt: int = 10  # samples along the line, endpoints included
     k_alternations: int = 5  # joint refinement rounds
-    t_vp: float = 1.5  # vanishing point association gate, pixels
     max_lateral_step: float = 5.0  # per-iteration translation clamp, pixels
     fd_step: float = 0.05  # central-difference probe size, pixels
     max_iter: int = 50  # optimizer iterations per line
@@ -61,8 +60,8 @@ class RefineParams:
             raise ValueError("n_opt must be at least 2")
         if min(self.lambda_df, self.lambda_af, self.lambda_vp) < 0.0:
             raise ValueError("cost weights must be non-negative")
-        if self.t_vp <= 0.0 or self.max_lateral_step <= 0.0 or self.fd_step <= 0.0:
-            raise ValueError("t_vp, max_lateral_step and fd_step must be positive")
+        if self.max_lateral_step <= 0.0 or self.fd_step <= 0.0:
+            raise ValueError("max_lateral_step and fd_step must be positive")
         if self.k_alternations < 1 or self.max_iter < 1:
             raise ValueError("iteration counts must be positive")
 
@@ -100,8 +99,7 @@ def _batch_costs(
     no row has one. Configurations whose endpoints leave the sampleable
     area get +inf.
     """
-    df, cos2, sin2 = tables
-    h, w = df.shape
+    h, w = tables[0].shape
     ux = np.cos(thetas)
     uy = np.sin(thetas)
     x1 = mxs - half_len * ux
@@ -118,26 +116,16 @@ def _batch_costs(
     xs = x1[:, None] + ts[None, :] * (x2 - x1)[:, None]
     ys = y1[:, None] + ts[None, :] * (y2 - y1)[:, None]
     # Clip so out-of-bounds rows stay evaluable; their cost is overridden.
-    gx = np.clip(xs - 0.5, 0.0, w - 1.0).ravel()
-    gy = np.clip(ys - 0.5, 0.0, h - 1.0).ravel()
-    # One set of corners and weights for all three tables, blended in the
-    # order of _bilinear_many so that every sample matches it bit for bit.
-    x0, y0, x1c, y1c, wx, wy = _bilinear_corners(df.shape, gx, gy)
-    ax = 1.0 - wx
-    ay = 1.0 - wy
-    corners = y0 * w + x0, y0 * w + x1c, y1c * w + x0, y1c * w + x1c
-
-    def lerp(t: np.ndarray) -> np.ndarray:
-        v00, v01, v10, v11 = (t.ravel().take(i) for i in corners)
-        return (ay * (ax * v00 + wx * v01) + wy * (ax * v10 + wx * v11)).reshape(xs.shape)
-
-    ang = 0.5 * np.arctan2(lerp(sin2), lerp(cos2))
-    af_s = np.where(ang < 0.0, ang + math.pi, ang)
+    gx = np.clip(xs - 0.5, 0.0, w - 1.0)
+    gy = np.clip(ys - 0.5, 0.0, h - 1.0)
+    corners, weights = _bilinear_corners((h, w), gx, gy)
+    df_s, cos_s, sin_s = (_blend(t.ravel().take(corners), weights) for t in tables)
+    af_s = _half_angle(sin_s, cos_s)
 
     delta = np.mod(af_s - thetas[:, None], math.pi)
     delta = np.where(delta > 0.5 * math.pi, delta - math.pi, delta)
     c_af = np.mean(1.0 - np.cos(delta), axis=1)
-    c_df = np.mean(lerp(df), axis=1)
+    c_df = np.mean(df_s, axis=1)
     cost = params.lambda_af * c_af + params.lambda_df * c_df
     if v_vec is not None:
         mids = np.stack([mxs, mys], axis=1)
@@ -149,16 +137,14 @@ def _batch_costs(
 
 
 def _line_state(
-    lines: Sequence[LineSegment],
-    vps: Sequence[VanishingPoint | None],
-    params: RefineParams,
+    lines: Sequence[LineSegment], vps: Sequence[VanishingPoint | None]
 ) -> tuple[np.ndarray, ...]:
     """Per-line angle, midpoint x and y, half length, VP rows (None when no
-    line has one within the gate) and VP gate: the VP lies within t_vp."""
-    mids, e1, e2, lengths = _line_arrays(lines)
-    # A missing VP is the zero vector: no joining line, so d_vp is +inf.
+    line has one) and which lines have a VP."""
+    mids, _, _, lengths = _line_arrays(lines)
+    # A missing VP is the zero vector; a VanishingPoint never is.
     v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps]).reshape(-1, 3)
-    use_v = _d_vp_many(mids, e1, e2, v_vec) <= params.t_vp
+    use_v = v_vec.any(axis=1)
     if not use_v.any():
         v_vec = None
     mx, my = mids.T.copy()
@@ -176,8 +162,8 @@ def line_cost(
 
     The angular term averages 1 - cos of the sampled angle deviations
     (taken modulo pi into (-pi/2, pi/2]); the distance term averages the
-    sampled distance field; the vanishing point term contributes d_vp only
-    when ``v`` is given and lies within t_vp of the line.
+    sampled distance field; the vanishing point term adds lambda_vp d_vp
+    whenever ``v`` is given, however far it lies from the line.
 
     Raises:
         ValueError: when a sample point falls outside the field.
@@ -194,7 +180,7 @@ def line_cost(
         slice(max(int(min(y1, y2)) - 2, 0), int(max(y1, y2)) + 2),
         slice(max(int(min(x1, x2)) - 2, 0), int(max(x1, x2)) + 2),
     )
-    state = _line_state([l], [v], params)
+    state = _line_state([l], [v])
     return float(_batch_costs(_sampling_tables(fp, window), *state, params)[0])
 
 
@@ -215,7 +201,7 @@ def _refine_lines(
     takes its first downhill level, so the rules are per line, as
     described in refine_line.
     """
-    theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps, params)
+    theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps)
     if tables is None:
         tables = _sampling_tables(fp)
 
@@ -304,9 +290,10 @@ def refine_line(
     uphill steps are rejected, so the final cost never exceeds the initial
     one. Converged means the last step was below tol or gained under 1e-14
     relative, or no damping level went downhill; a probe leaving the field
-    stops the line unconverged. The vanishing point constraint is gated
-    once at entry (dropped when d_vp(l, v) > t_vp). This runs the batched
-    solver of refine_joint on one line, with bitwise the same result.
+    stops the line unconverged. A given vanishing point always adds its
+    term, however far it lies; association is the caller's choice, as in
+    refine_joint. This runs the batched solver of refine_joint on one line,
+    with bitwise the same result.
 
     Returns the refined line; with ``full_output=True`` returns
     (line, cost, converged). Lines whose cost cannot be evaluated (samples
@@ -327,12 +314,14 @@ def refine_joint(
     """Alternate line refinement, VP refinement, and re-association.
 
     Vanishing points are fitted once up front, then k_alternations rounds
-    run: all lines are refined in one batch (each line's VP term active
-    only while its association stays within t_vp), each VP is re-estimated
-    from its currently assigned lines, and lines are re-assigned to their
-    closest VP. Deterministic given the VP seed.
+    run: all lines are refined in one batch (a line's VP term active while
+    it is assigned), each VP is re-estimated from its currently assigned
+    lines, and lines are re-assigned to their closest VP when its d_vp is
+    below vp_params.t_vp, the gate fit_vps assigns with. Deterministic given
+    the VP seed.
     """
     params = params or RefineParams()
+    vp_params = vp_params or VpParams()
     current = list(lines)
     n = len(current)
     if n == 0:
@@ -351,6 +340,6 @@ def refine_joint(
             mids, e1, e2, _ = _line_arrays(current)
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)  # the first closest VP
-            close = dists[closest, np.arange(n)] < params.t_vp
+            close = dists[closest, np.arange(n)] < vp_params.t_vp
             assignment = [int(j) if c else None for j, c in zip(closest, close)]
     return current, vps, assignment

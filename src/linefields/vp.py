@@ -48,7 +48,11 @@ class VanishingPoint:
         v = np.asarray(self.v, dtype=float).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError("vanishing point must be finite")
-        n = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(v))
+        if not math.isfinite(n):  # the squares overflow: scale by max |v| first
+            v = v / np.max(np.abs(v))
+            n = float(np.linalg.norm(v))
         if n < 1e-12:
             raise ValueError("vanishing point must be a nonzero 3-vector")
         if abs(n - 1.0) > 1e-12:  # keep already-unit vectors bit-stable
@@ -102,12 +106,21 @@ def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
     return VanishingPoint(v)
 
 
+def _cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit: the same products and
+    differences, without its axis handling (which dominates at this size)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
+    axis = [0.0, 0.0, 0.0]
     axis[int(np.argmin(np.abs(v)))] = 1.0
-    e1 = np.cross(v, axis)
+    a = v.tolist()
+    e1 = _cross(a, axis)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(v, e1)
+    e2 = _cross(a, e1.tolist())
     e2 /= np.linalg.norm(e2)
     return e1, e2
 

@@ -428,6 +428,37 @@ class TestEval:
         assert rc == 1
         assert "error: assignment length" in capsys.readouterr().err
 
+    def test_vp_file_with_huge_entries(self, tmp_path, capsys) -> None:
+        # [1e300, 1e300, 1] overflowed its norm and was stored as the zero
+        # vector: eval vp failed and eval vp-consistency printed 0.0.
+        vps_path = tmp_path / "v.json"
+        vps_path.write_text('{"vps": [[1e300, 1e300, 1.0]], "assignment": [0, 0, 0]}\n')
+        lines_path = tmp_path / "l.csv"
+        write_lines(lines_path, [LineSegment((10.0 + k, 20.0), (60.0 + k, 70.0)) for k in (0.0, 5.0, 9.0)])
+        rc = main(
+            [
+                "eval", "vp",
+                "--vps", str(vps_path),
+                "--gt-vps", str(vps_path),
+                "--fx", "256", "--fy", "256", "--cx", "128", "--cy", "128",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out == "median_error_deg 0.0\nauc 1.0\n"
+        rc = main(
+            [
+                "eval", "vp-consistency",
+                "--lines", str(lines_path),
+                "--gt-vps", str(vps_path),
+                "--vps", str(vps_path),
+                "--thresholds", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out == "consistency@1 1.0\n"
+
     def test_vp_rejects_non_finite_max_angle(self, tmp_path, capsys) -> None:
         vps_path = tmp_path / "v.json"
         write_vp_file(vps_path, [VanishingPoint(np.array([600.0, 128.0, 1.0]))], [])

@@ -450,6 +450,30 @@ class TestVpConsistency:
         with pytest.raises(ValueError, match="NaN"):
             vp_consistency([ca, cb], [va, vb][:n_pred], [1.0, math.nan])
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_cluster_with_nan_median_claims_nothing(self, nan_first: bool) -> None:
+        # d_vp of segments near x = 1.5e308 overflows to NaN, so this
+        # cluster's median is NaN; in either order the other cluster still
+        # claims the point.
+        rng = np.random.default_rng(61)
+        va = np.array([600.0, 128.0, 1.0])
+        good = concurrent_lines(rng, va, 4)
+        far = [LineSegment((1.5e308, y), (1.4e308, y + 1.0)) for y in (0.0, 10.0, 20.0)]
+        clusters = [far, good] if nan_first else [good, far]
+        with np.errstate(all="ignore"):
+            assert vp_consistency(clusters, [VanishingPoint(va)], [1.0]) == [4 / 7]
+
+    def test_cluster_with_infinite_median_claims_nothing(self) -> None:
+        # Two midpoints sit on the point (d_vp = +inf), so the median is
+        # +inf; the third line, through the point, still does not count.
+        v = VanishingPoint(np.array([600.0, 128.0, 1.0]))
+        cluster = [
+            LineSegment((590.0, 128.0), (610.0, 128.0)),
+            LineSegment((600.0, 118.0), (600.0, 138.0)),
+            LineSegment((100.0, 128.0), (200.0, 128.0)),
+        ]
+        assert vp_consistency([cluster], [v], [1.0]) == [0.0]
+
     def test_infinite_threshold_counts_every_claimed_line(self) -> None:
         ca, cb, va, vb = self.make_clusters()
         assert vp_consistency([ca, cb], [va, vb], [math.inf]) == [1.0]

@@ -1,7 +1,8 @@
 """filter_lines against the per-line loop it replaced.
 
 ``oracle_filter_lines`` clips, samples and scores one candidate at a time,
-with two _bilinear_many calls per line. filter_lines clips each line the
+with two lookups per line through the frozen bilinear lookup of the
+refinement oracle. filter_lines clips each line the
 same way, then samples every surviving line in one (lines, n_samples)
 pass and takes each line's agree fraction row by row. The per-sample
 arithmetic is the same, so on any input the two must keep the same
@@ -19,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linefields import FilterParams, LineSegment, filter_lines, render_fields
-from linefields.fields import _bilinear_many
 from linefields.geometry import clip_segment_to_rect
 
+from test_refine_oracle import oracle_bilinear_many
 from util_synth import random_segments
 
 
@@ -42,8 +43,8 @@ def oracle_filter_lines(lines, fp, params=None, seen=None):
             seen["clipped"] += 1
         xs = clipped.p1.x + ts * (clipped.p2.x - clipped.p1.x)
         ys = clipped.p1.y + ts * (clipped.p2.y - clipped.p1.y)
-        df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
-        af_s = _bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
+        df_s = oracle_bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
+        af_s = oracle_bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
         diff = np.mod(np.abs(af_s - seg.angle), math.pi)
         circ = np.minimum(diff, math.pi - diff)
         agrees = (df_s < params.eta_df) & (circ < params.eta_theta)

@@ -1,0 +1,60 @@
+"""No module of the package imports a name it does not use.
+
+No linter runs on this code, so this is the check: every name an import
+binds in ``src/linefields`` must be read in its module or listed in its
+``__all__``. An import on a line marked ``# noqa: F401`` is kept on
+purpose and exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "linefields"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the imports of ``source`` that it never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                marked = {node.lineno, alias.lineno}
+                if any("# noqa: F401" in lines[k - 1] for k in marked):
+                    continue
+                bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(name for name in bound if name not in read)
+
+
+def test_checker_finds_an_unused_import() -> None:
+    source = (
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from json import dumps, loads\n"
+        "from pathlib import (\n"
+        "    Path,\n"
+        "    PurePath,  # noqa: F401\n"
+        ")\n"
+        "__all__ = ['loads']\n"
+        "print(dumps)\n"
+    )
+    assert unused_imports(source) == ["Path", "os"]
+
+
+def test_package_has_no_unused_imports() -> None:
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}

@@ -12,6 +12,7 @@ from linefields import (
     LineSegment,
     RefineParams,
     VanishingPoint,
+    VpParams,
     circular_distance,
     d_vp,
     line_cost,
@@ -38,7 +39,13 @@ class TestRefineParams:
         assert (p.lambda_df, p.lambda_af, p.lambda_vp) == (1.0, 1.0, 0.2)
         assert p.n_opt == 10
         assert p.k_alternations == 5
-        assert p.t_vp == 1.5
+
+    def test_t_vp_lives_in_vp_params(self) -> None:
+        # One association gate: fit_vps and refine_joint both read VpParams.t_vp.
+        assert not hasattr(RefineParams(), "t_vp")
+        assert VpParams().t_vp == 1.5
+        with pytest.raises(TypeError):
+            RefineParams(t_vp=1.5)
 
     def test_rejects_single_sample(self) -> None:
         with pytest.raises(ValueError):
@@ -63,7 +70,7 @@ class TestRefineParams:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name",
-        ["lambda_df", "lambda_af", "lambda_vp", "t_vp", "max_lateral_step", "fd_step", "tol"],
+        ["lambda_df", "lambda_af", "lambda_vp", "max_lateral_step", "fd_step", "tol"],
     )
     def test_rejects_non_finite(self, name: str, value: float) -> None:
         # NaN passes every range check (comparisons with it are False).
@@ -105,11 +112,14 @@ class TestLineCost:
         base = line_cost(GT_SEG, fp)
         assert math.isclose(line_cost(GT_SEG, fp, v), base + 0.2 * dist, abs_tol=1e-12)
 
-    def test_vanishing_point_term_gated_when_far(self) -> None:
+    def test_vanishing_point_term_applied_when_far(self) -> None:
+        # A given VP is always used, however far: association is the caller's.
         fp = make_fp()
         v = VanishingPoint(np.array([200.0, 80.0, 1.0]))
-        assert d_vp(GT_SEG, v) > 1.5
-        assert line_cost(GT_SEG, fp, v) == line_cost(GT_SEG, fp)
+        dist = d_vp(GT_SEG, v)
+        assert dist > 1.5
+        base = line_cost(GT_SEG, fp)
+        assert math.isclose(line_cost(GT_SEG, fp, v), base + 0.2 * dist, abs_tol=1e-12)
 
     def test_angular_term_ignores_direction_flip(self) -> None:
         fp = make_fp()
@@ -204,6 +214,23 @@ class TestRefineJoint:
                 manual[i] = refine_line(manual[i], fp, None, params)
         for m, r in zip(manual, refined):
             assert m.p1 == r.p1 and m.p2 == r.p2
+
+    def test_reassociation_uses_the_vp_gate(self) -> None:
+        # The last round re-assigns with vp_params.t_vp: below it exactly the
+        # assigned lines, and an unassigned line is at least that far from
+        # every point.
+        rng = np.random.default_rng(54)
+        gt = pencil_segments(rng, vp_xy=(1800.0, 128.0), size=256, n=10, half_range=(8.0, 12.0))
+        fp = render_fields(gt, 256, 256)
+        pert = [perturb_segment(s, rng) for s in gt]
+        vp_params = VpParams(t_vp=0.02, min_support=2)
+        refined, vps, assignment = refine_joint(pert, fp, vp_params=vp_params)
+        assert None in assignment and len(set(assignment) - {None}) >= 1
+        for seg, j in zip(refined, assignment):
+            if j is None:
+                assert min(d_vp(seg, v) for v in vps) >= vp_params.t_vp
+            else:
+                assert d_vp(seg, vps[j]) < vp_params.t_vp
 
     def test_deterministic(self) -> None:
         rng = np.random.default_rng(53)

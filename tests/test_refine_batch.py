@@ -1,6 +1,6 @@
 """Batched line refinement: every line refines as it would alone.
 
-The batched solver keeps one damping, VP gate and stopping state per line
+The batched solver keeps one damping, VP and stopping state per line
 and builds every per-line number from elementwise operations or row-wise
 reductions. So refining any subset of lines, in any order, must give each
 line bit for bit what refining it alone gives, including its cost and
@@ -43,10 +43,10 @@ def make_pool():
         LineSegment((70.0, 0.52), (110.0, 0.52)),  # probes cross the border at once
     ]
     vps: list[VanishingPoint | None] = [None] * len(lines)
-    vps[0] = vp_along(pert[0], 0.0)  # gated in
-    vps[1] = vp_along(pert[1], 0.001)  # gated in, pulls the line off its field minimum
-    vps[2] = vp_along(pert[2], 0.5)  # gated out
-    vps[6] = vp_along(pert[6], 0.0)  # gated in, next to the border
+    vps[0] = vp_along(pert[0], 0.0)  # near
+    vps[1] = vp_along(pert[1], 0.001)  # near, pulls the line off its field minimum
+    vps[2] = vp_along(pert[2], 0.5)  # far from the line, used all the same
+    vps[6] = vp_along(pert[6], 0.0)  # near, next to the border
     return fp, lines, vps
 
 
@@ -68,9 +68,12 @@ def assert_as_alone(k: int, got: LineSegment, cost: float, converged: bool, alon
 
 
 def test_pool_covers_every_kind_of_line() -> None:
-    gates = [v is not None and d_vp(l, v) <= PARAMS.t_vp for l, v in zip(LINES, VPS)]
-    assert gates[:4] == [True, True, False, False] and gates[6]
+    near = [v is not None and d_vp(l, v) < 1.5 for l, v in zip(LINES, VPS)]
+    assert near[:4] == [True, True, False, False] and near[6]
+    assert d_vp(LINES[2], VPS[2]) > 1.5
     refined = [out[0][0] for out in ALONE]
+    without_vp = _refine_lines([LINES[2]], FP, [None], PARAMS)[0][0]
+    assert refined[2].p1 != without_vp.p1  # the far VP still pulls its line
     assert refined[7] is LINES[7] and math.isinf(ALONE[7][1][0]) and not ALONE[7][2][0]
     assert refined[8].p1 == LINES[8].p1 and not ALONE[8][2][0]
     assert sum(bool(out[2][0]) for out in ALONE) >= 5

@@ -3,14 +3,19 @@
 ``oracle_refine_lines`` is the batched line solver before its speculative
 ladder: after the probe call it tries one damping level at a time, with
 one _batch_costs call per level on the lines still without a step, and it
-samples AF through _bilinear_many with 8 cos/sin per sample. The new
-solver solves and scores all 14 levels of every line at once, keeps each
-line's first downhill level, and reads AF from whole-grid cos(2 AF) and
-sin(2 AF) tables. Cost rows are independent and the ladder's damping
-values are the same products, so on any input the two must agree bit for
-bit: refined lines, costs and converged flags. The oracle also counts the
-levels at which lines stepped or gave up, so each fixed case can show it
-covered the case it names.
+samples AF through a frozen copy of the earlier bilinear lookup, with 8
+cos/sin per sample. The new solver solves and scores all 14 levels of
+every line at once, keeps each line's first downhill level, and reads AF
+from whole-grid cos(2 AF) and sin(2 AF) tables. Cost rows are independent
+and the ladder's damping values are the same products, so on any input
+the two must agree bit for bit: refined lines, costs and converged flags.
+The oracle also counts the levels at which lines stepped or gave up, so
+each fixed case can show it covered the case it names.
+
+The oracle reads no sampling or line set-up code of the library: the
+bilinear lookup (``oracle_bilinear_many``, also the filter oracle's) and
+the per-line state (``oracle_line_state``: a given VP is always used) are
+frozen here, and the library's lookup is checked against the frozen one.
 """
 
 from __future__ import annotations
@@ -32,20 +37,55 @@ from linefields import (
     line_cost,
     render_fields,
 )
-from linefields.fields import _bilinear_corners, _bilinear_many
-from linefields.geometry import Point2, _d_vp_many
-from linefields.refine import (
-    _MAX_BOOSTS,
-    _PROBE_A,
-    _PROBE_T,
-    _batch_costs,
-    _line_state,
-    _refine_lines,
-    _sampling_tables,
-)
+from linefields.fields import _bilinear_many
+from linefields.geometry import Point2, _d_vp_many, _line_arrays
+from linefields.refine import _MAX_BOOSTS, _PROBE_A, _PROBE_T, _batch_costs, _refine_lines, _sampling_tables
 from linefields.vp import _solve_2x2
 
 from util_synth import perturb_segment, random_segments
+
+
+def oracle_bilinear_corners(shape, xs, ys):
+    h, w = shape
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.clip(x0, 0, max(w - 2, 0))
+    y0 = np.clip(y0, 0, max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = xs - x0
+    wy = ys - y0
+    return x0, y0, x1, y1, wx, wy
+
+
+def oracle_bilinear_many(data, xs, ys, circular):
+    x0, y0, x1, y1, wx, wy = oracle_bilinear_corners(data.shape, xs, ys)
+    v00 = data[y0, x0]
+    v01 = data[y0, x1]
+    v10 = data[y1, x0]
+    v11 = data[y1, x1]
+    ax = 1.0 - wx
+    ay = 1.0 - wy
+    if not circular:
+        top = ax * v00 + wx * v01
+        bot = ax * v10 + wx * v11
+        return ay * top + wy * bot
+    cs = np.cos(2.0 * v00), np.cos(2.0 * v01), np.cos(2.0 * v10), np.cos(2.0 * v11)
+    sn = np.sin(2.0 * v00), np.sin(2.0 * v01), np.sin(2.0 * v10), np.sin(2.0 * v11)
+    c = ay * (ax * cs[0] + wx * cs[1]) + wy * (ax * cs[2] + wx * cs[3])
+    s = ay * (ax * sn[0] + wx * sn[1]) + wy * (ax * sn[2] + wx * sn[3])
+    ang = 0.5 * np.arctan2(s, c)
+    return np.where(ang < 0.0, ang + math.pi, ang)
+
+
+def oracle_line_state(lines, vps):
+    mids, _, _, lengths = _line_arrays(lines)
+    use_v = np.array([v is not None for v in vps], dtype=bool)
+    v_vec = None
+    if use_v.any():
+        v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps])
+    theta = np.array([l.oriented_angle for l in lines])
+    return theta, mids[:, 0].copy(), mids[:, 1].copy(), 0.5 * lengths, v_vec, use_v
 
 
 def oracle_batch_costs(fp, thetas, mxs, mys, half_len, v_vec, use_v, params):
@@ -67,8 +107,8 @@ def oracle_batch_costs(fp, thetas, mxs, mys, half_len, v_vec, use_v, params):
     ys = y1[:, None] + ts[None, :] * (y2 - y1)[:, None]
     gx = np.clip(xs - 0.5, 0.0, w - 1.0).ravel()
     gy = np.clip(ys - 0.5, 0.0, h - 1.0).ravel()
-    df_s = _bilinear_many(fp.df.data, gx, gy, circular=False).reshape(xs.shape)
-    af_s = _bilinear_many(fp.af.data, gx, gy, circular=True).reshape(xs.shape)
+    df_s = oracle_bilinear_many(fp.df.data, gx, gy, circular=False).reshape(xs.shape)
+    af_s = oracle_bilinear_many(fp.af.data, gx, gy, circular=True).reshape(xs.shape)
 
     delta = np.mod(af_s - thetas[:, None], math.pi)
     delta = np.where(delta > 0.5 * math.pi, delta - math.pi, delta)
@@ -85,7 +125,7 @@ def oracle_batch_costs(fp, thetas, mxs, mys, half_len, v_vec, use_v, params):
 
 
 def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
-    theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps, params)
+    theta, mx, my, half_len, v_vec, use_v = oracle_line_state(lines, vps)
 
     def costs(rows, th, cx, cy):
         vv = None if v_vec is None else v_vec[rows]
@@ -210,14 +250,15 @@ def random_line(rng: np.random.Generator, kind: str) -> LineSegment:
 @given(
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(["near_gt", "border", "anywhere"]), min_size=1, max_size=8),
-    gates=st.lists(st.sampled_from([None, 0.0, 0.001, 0.5]), min_size=8, max_size=8),
+    turns=st.lists(st.sampled_from([None, 0.0, 0.001, 0.5]), min_size=8, max_size=8),
     max_iter=st.integers(1, 50),
 )
-def test_bitwise_equal_on_random_line_sets(seed, kinds, gates, max_iter) -> None:
+def test_bitwise_equal_on_random_line_sets(seed, kinds, turns, max_iter) -> None:
     rng = np.random.default_rng(seed)
     lines = [random_line(rng, kind) for kind in kinds]
-    # A turn of 0 or 0.001 rad gates the VP in, 0.5 rad gates it out.
-    vps = [None if t is None else vp_along(l, t) for l, t in zip(lines, gates)]
+    # A turn of 0 or 0.001 rad puts the VP near the line, 0.5 rad far
+    # from it; every given VP is used.
+    vps = [None if t is None else vp_along(l, t) for l, t in zip(lines, turns)]
     assert_same(lines, FP, vps, RefineParams(max_iter=max_iter))
 
 
@@ -296,7 +337,7 @@ def test_tables_match_per_sample_values() -> None:
         h, w = fp.height, fp.width
         gx = rng.uniform(0.0, w - 1.0, 250_000)
         gy = rng.uniform(0.0, h - 1.0, 250_000)
-        x0, y0, x1, y1, _, _ = _bilinear_corners((h, w), gx, gy)
+        x0, y0, x1, y1, _, _ = oracle_bilinear_corners((h, w), gx, gy)
         for yy, xx in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)):
             v = fp.af.data[yy, xx]
             assert np.array_equal(cos2[yy, xx], np.cos(2.0 * v))
@@ -331,5 +372,45 @@ def test_line_cost_reads_only_its_window() -> None:
     params = RefineParams()
     for k, l in enumerate(lines):
         v = vp_along(l, 0.0) if k % 2 else None
-        want = oracle_batch_costs(FP, *_line_state([l], [v], params), params)[0]
+        want = oracle_batch_costs(FP, *oracle_line_state([l], [v]), params)[0]
         assert line_cost(l, FP, v, params) == want
+
+
+@st.composite
+def grid_samples(draw):
+    """A grid (1 x N, N x 1, 2 x 2 or larger) and coordinates on it: a
+    fraction of a random cell, a grid point, or a point beyond the border
+    clipped back as callers clip. Fractions are squared: rng.random() gives
+    multiples of 2**-53, for which 1 - x is exact, so a weight off by one
+    ulp would not show; squares have bits below that, finest in cell 0."""
+    h, w = draw(st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (3, 5), (9, 4)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(seed)
+
+    def coords(size):
+        c = rng.integers(0, max(size - 1, 1), n) + rng.random(n) ** 2
+        kind = rng.choice(3, n, p=[0.6, 0.2, 0.2])
+        c = np.where(kind == 1, np.floor(c), c)
+        c = np.where(kind == 2, rng.uniform(-3.0, size + 2.0, n), c)
+        return np.clip(c, 0.0, size - 1.0)
+
+    xs, ys = coords(w), coords(h)
+    return rng, (h, w), xs, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=grid_samples(), circular=st.booleans(), shape_2d=st.booleans())
+def test_bilinear_many_matches_frozen_lookup(sample, circular, shape_2d) -> None:
+    rng, shape, xs, ys = sample
+    if circular:  # angles mod pi, with values next to 0 and pi
+        data = rng.choice([0.0, 1e-9, 1.0, math.pi - 1e-9, 3.0], shape) + rng.uniform(0.0, 0.1, shape)
+        data = np.mod(data, math.pi)
+    else:
+        data = rng.normal(0.0, 10.0, shape)
+    if shape_2d and len(xs) % 2 == 0:  # refinement samples (lines, n_opt) grids
+        xs, ys = xs.reshape(2, -1), ys.reshape(2, -1)
+    got = _bilinear_many(data, xs, ys, circular)
+    want = oracle_bilinear_many(data, xs, ys, circular)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

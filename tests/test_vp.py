@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestVanishingPoint:
         v = VanishingPoint(np.array([17.0, -5.0, 1.0]))
         again = VanishingPoint(v.v)
         assert np.array_equal(again.v, v.v)
+
+    def test_huge_entries_scale_before_normalizing(self) -> None:
+        # The squared norm of [1e300, 1e300, 1] overflows; dividing by it
+        # stored the zero vector.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = VanishingPoint(np.array([1e300, 1e300, 1.0]))
+        assert np.allclose(v.v[:2], [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0.0)
+        assert 0.0 < v.v[2] < 1e-299
+        assert math.isclose(float(np.linalg.norm(v.v)), 1.0, abs_tol=1e-15)
+        assert np.array_equal(VanishingPoint(v.v).v, v.v)
+        assert np.array_equal(VanishingPoint(np.array([-1e308, 0.0, 0.0])).v, [1.0, 0.0, 0.0])
 
     def test_rejects_zero_vector(self) -> None:
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from linefields import LineSegment, VanishingPoint, VpParams, fit_vps, refine_vp, vp_from_two_lines
 from linefields.geometry import _d_vp_many
-from linefields.vp import _pair_draws
+from linefields.vp import _pair_draws, _tangent_basis
 
 from util_synth import concurrent_lines
 
@@ -256,6 +256,29 @@ def oracle_tangent_basis(v):
     e2 = np.cross(v, e1)
     e2 /= np.linalg.norm(e2)
     return e1, e2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axis=st.integers(0, 2),
+    ideal=st.booleans(),
+    mags=st.lists(st.floats(1e-3, 1e6), min_size=3, max_size=3),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+    small=st.floats(0.0, 1e-3),
+)
+@example(axis=0, ideal=True, mags=[1.0, 1.0, 1.0], signs=[-1.0, 1.0, 1.0], small=0.0)  # argmin 0
+@example(axis=1, ideal=True, mags=[1.0, 1.0, 1.0], signs=[1.0, -1.0, 1.0], small=0.0)  # argmin 1
+def test_tangent_basis_matches_np_cross(axis, ideal, mags, signs, small) -> None:
+    """The written-out cross products give np.cross's bits, for finite and
+    ideal VPs, whichever axis is the smallest entry (ties to the first),
+    raw or normalised as refine_vp iterates them."""
+    v = np.array(mags) * signs
+    v[axis] = signs[axis] * small  # -0.0 when small is 0 and the sign negative
+    if ideal:
+        v[2] = 0.0
+    for vec in (v, VanishingPoint(v).v):
+        got, want = _tangent_basis(vec), oracle_tangent_basis(vec)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
