@@ -70,18 +70,14 @@ def _cmd_gen_gt(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.fields is None and args.image is None:
         raise ValueError("detect needs --fields, --image, or both")
-    keep = not args.no_filter
-    if args.fields is not None:
-        fields = read_field_file(args.fields)
-        image = None
-        if args.image is not None:
-            image = read_pgm(args.image).astype(np.float64)
-        lines = detect(
-            fields, DetectorParams(), FilterParams(), image=image, apply_filter=keep
-        )
-    else:
-        image = read_pgm(args.image).astype(np.float64)
+    fields = None if args.fields is None else read_field_file(args.fields)
+    image = None if args.image is None else read_pgm(args.image).astype(np.float64)
+    if fields is None:
         lines = detect(image, DetectorParams())
+    else:
+        lines = detect(
+            fields, DetectorParams(), FilterParams(), image=image, apply_filter=not args.no_filter
+        )
     write_lines(args.out, lines)
     return 0
 

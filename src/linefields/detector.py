@@ -45,9 +45,10 @@ from .geometry import (
     TWO_PI,
     LineSegment,
     Point2,
+    _clip_segments,
     _require_finite,
     circular_distance,
-    clip_segment_to_rect,
+    segments_to_array,
 )
 
 __all__ = [
@@ -551,17 +552,13 @@ def filter_lines(
     xmin, ymin = 0.5, 0.5
     xmax, ymax = head_w - 0.5, h - 0.5
     ts = np.linspace(0.0, 1.0, params.n_samples)
-    inside: list[LineSegment] = []
-    rows: list[tuple[float, ...]] = []  # clipped endpoints and the line's angle
-    for seg in lines:
-        clipped = clip_segment_to_rect(seg, xmin, ymin, xmax, ymax)
-        if clipped is not None:
-            inside.append(seg)
-            rows.append((*clipped.p1, *clipped.p2, seg.angle))
+    rows, kept = _clip_segments(segments_to_array(lines).reshape(-1, 4), xmin, ymin, xmax, ymax)
+    inside = [seg for seg, k in zip(lines, kept) if k]
     if not inside:
         return []
     # All survivors are sampled in one (lines, n_samples) pass.
-    x1, y1, x2, y2, angle = (col[:, None] for col in np.array(rows).T)
+    x1, y1, x2, y2 = (col[:, None] for col in rows[kept].T)
+    angle = np.array([seg.angle for seg in inside])[:, None]
     xs = x1 + ts * (x2 - x1)
     ys = y1 + ts * (y2 - y1)
     df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
@@ -599,11 +596,8 @@ def detect(
                 raise ValueError("companion image must match the field size")
             _, grad_angle = image_gradient(img)
             theta = orient_angles(theta, grad_angle)
-            period = params.angle_period
         else:
-            period = math.pi
-        if period != params.angle_period:
-            params = replace(params, angle_period=period)
+            params = replace(params, angle_period=math.pi)
         lines = lsd_extract(mag, theta, params, grid_offset=0.5)
         if apply_filter:
             lines = filter_lines(lines, source, filter_params)

@@ -20,12 +20,12 @@ from .geometry import (
     CameraIntrinsics,
     Homography,
     LineSegment,
-    _DEGENERATE_EPS,
     _d_vp_many,
     _homogeneous_lines,
     _line_arrays,
     _orthogonal_many,
     _require_finite,
+    _warp_segments,
     apply_homography,
     segments_to_array,
 )
@@ -289,27 +289,21 @@ def _inlier_mask(
     threshold: float,
 ) -> np.ndarray:
     """Pairs whose a-segment, warped by ``h``, lies within ``threshold``
-    orthogonal distance of its b-segment.
-
-    Every a-endpoint is warped in one pass with apply_homography's
-    arithmetic. A pair is an outlier where apply_homography or LineSegment
-    would raise: an endpoint maps to infinity (|w| <= 1e-12), or the warped
-    endpoints coincide or are not finite, which gives a NaN or infinite
-    distance.
+    orthogonal distance of its b-segment. Every a-segment is warped in one
+    _warp_segments pass; a pair it rejects is an outlier.
     """
-    m = h.m
-    x, y = a_pts[..., 0], a_pts[..., 1]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    rows, ok = _warp_segments(h.m, a_pts.reshape(-1, 4))
+    u, v = rows[:, 0::2], rows[:, 1::2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w
-        v = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w
-        # LineSegment.homogeneous_line of the warped segments
+        # The warped segments' supporting lines as LineSegment.homogeneous_line
+        # gives them, but normalized by np.hypot, which can differ from
+        # math.hypot in the last bit.
         la, lb = v[:, 0] - v[:, 1], u[:, 1] - u[:, 0]
         lc = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
         norm = np.hypot(la, lb)
         a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=1)
-        dist = _orthogonal_many(np.stack([u, v], axis=-1), b_pts, a_lines, b_lines)
-    return np.all(np.abs(w) > _DEGENERATE_EPS, axis=1) & (dist < threshold)
+        dist = _orthogonal_many(rows.reshape(-1, 2, 2), b_pts, a_lines, b_lines)
+    return ok & (dist < threshold)
 
 
 def estimate_homography(

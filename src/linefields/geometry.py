@@ -218,21 +218,39 @@ class CameraIntrinsics:
 
 
 def apply_homography(h: Homography, obj):
-    """Map a Point2 or LineSegment through a homography.
+    """Map a Point2 or LineSegment through a homography. One point of
+    _map_points; _warp_segments maps many segments.
 
     Raises:
         ValueError: if the image of a point lies on the plane at infinity.
     """
     if isinstance(obj, LineSegment):
         return LineSegment(apply_homography(h, obj.p1), apply_homography(h, obj.p2))
-    x, y = float(obj[0]), float(obj[1])
-    m = h.m
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    u, v, w = _map_points(h.m, float(obj[0]), float(obj[1]))
     if abs(w) <= _DEGENERATE_EPS:
         raise ValueError("point maps to infinity under this homography")
-    u = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w
-    v = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w
     return Point2(u, v)
+
+
+def _map_points(m: np.ndarray, x, y):
+    """Images (u, v) and weights w of points (x, y) under the 3x3 matrix
+    ``m``, elementwise over scalars or arrays. u and v are meaningless
+    where |w| <= 1e-12, which apply_homography rejects."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+        u = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w
+        v = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w
+    return u, v, w
+
+
+def _warp_segments(m: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """apply_homography of the (n, 4) endpoint rows ``ends``: the mapped
+    rows, and the mask of rows for which apply_homography and LineSegment
+    would not raise (both |w| > 1e-12, images finite and distinct)."""
+    u, v, w = _map_points(m, ends[:, 0::2], ends[:, 1::2])
+    rows = np.stack([u, v], axis=-1).reshape(-1, 4)
+    ok = np.all(np.abs(w) > _DEGENERATE_EPS, axis=1) & np.all(np.isfinite(rows), axis=1)
+    return rows, ok & ((rows[:, 0] != rows[:, 2]) | (rows[:, 1] != rows[:, 3]))
 
 
 def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> float:
@@ -327,7 +345,8 @@ def _d_vp_many(
     Rows of mids/e1/e2 are midpoints and endpoints. ``v`` is one (3,)
     vector, or any (..., 3) stack that broadcasts against the rows: (n, 3)
     pairs row k with segment k, (k, 1, 3) gives a (k, n) matrix.
-    Degenerate joining lines yield +inf.
+    Degenerate joining lines yield +inf, and so do distances the
+    arithmetic cannot represent (a midpoint or product that overflows).
 
     ``signed`` returns half the signed-distance difference of the two
     endpoints instead, equal to d_vp in magnitude (the joining line passes
@@ -336,15 +355,15 @@ def _d_vp_many(
     the absolute form has a kink at zero that wrecks finite-difference
     Jacobians.
     """
-    la = mids[:, 1] * v[..., 2] - v[..., 1]
-    lb = v[..., 0] - mids[:, 0] * v[..., 2]
-    lc = mids[:, 0] * v[..., 1] - mids[:, 1] * v[..., 0]
-    norm = np.hypot(la, lb)
-    d1 = la * e1[:, 0] + lb * e1[:, 1] + lc
-    d2 = la * e2[:, 0] + lb * e2[:, 1] + lc
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        la = mids[:, 1] * v[..., 2] - v[..., 1]
+        lb = v[..., 0] - mids[:, 0] * v[..., 2]
+        lc = mids[:, 0] * v[..., 1] - mids[:, 1] * v[..., 0]
+        norm = np.hypot(la, lb)
+        d1 = la * e1[:, 0] + lb * e1[:, 1] + lc
+        d2 = la * e2[:, 0] + lb * e2[:, 1] + lc
         d = 0.5 * ((d1 - d2) if signed else (np.abs(d1) + np.abs(d2))) / norm
-    return np.where(norm < _DEGENERATE_EPS, np.inf, d)
+    return np.where((norm >= _DEGENERATE_EPS) & np.isfinite(d), d, np.inf)
 
 
 def clip_segment_to_rect(
@@ -352,40 +371,34 @@ def clip_segment_to_rect(
 ) -> LineSegment | None:
     """Liang-Barsky clip of a segment against an axis-aligned rectangle.
 
-    Returns None when nothing (or a single point) remains inside.
+    Returns None when nothing (or a single point) remains inside. One row
+    of _clip_segments.
     """
-    x1, y1 = seg.p1
-    dx = seg.p2.x - x1
-    dy = seg.p2.y - y1
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, x1 - xmin),
-        (dx, xmax - x1),
-        (-dy, y1 - ymin),
-        (dy, ymax - y1),
-    ):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
-        r = q / p
-        if p < 0.0:
-            if r > t1:
-                return None
-            if r > t0:
-                t0 = r
-        else:
-            if r < t0:
-                return None
-            if r < t1:
-                t1 = r
-    if t1 <= t0:
-        return None
-    a = Point2(x1 + t0 * dx, y1 + t0 * dy)
-    b = Point2(x1 + t1 * dx, y1 + t1 * dy)
-    if a.x == b.x and a.y == b.y:
-        return None
-    return LineSegment(a, b)
+    rows, kept = _clip_segments(seg.as_array().reshape(1, 4), xmin, ymin, xmax, ymax)
+    return LineSegment(rows[0, :2], rows[0, 2:]) if kept[0] else None
+
+
+def _clip_segments(
+    ends: np.ndarray, xmin: float, ymin: float, xmax: float, ymax: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Liang-Barsky clip of the (n, 4) endpoint rows ``ends``: the clipped
+    rows, and the mask of rows that keep more than a single point. Every
+    row goes through clip_segment_to_rect's tests, edge by edge; a row
+    rejected at one edge stays rejected, whatever its later t0 and t1."""
+    x1, y1 = ends[:, 0], ends[:, 1]
+    t0, t1 = np.zeros(len(ends)), np.ones(len(ends))
+    kept = np.ones(len(ends), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx, dy = ends[:, 2] - x1, ends[:, 3] - y1
+        for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
+            r = q / p
+            enter, leave = p < 0.0, p > 0.0
+            kept &= ~((p == 0.0) & (q < 0.0)) & ~(enter & (r > t1)) & ~(leave & (r < t0))
+            t0 = np.where(enter & (r > t0), r, t0)
+            t1 = np.where(leave & (r < t1), r, t1)
+        kept &= ~(t1 <= t0)
+        rows = np.stack([x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy], axis=1)
+    return rows, kept & ((rows[:, 0] != rows[:, 2]) | (rows[:, 1] != rows[:, 3]))
 
 
 def segments_to_array(lines: Sequence[LineSegment]) -> np.ndarray:

@@ -20,10 +20,11 @@ from .fields import FieldPair, ScalarField, _bilinear_many, render_fields
 from .geometry import (
     Homography,
     LineSegment,
+    _clip_segments,
     _require_finite,
     _require_int,
-    apply_homography,
-    clip_segment_to_rect,
+    _warp_segments,
+    segments_to_array,
 )
 
 __all__ = [
@@ -134,17 +135,10 @@ def warp_lines(
     anything shorter than ``min_length`` afterwards (or mapping to
     infinity) is dropped.
     """
-    out: list[LineSegment] = []
-    for seg in lines:
-        try:
-            warped = apply_homography(h, seg)
-        except ValueError:
-            continue
-        clipped = clip_segment_to_rect(warped, 0.0, 0.0, float(width), float(height))
-        if clipped is None or clipped.length < min_length:
-            continue
-        out.append(clipped)
-    return out
+    rows, ok = _warp_segments(h.m, segments_to_array(lines).reshape(-1, 4))
+    rows, kept = _clip_segments(rows[ok], 0.0, 0.0, float(width), float(height))
+    clipped = [LineSegment(r[:2], r[2:]) for r in rows[kept]]
+    return [seg for seg in clipped if not seg.length < min_length]
 
 
 def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:

@@ -48,13 +48,13 @@ class VanishingPoint:
         v = np.asarray(self.v, dtype=float).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError("vanishing point must be finite")
+        if not np.any(v):
+            raise ValueError("vanishing point must be a nonzero 3-vector")
         with np.errstate(over="ignore"):
             n = float(np.linalg.norm(v))
-        if not math.isfinite(n):  # the squares overflow: scale by max |v| first
+        if not 1e-12 <= n < math.inf:  # squares over- or underflow: scale by max |v| first
             v = v / np.max(np.abs(v))
             n = float(np.linalg.norm(v))
-        if n < 1e-12:
-            raise ValueError("vanishing point must be a nonzero 3-vector")
         if abs(n - 1.0) > 1e-12:  # keep already-unit vectors bit-stable
             v = v / n
         for c in (v[2], v[1], v[0]):

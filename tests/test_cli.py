@@ -428,6 +428,24 @@ class TestEval:
         assert rc == 1
         assert "error: assignment length" in capsys.readouterr().err
 
+    def test_vp_file_with_tiny_entries(self, tmp_path, capsys) -> None:
+        # [1e-13, 0, 1e-13] is the point (1, 0); an absolute norm test
+        # rejected it and eval vp exited 1.
+        tiny_path, gt_path = tmp_path / "tiny.json", tmp_path / "gt.json"
+        tiny_path.write_text('{"vps": [[1e-13, 0.0, 1e-13]], "assignment": []}\n')
+        gt_path.write_text('{"vps": [[1.0, 0.0, 1.0]], "assignment": []}\n')
+        rc = main(
+            [
+                "eval", "vp",
+                "--vps", str(tiny_path),
+                "--gt-vps", str(gt_path),
+                "--fx", "256", "--fy", "256", "--cx", "128", "--cy", "128",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out == "median_error_deg 0.0\nauc 1.0\n"
+
     def test_vp_file_with_huge_entries(self, tmp_path, capsys) -> None:
         # [1e300, 1e300, 1] overflowed its norm and was stored as the zero
         # vector: eval vp failed and eval vp-consistency printed 0.0.

@@ -19,8 +19,10 @@ distance lies within rounding of the threshold.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +164,25 @@ def test_d_vp_is_its_kernel_row(lines, vec) -> None:
         d = d_vp(seg, v)
         assert d == row
         assert math.isclose(d, scalar_d_vp(seg, v), rel_tol=RTOL)
+
+
+HUGE = LineSegment((1.5e308, 0.0), (1.5e308, 10.0))  # the midpoint overflows
+
+
+@pytest.mark.parametrize(
+    "seg, vec",
+    [(HUGE, (600.0, 128.0, 1.0)), (HUGE, (0.0, 1.0, 0.0)), (HUGE, (1.0, 0.0, 0.0)),
+     (LineSegment((1e308, 0.0), (1e308, 10.0)), (600.0, 128.0, 1.0))],  # c overflows
+)
+def test_d_vp_that_overflows_is_inf_without_warnings(seg, vec) -> None:
+    v = np.array(vec)
+    e = seg.as_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d_vp(seg, v) == math.inf
+        for signed in (False, True):
+            got = _d_vp_many(np.array([seg.midpoint]), e[:1], e[1:], v, signed=signed)
+            assert got.tolist() == [math.inf]
 
 
 @st.composite

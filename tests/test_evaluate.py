@@ -452,9 +452,9 @@ class TestVpConsistency:
 
     @pytest.mark.parametrize("nan_first", [True, False])
     def test_cluster_with_nan_median_claims_nothing(self, nan_first: bool) -> None:
-        # d_vp of segments near x = 1.5e308 overflows to NaN, so this
-        # cluster's median is NaN; in either order the other cluster still
-        # claims the point.
+        # The midpoints of segments near x = 1.5e308 overflow, so their
+        # d_vp and this cluster's median are +inf; in either order the
+        # other cluster still claims the point.
         rng = np.random.default_rng(61)
         va = np.array([600.0, 128.0, 1.0])
         good = concurrent_lines(rng, va, 4)

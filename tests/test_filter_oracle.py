@@ -1,9 +1,10 @@
 """filter_lines against the per-line loop it replaced.
 
 ``oracle_filter_lines`` clips, samples and scores one candidate at a time,
-with two lookups per line through the frozen bilinear lookup of the
-refinement oracle. filter_lines clips each line the
-same way, then samples every surviving line in one (lines, n_samples)
+with the frozen scalar clip of the warp/clip oracle and two lookups per
+line through the frozen bilinear lookup of the refinement oracle.
+filter_lines clips all lines in one kernel call with the same arithmetic,
+then samples every surviving line in one (lines, n_samples)
 pass and takes each line's agree fraction row by row. The per-sample
 arithmetic is the same, so on any input the two must keep the same
 candidates, in the same order: lines inside the field, lines clipped at
@@ -20,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linefields import FilterParams, LineSegment, filter_lines, render_fields
-from linefields.geometry import clip_segment_to_rect
 
 from test_refine_oracle import oracle_bilinear_many
+from test_warp_clip_oracle import oracle_clip_segment_to_rect
 from util_synth import random_segments
 
 
@@ -35,7 +36,7 @@ def oracle_filter_lines(lines, fp, params=None, seen=None):
     ts = np.linspace(0.0, 1.0, params.n_samples)
     kept = []
     for seg in lines:
-        clipped = clip_segment_to_rect(seg, xmin, ymin, xmax, ymax)
+        clipped = oracle_clip_segment_to_rect(seg, xmin, ymin, xmax, ymax)
         if clipped is None:
             seen["outside"] += 1
             continue

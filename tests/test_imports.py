@@ -3,15 +3,18 @@
 No linter runs on this code, so this is the check: every name an import
 binds in ``src/linefields`` must be read in its module or listed in its
 ``__all__``. An import on a line marked ``# noqa: F401`` is kept on
-purpose and exempt.
+purpose and exempt. The names the benchmark's tracer wraps must exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "linefields"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,3 +61,18 @@ def test_package_has_no_unused_imports() -> None:
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_benchmark_tracer_boundaries_exist() -> None:
+    # perfbench/spans.py wraps each (module, attribute) of LAYERS. A name
+    # the program drops reads 0 in the benchmark and fails its self-test
+    # (perfbench/test_perfbench.py, outside this suite), so it fails here.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, name, *_ in spans.LAYERS
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

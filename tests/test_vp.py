@@ -64,6 +64,17 @@ class TestVanishingPoint:
         assert np.array_equal(VanishingPoint(v.v).v, v.v)
         assert np.array_equal(VanishingPoint(np.array([-1e308, 0.0, 0.0])).v, [1.0, 0.0, 0.0])
 
+    def test_tiny_entries_scale_before_the_zero_test(self) -> None:
+        # An absolute norm test rejected the point (1, 0) and the direction
+        # (3, 4) given with entries this small.
+        point = VanishingPoint(np.array([1e-13, 0.0, 1e-13]))
+        assert np.array_equal(point.v, VanishingPoint(np.array([1.0, 0.0, 1.0])).v)
+        v = VanishingPoint(np.array([3e-13, 4e-13, 0.0]))
+        assert np.allclose(v.v, [0.6, 0.8, 0.0], rtol=1e-15, atol=0.0)
+        assert np.array_equal(VanishingPoint(np.array([0.0, -5e-324, 0.0])).v, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            VanishingPoint(np.array([0.0, -0.0, 0.0]))
+
     def test_rejects_zero_vector(self) -> None:
         with pytest.raises(ValueError):
             VanishingPoint(np.zeros(3))
