@@ -44,9 +44,9 @@ from .fields import (
 from .geometry import (
     TWO_PI,
     LineSegment,
-    Point2,
     _clip_segments,
     _require_finite,
+    _segments,
     circular_distance,
     segments_to_array,
 )
@@ -135,37 +135,6 @@ def image_gradient(image: np.ndarray) -> tuple[ScalarField, ScalarField]:
     return ScalarField(mag), ScalarField(ang)
 
 
-class _Rect:
-    """Fitted rectangle in image coordinates."""
-
-    __slots__ = (
-        "cx",
-        "cy",
-        "theta",
-        "ux",
-        "uy",
-        "lmin",
-        "lmax",
-        "wmin",
-        "wmax",
-        "length",
-        "width",
-    )
-
-    def __init__(self, cx, cy, theta, lmin, lmax, wmin, wmax):
-        self.cx = cx
-        self.cy = cy
-        self.theta = theta
-        self.ux = math.cos(theta)
-        self.uy = math.sin(theta)
-        self.lmin = lmin
-        self.lmax = lmax
-        self.wmin = wmin
-        self.wmax = wmax
-        self.length = lmax - lmin
-        self.width = max(wmax - wmin, 1.0)
-
-
 def _log10_binomial_tail(n: int, k: int, p: float) -> float:
     """log10 of P[Bin(n, p) >= k]."""
     if k <= 0:
@@ -197,7 +166,11 @@ def _fit_rect(
     weights: np.ndarray,
     reg_angle: float,
     period: float,
-) -> _Rect | None:
+) -> tuple[float, ...] | None:
+    """Magnitude-weighted rectangle of a pixel region: the row
+    (cx, cy, theta, ux, uy, lmin, lmax, wmin, wmax) of its center, axis
+    angle and direction, and the extents of the pixels along and across
+    that axis; None when the extent along it is below 1e-12."""
     # Row sums of a contiguous stack add up like the 1-D sums of each row.
     total, sum_x, sum_y = np.array([weights, weights * xs, weights * ys]).sum(axis=1)
     cx = float(sum_x / total)
@@ -224,14 +197,23 @@ def _fit_rect(
     uy = math.sin(theta)
     proj = np.array([dx * ux + dy * uy, dy * ux - dx * uy])  # q - p is q + (-p)
     (lmin, wmin), (lmax, wmax) = proj.min(axis=1).tolist(), proj.max(axis=1).tolist()
-    rect = _Rect(cx, cy, theta, lmin, lmax, wmin, wmax)
-    if rect.length < 1e-12:
+    if lmax - lmin < 1e-12:
         return None
-    return rect
+    return cx, cy, theta, ux, uy, lmin, lmax, wmin, wmax
+
+
+def _width(rect: tuple[float, ...]) -> float:
+    """Width of a _fit_rect row, at least one pixel."""
+    return max(rect[8] - rect[7], 1.0)
+
+
+def _dense(n: int, rect: tuple[float, ...], threshold: float) -> bool:
+    """Whether n region pixels fill at least ``threshold`` of the rectangle."""
+    return n / ((rect[6] - rect[5]) * _width(rect)) >= threshold
 
 
 def _count_in_rects(
-    rects: Sequence[_Rect],
+    rects: np.ndarray,
     ldir: np.ndarray,
     usable: np.ndarray,
     tol: float,
@@ -240,15 +222,14 @@ def _count_in_rects(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixels whose center lies in each rectangle, and the aligned subset.
 
-    Every rectangle is tested over the grid pixels of its corners' bounding
+    ``rects`` holds one _fit_rect row per rectangle, shape (n, 9). Every
+    rectangle is tested over the grid pixels of its corners' bounding
     box. The boxes of all rectangles are laid end to end and scanned in
     chunks of at most _NFA_ELEMENTS pixels, each pixel with the arithmetic
     of its own rectangle, so the counts do not depend on the chunking.
     """
     h, w = ldir.shape
-    cx, cy, ux, uy, lmin, lmax, wmin, wmax, theta = np.array(
-        [(r.cx, r.cy, r.ux, r.uy, r.lmin, r.lmax, r.wmin, r.wmax, r.theta) for r in rects]
-    ).reshape(-1, 9).T
+    cx, cy, theta, ux, uy, lmin, lmax, wmin, wmax = rects.T
     corner_l = np.stack([lmin, lmin, lmax, lmax], axis=1)
     corner_w = np.stack([wmin, wmax, wmin, wmax], axis=1)
     cxs = cx[:, None] + corner_l * ux[:, None] - corner_w * uy[:, None]
@@ -458,7 +439,8 @@ def lsd_extract(
         two_std = 2.0 * math.sqrt(float(np.mean(d * d)))
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
-    rects: list[_Rect] = []
+    rects: list[tuple[float, ...]] = []
+    threshold = params.density_threshold
 
     for seed, alone in zip(seed_order, lonely):
         if alone:
@@ -472,66 +454,57 @@ def lsd_extract(
         if len(region) < min_region_size:
             continue
         rect, xs, ys, weights = fit(region, reg_angle)
-        ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
+        if rect is None:
+            continue
 
-        if not ok and rect is not None:
+        if not _dense(len(region), rect, threshold):
             # First retry: re-grow with a tolerance taken from the local
             # angle spread around the seed.
-            tol2 = local_tolerance(region, xs, ys, seed, rect.width)
+            tol2 = local_tolerance(region, xs, ys, seed, _width(rect))
             release(region)
             region, reg_angle = grow(seed, tol2)
             if len(region) < min_region_size:
                 continue
             rect, xs, ys, weights = fit(region, reg_angle)
-            ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
-
-        if not ok and rect is not None:
-            # Then shrink the region around the seed, 75% radius steps.
-            sxc, syc = center(seed)
-            d2 = (xs - sxc) ** 2 + (ys - syc) ** 2
-            radius = math.sqrt(float(d2.max()))
-            arr_region = np.asarray(region)
-            cols = np.stack([xs, ys, weights, d2])
-            for _ in range(5):
-                radius *= 0.75
-                keep = cols[3] <= radius * radius
-                release(arr_region[~keep].tolist())
-                arr_region = arr_region[keep]
-                cols = cols[:, keep]
-                if len(arr_region) < min_region_size:
-                    break
-                rect2 = _fit_rect(cols[0], cols[1], cols[2], reg_angle, period)
-                if rect2 is None:
-                    continue
-                rect = rect2
-                if len(arr_region) / (rect.length * rect.width) >= params.density_threshold:
-                    ok = True
-                    break
-            if len(arr_region) < min_region_size:
+            if rect is None:
                 continue
-
-        if not ok or rect is None:
-            continue
+            if not _dense(len(region), rect, threshold):
+                # Then shrink the region around the seed, 75% radius
+                # steps, until a fit is dense enough.
+                sxc, syc = center(seed)
+                d2 = (xs - sxc) ** 2 + (ys - syc) ** 2
+                radius = math.sqrt(float(d2.max()))
+                arr_region = np.asarray(region)
+                cols = np.stack([xs, ys, weights, d2])
+                rect = None
+                for _ in range(5):
+                    radius *= 0.75
+                    keep = cols[3] <= radius * radius
+                    release(arr_region[~keep].tolist())
+                    arr_region = arr_region[keep]
+                    cols = cols[:, keep]
+                    if len(arr_region) < min_region_size:
+                        break
+                    fitted = _fit_rect(cols[0], cols[1], cols[2], reg_angle, period)
+                    if fitted is not None and _dense(len(arr_region), fitted, threshold):
+                        rect = fitted
+                        break
+                if rect is None:
+                    continue
         rects.append(rect)
 
     # The NFA test reads only the static grids and takes no pixel, so all
     # rectangles are counted after growing. Alignment counting ignores
     # sub-threshold pixels.
-    counts = _count_in_rects(rects, ldir2d, usable2d, tol, period, grid_offset)
-    results: list[LineSegment] = []
-    for rect, n_in, k_in in zip(rects, *counts):
-        if n_in == 0:
-            continue
-        log_nfa = log_nt + _log10_binomial_tail(int(n_in), int(k_in), p_align)
-        if log_nfa > params.log_nfa_max:
-            continue
-        results.append(
-            LineSegment(
-                Point2(rect.cx + rect.lmin * rect.ux, rect.cy + rect.lmin * rect.uy),
-                Point2(rect.cx + rect.lmax * rect.ux, rect.cy + rect.lmax * rect.uy),
-            )
-        )
-    return results
+    rows = np.array(rects).reshape(-1, 9)
+    counts = _count_in_rects(rows, ldir2d, usable2d, tol, period, grid_offset)
+    kept = [
+        n_in > 0 and not log_nt + _log10_binomial_tail(n_in, k_in, p_align) > params.log_nfa_max
+        for n_in, k_in in zip(*(c.tolist() for c in counts))
+    ]
+    cx, cy, _, ux, uy, lmin, lmax = rows[np.array(kept, dtype=bool), :7].T
+    ends = np.stack([cx + lmin * ux, cy + lmin * uy, cx + lmax * ux, cy + lmax * uy], axis=1)
+    return _segments(ends)
 
 
 def filter_lines(

@@ -25,6 +25,7 @@ from .geometry import (
     _line_arrays,
     _orthogonal_many,
     _require_finite,
+    _segments,
     _warp_segments,
     apply_homography,
     segments_to_array,
@@ -153,13 +154,15 @@ def match_one_to_one(
     if len(lines_a) == 0 or len(lines_b) == 0:
         return []
     h_inv = h_gt.inverse()
-    warped_b = [apply_homography(h_inv, seg) for seg in lines_b]
+    b_rows, ok = _warp_segments(h_inv.m, segments_to_array(lines_b).reshape(-1, 4))
+    if not ok.all():
+        apply_homography(h_inv, lines_b[int(np.argmin(ok))])  # raises the first failure
     a_pts = segments_to_array(lines_a)
-    b_pts = segments_to_array(warped_b)
+    b_pts = b_rows.reshape(-1, 2, 2)
     if params.distance_kind == "structural":
         dist = _structural_matrix(a_pts, b_pts)
     else:
-        a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
+        a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(_segments(b_rows))
         dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
     rows, cols = _greedy_pairs(dist)
     return [

@@ -155,8 +155,9 @@ class Homography:
             raise ValueError("homography matrix must be finite")
         if abs(m[2, 2]) > _DEGENERATE_EPS:
             m = m / m[2, 2]
-        if abs(np.linalg.det(m)) <= _DEGENERATE_EPS:
-            raise ValueError("homography matrix is singular")
+        with np.errstate(over="ignore"):  # a huge finite matrix's det is inf
+            if abs(np.linalg.det(m)) <= _DEGENERATE_EPS:
+                raise ValueError("homography matrix is singular")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -375,7 +376,7 @@ def clip_segment_to_rect(
     of _clip_segments.
     """
     rows, kept = _clip_segments(seg.as_array().reshape(1, 4), xmin, ymin, xmax, ymax)
-    return LineSegment(rows[0, :2], rows[0, 2:]) if kept[0] else None
+    return _segments(rows)[0] if kept[0] else None
 
 
 def _clip_segments(
@@ -383,8 +384,9 @@ def _clip_segments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Liang-Barsky clip of the (n, 4) endpoint rows ``ends``: the clipped
     rows, and the mask of rows that keep more than a single point. Every
-    row goes through clip_segment_to_rect's tests, edge by edge; a row
-    rejected at one edge stays rejected, whatever its later t0 and t1."""
+    row goes through clip_segment_to_rect's tests, edge by edge. t0 only
+    rises and t1 only falls, so a row whose entry lies past its exit at
+    some edge ends with t1 < t0 and fails the final test."""
     x1, y1 = ends[:, 0], ends[:, 1]
     t0, t1 = np.zeros(len(ends)), np.ones(len(ends))
     kept = np.ones(len(ends), dtype=bool)
@@ -392,10 +394,9 @@ def _clip_segments(
         dx, dy = ends[:, 2] - x1, ends[:, 3] - y1
         for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
             r = q / p
-            enter, leave = p < 0.0, p > 0.0
-            kept &= ~((p == 0.0) & (q < 0.0)) & ~(enter & (r > t1)) & ~(leave & (r < t0))
-            t0 = np.where(enter & (r > t0), r, t0)
-            t1 = np.where(leave & (r < t1), r, t1)
+            kept &= ~((p == 0.0) & (q < 0.0))
+            t0 = np.where((p < 0.0) & (r > t0), r, t0)
+            t1 = np.where((p > 0.0) & (r < t1), r, t1)
         kept &= ~(t1 <= t0)
         rows = np.stack([x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy], axis=1)
     return rows, kept & ((rows[:, 0] != rows[:, 2]) | (rows[:, 1] != rows[:, 3]))
@@ -406,6 +407,11 @@ def segments_to_array(lines: Sequence[LineSegment]) -> np.ndarray:
     if len(lines) == 0:
         return np.zeros((0, 2, 2))
     return np.stack([seg.as_array() for seg in lines])
+
+
+def _segments(rows: np.ndarray) -> list[LineSegment]:
+    """LineSegments of the (n, 4) endpoint rows x1, y1, x2, y2."""
+    return [LineSegment(Point2(x1, y1), Point2(x2, y2)) for x1, y1, x2, y2 in rows.tolist()]
 
 
 def _line_arrays(

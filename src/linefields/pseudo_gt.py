@@ -23,6 +23,7 @@ from .geometry import (
     _clip_segments,
     _require_finite,
     _require_int,
+    _segments,
     _warp_segments,
     segments_to_array,
 )
@@ -137,8 +138,9 @@ def warp_lines(
     """
     rows, ok = _warp_segments(h.m, segments_to_array(lines).reshape(-1, 4))
     rows, kept = _clip_segments(rows[ok], 0.0, 0.0, float(width), float(height))
-    clipped = [LineSegment(r[:2], r[2:]) for r in rows[kept]]
-    return [seg for seg in clipped if not seg.length < min_length]
+    rows = rows[kept]
+    long = [not math.hypot(x2 - x1, y2 - y1) < min_length for x1, y1, x2, y2 in rows.tolist()]
+    return _segments(rows[np.array(long, dtype=bool)])
 
 
 def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:

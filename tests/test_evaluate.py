@@ -154,6 +154,45 @@ class TestMatchOneToOne:
         assert ms[0].distance == 5.0
         assert mo[0].distance == 0.0
 
+    # h_gt maps frame a to frame b, so the b lines go through its inverse.
+    FAILING_B = {
+        # The inverse's last row (-0.1, 0, 1) sends x = 10 to w = 0.
+        "point maps to infinity under this homography": (
+            Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.1, 0.0, 1.0]])),
+            LineSegment((10.0, 5.0), (0.0, 5.0)),
+        ),
+        # 1e16 + 0.5 rounds to 1e16.
+        "segment endpoints must be distinct": (
+            Homography.translation(-1e16, 0.0),
+            LineSegment((0.0, 0.0), (0.5, 0.0)),
+        ),
+        # 1e10 * 1e300 overflows.
+        "segment endpoints must be finite": (
+            Homography.scaling(1e-300, 1e300),
+            LineSegment((0.0, 0.0), (1e10, 0.0)),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["structural", "orthogonal"])
+    @pytest.mark.parametrize("message", sorted(FAILING_B))
+    def test_failing_b_segment_raises_its_error(self, message: str, kind: str) -> None:
+        h_gt, bad = self.FAILING_B[message]
+        a = [LineSegment((0.0, 0.0), (1.0, 0.0))]
+        good = LineSegment((0.0, 0.0), (0.0, 10.0))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            match_one_to_one(a, [good, bad, good], h_gt, EvalParams(distance_kind=kind))
+
+    def test_first_of_two_failing_b_segments_raises(self) -> None:
+        h_gt = Homography.scaling(1e-300, 1e300)  # b to a: x * 1e300, y * 1e-300
+        overflow = LineSegment((0.0, 0.0), (1e10, 0.0))
+        collapse = LineSegment((0.0, 0.0), (0.0, 1e-30))  # 1e-330 underflows to 0
+        a = [LineSegment((0.0, 0.0), (1.0, 0.0))]
+        good = LineSegment((0.0, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            match_one_to_one(a, [good, overflow, collapse], h_gt)
+        with pytest.raises(ValueError, match="must be distinct"):
+            match_one_to_one(a, [good, collapse, overflow], h_gt)
+
 
 class TestStructuralMatrix:
     """The structural distance, as match_one_to_one computes it."""

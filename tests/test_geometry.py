@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ class TestHomography:
     def test_rejects_singular(self) -> None:
         with pytest.raises(ValueError):
             Homography(np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]]))
+
+    def test_huge_finite_matrix_is_accepted_without_warnings(self) -> None:
+        # Its determinant overflows to inf, which the singularity gate passes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Homography.scaling(1e300).m[0, 0] == 1e300
+            with pytest.raises(ValueError, match="singular"):
+                Homography(np.array([[1e300, 1e300, 0], [1e300, 1e300, 0], [0, 0, 1.0]]))
 
     def test_rejects_non_finite(self) -> None:
         m = np.eye(3)

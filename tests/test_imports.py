@@ -3,7 +3,9 @@
 No linter runs on this code, so this is the check: every name an import
 binds in ``src/linefields`` must be read in its module or listed in its
 ``__all__``. An import on a line marked ``# noqa: F401`` is kept on
-purpose and exempt. The names the benchmark's tracer wraps must exist.
+purpose and exempt. Every module-level private name (a ``_x`` function,
+class or constant) must be read somewhere in the package, so a refactor
+leaves none stranded. The names the benchmark's tracer wraps must exist.
 """
 
 from __future__ import annotations
@@ -61,6 +63,49 @@ def test_package_has_no_unused_imports() -> None:
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level private name that no module
+    of ``sources`` (module name -> source) reads."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_checker_finds_an_unread_private_name() -> None:
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_LEFT: int = 2\n"
+            "def _helper(): return _USED\n"
+            "class _Stranded: pass\n"
+            "def public(): return _helper()\n"
+        ),
+        "b": "from . import a\nfrom .a import _helper\n_helper()\nprint(a._LEFT)\n",
+    }
+    assert unread_private_names(sources) == ["a._Stranded"]
+
+
+def test_package_has_no_unread_private_names() -> None:
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_benchmark_tracer_boundaries_exist() -> None:

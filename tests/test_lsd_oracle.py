@@ -6,6 +6,8 @@ by a lexsort, every seed grown, each rectangle fitted by
 ``oracle_fit_rect`` (one 1-D sum per moment), its pixels counted by
 ``oracle_count_in_rect`` as soon as it is fitted, the local tolerance
 taken pixel by pixel, and the NFA tail through ``scipy.special.logsumexp``.
+Its rectangles are ``_Rect`` objects, frozen here; the fast path keeps
+each rectangle as a ``_fit_rect`` row.
 The fast path pads the grid, sorts 16-bit seed keys, skips seeds that can
 only grow to one pixel, sums stacked moments, takes the local tolerance
 in one array pass, counts the pixels of all rectangles after growing in
@@ -40,16 +42,62 @@ from linefields import (
 )
 from linefields import detector
 from linefields.detector import (
-    _Rect,
     _count_in_rects,
+    _dense,
     _fit_rect,
     _lonely,
     _log10_binomial_tail,
     _padded,
+    _width,
 )
 from linefields.geometry import TWO_PI, LineSegment, Point2, circular_distance
 
 from util_synth import random_segments
+
+
+class _Rect:
+    """Fitted rectangle in image coordinates."""
+
+    __slots__ = (
+        "cx",
+        "cy",
+        "theta",
+        "ux",
+        "uy",
+        "lmin",
+        "lmax",
+        "wmin",
+        "wmax",
+        "length",
+        "width",
+    )
+
+    def __init__(self, cx, cy, theta, lmin, lmax, wmin, wmax):
+        self.cx = cx
+        self.cy = cy
+        self.theta = theta
+        self.ux = math.cos(theta)
+        self.uy = math.sin(theta)
+        self.lmin = lmin
+        self.lmax = lmax
+        self.wmin = wmin
+        self.wmax = wmax
+        self.length = lmax - lmin
+        self.width = max(wmax - wmin, 1.0)
+
+
+ROW_FIELDS = _Rect.__slots__[:9]  # a _fit_rect row, in order
+
+
+def rows_of(rects):
+    """The (n, 9) array of _fit_rect rows of frozen rectangles."""
+    return np.array([[getattr(r, name) for name in ROW_FIELDS] for r in rects]).reshape(-1, 9)
+
+
+def rect_of(row):
+    """The frozen rectangle of a _fit_rect row."""
+    cx, cy, theta, _, _, lmin, lmax, wmin, wmax = row
+    return _Rect(cx, cy, theta, lmin, lmax, wmin, wmax)
 
 
 def oracle_log10_tail(n: int, k: int, p: float) -> float:
@@ -411,9 +459,17 @@ def test_rendered_field_pair_matches_oracle_in_small_chunks():
 
 
 def rect_bits(rect):
+    """A frozen rectangle's row fields and width, bit for bit."""
     if rect is None:
         return None
-    return [getattr(rect, name).hex() for name in _Rect.__slots__]
+    return [getattr(rect, name).hex() for name in (*ROW_FIELDS, "width")]
+
+
+def row_bits(row):
+    """A _fit_rect row and its _width, bit for bit."""
+    if row is None:
+        return None
+    return [v.hex() for v in (*row, _width(row))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,7 +504,25 @@ def test_fit_rect_matches_oracle(n, spread, log_w, period, offset, seed):
         reg_angle = rng.uniform(0.0, period)
         got = _fit_rect(xs, ys, weights, reg_angle, period)
         want = oracle_fit_rect(xs, ys, weights, reg_angle, period)
-        assert rect_bits(got) == rect_bits(want)
+        assert row_bits(got) == rect_bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    lmin=st.floats(-200.0, 0.0),
+    length=st.floats(1e-12, 200.0),
+    wmin=st.floats(-20.0, 0.0),
+    width=st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 40.0),
+    threshold=st.sampled_from([0.7, 0.5, 1.0]),
+)
+@example(n=7, lmin=0.0, length=10.0, wmin=0.0, width=0.5, threshold=0.7)  # 7 / 10 is 0.7
+@example(n=6, lmin=-1.0, length=4.0, wmin=-1.0, width=3.0, threshold=0.5)  # 6 / 12 is 0.5
+def test_density_gate_matches_frozen_rectangle(n, lmin, length, wmin, width, threshold):
+    rect = _Rect(3.0, 4.0, 0.5, lmin, lmin + length, wmin, wmin + width)
+    assume(rect.length >= 1e-12)
+    want = n / (rect.length * rect.width) >= threshold
+    assert _dense(n, rows_of([rect])[0].tolist(), threshold) == want
 
 
 # ------------------------------------------------------------ NFA counts
@@ -478,7 +552,7 @@ def rect_scenes(draw):
 
 
 def assert_counts_match(rects, ldir, usable, tol, period, offset):
-    n_in, k_in = _count_in_rects(rects, ldir, usable, tol, period, offset)
+    n_in, k_in = _count_in_rects(rows_of(rects), ldir, usable, tol, period, offset)
     want = [oracle_count_in_rect(r, ldir, usable, tol, period, offset) for r in rects]
     assert list(zip(n_in.tolist(), k_in.tolist())) == want
     return want
@@ -520,8 +594,10 @@ def test_fitted_rectangles_count_their_own_pixels(h, w, seed, chunk, period, off
     region = np.flatnonzero((across <= rng.uniform(0.5, 3.0)) & (rng.random((h, w)) < 0.9))
     assume(len(region) >= 2)
     iy, ix = np.divmod(region, w)
-    rect = _fit_rect(ix + offset, iy + offset, rng.uniform(1.0, 5.0, len(region)), t, period)
-    assume(rect is not None)
+    row = _fit_rect(ix + offset, iy + offset, rng.uniform(1.0, 5.0, len(region)), t, period)
+    assume(row is not None)
+    rect = rect_of(row)
+    assert rows_of([rect]).tolist() == [list(row)]
     ldir = rng.uniform(0.0, period, (h, w))
     usable = rng.random((h, w)) < 0.8
     with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):

@@ -124,6 +124,11 @@ class TestWarpLines:
         out = warp_lines(segs, Homography.identity(), 64, 64, min_length=2.0)
         assert out == [LineSegment((0.0, 10.0), (3.0, 10.0))]
 
+    def test_exactly_min_length_kept(self) -> None:
+        # Only segments shorter than min_length drop; a 3-4-5 one is kept.
+        segs = [LineSegment((10.0, 10.0), (13.0, 14.0)), LineSegment((0.0, 0.0), (3.0, 3.9))]
+        assert warp_lines(segs, Homography.identity(), 64, 64) == segs[:1]
+
 
 def _pair_of(df_value: float, af_value: float, r: float = 5.0) -> FieldPair:
     return FieldPair(
