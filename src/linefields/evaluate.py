@@ -26,6 +26,7 @@ from .geometry import (
     _orthogonal_many,
     _require_finite,
     _segments,
+    _stored_homographies,
     _warp_segments,
     apply_homography,
     segments_to_array,
@@ -197,30 +198,89 @@ def localization_error(
     return float(sum(top) / len(top))
 
 
+# Degeneracy errors of the DLT, in the order its gates run.
+_DLT_ERRORS = (
+    "coincident endpoints after normalization",
+    "degenerate configuration: lines span fewer than 3 dimensions",
+    "degenerate configuration: multiple homographies fit",
+    "degenerate configuration: singular line map",
+)
+_HEST_ELEMENTS = 1 << 16  # model-pair entries estimate_homography tests per array call
+
+
 def _normalization(pts: np.ndarray) -> np.ndarray:
-    """Hartley similarity: centroid to origin, mean norm sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    spread = float(np.mean(np.linalg.norm(pts - centroid, axis=1)))
-    scale = math.sqrt(2.0) / max(spread, 1e-12)
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    """Hartley similarities of the (k, p, 2) point stacks: centroid to
+    origin, mean norm sqrt(2)."""
+    centroid = pts.mean(axis=1)
+    spread = np.mean(np.linalg.norm(pts - centroid[:, None], axis=2), axis=1)
+    scale = math.sqrt(2.0) / np.maximum(spread, 1e-12)
+    t = np.zeros((len(pts), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = scale
+    t[:, :2, 2] = -scale[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    return t
 
 
-def _line_vecs(pts: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Unit line vectors through the point pairs (rows 2k, 2k + 1) of pts,
-    mapped by the similarity t. Its last row (0, 0, 1) keeps w exactly 1."""
-    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ t.T
-    v = np.cross(ph[0::2], ph[1::2])
+def _line_vecs(pts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit line vectors through the point pairs (rows 2i, 2i + 1) of the
+    (k, p, 2) stacks pts, mapped by the similarities t, and the norms they
+    were divided by. A similarity's last row (0, 0, 1) keeps w exactly 1."""
+    ph = np.concatenate([pts, np.ones((*pts.shape[:2], 1))], axis=2) @ t.transpose(0, 2, 1)
+    v = np.cross(ph[:, 0::2], ph[:, 1::2])
     # vecdot runs the dot kernel np.linalg.norm uses on one vector.
     n = np.sqrt(np.vecdot(v, v))
-    if np.any(n < 1e-12):
-        raise ValueError("coincident endpoints after normalization")
-    return v / n[:, None]
+    return v / n[..., None], n
+
+
+def _dlt(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct linear transforms of k samples at once.
+
+    ``a`` and ``b`` are (k, m, 2, 2) endpoint stacks of m >= 4 line pairs
+    each. Returns the (k, 3, 3) point maps a -> b as homography_from_lines
+    hands them to Homography, and for each sample the index into
+    _DLT_ERRORS of the first gate it fails, or -1. The map of a failed
+    sample is NaN. Every stacked LAPACK and BLAS call runs the routine of a
+    one-sample call on each matrix, so a sample's bits do not depend on the
+    others.
+    """
+    k, m = a.shape[:2]
+    a_pts, b_pts = a.reshape(k, 2 * m, 2), b.reshape(k, 2 * m, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # failed samples stay silent
+        t_a, t_b = _normalization(a_pts), _normalization(b_pts)
+        (la, na), (lb, nb) = _line_vecs(a_pts, t_a), _line_vecs(b_pts, t_b)
+    error = np.full(k, -1)
+    live = np.arange(k)
+
+    def gate(bad: np.ndarray, code: int) -> np.ndarray:
+        error[live[bad]] = code
+        return ~bad
+
+    keep = gate(np.any((na < 1e-12) | (nb < 1e-12), axis=1), 0)
+    live, la, lb = live[keep], la[keep], lb[keep]
+    # A line vector that is not finite (coordinates near the float limit)
+    # has no rank either. The SVD of such a sample raised LinAlgError.
+    spans = np.all(np.isfinite(la), axis=(1, 2)) & np.all(np.isfinite(lb), axis=(1, 2))
+    for lines in (la, lb):
+        s = np.linalg.svd(lines[spans], compute_uv=False)
+        spans[spans] = np.count_nonzero(s > 1e-9, axis=1) == 3
+    keep = gate(~spans, 1)
+    live, la, lb = live[keep], la[keep], lb[keep]
+
+    # Two DLT rows per pair x <-> x': (0, -x'_2 x, x'_1 x), (x'_2 x, 0, -x'_0 x).
+    amat = np.zeros((len(live), 2 * m, 9))
+    amat[:, 0::2, 3:6] = -lb[..., 2:] * la
+    amat[:, 0::2, 6:] = lb[..., 1:2] * la
+    amat[:, 1::2, :3] = lb[..., 2:] * la
+    amat[:, 1::2, 6:] = -lb[..., :1] * la
+    _, s, vt = np.linalg.svd(amat)
+    keep = gate(s[:, -2] < 1e-9 * np.maximum(s[:, 0], 1e-300), 2)
+    live, g = live[keep], vt[keep, -1].reshape(-1, 3, 3)
+    keep = gate(np.abs(np.linalg.det(g)) < 1e-12, 3)
+    live, g = live[keep], g[keep]
+    maps = np.full((k, 3, 3), np.nan)
+    h_norm = np.linalg.inv(g).transpose(0, 2, 1)
+    maps[live] = np.linalg.inv(t_b[live]) @ h_norm @ t_a[live]
+    return maps, error
 
 
 def homography_from_lines(
@@ -231,7 +291,7 @@ def homography_from_lines(
     Given pairs (l_a, l_b) whose supporting lines correspond under the
     sought point map H: a -> b, solves the dual DLT (line vectors transform
     by the inverse transpose) on Hartley-normalized coordinates. Minimal
-    with 4 pairs, least-squares beyond.
+    with 4 pairs, least-squares beyond. One sample of _dlt.
 
     Raises:
         ValueError: with fewer than 4 pairs or a degenerate configuration
@@ -239,30 +299,12 @@ def homography_from_lines(
     """
     if len(pairs) < 4:
         raise ValueError("homography estimation needs at least 4 line pairs")
-    a_pts = segments_to_array([p[0] for p in pairs]).reshape(-1, 2)
-    b_pts = segments_to_array([p[1] for p in pairs]).reshape(-1, 2)
-    t_a = _normalization(a_pts)
-    t_b = _normalization(b_pts)
-
-    la = _line_vecs(a_pts, t_a)
-    lb = _line_vecs(b_pts, t_b)
-    if np.linalg.matrix_rank(la, tol=1e-9) < 3 or np.linalg.matrix_rank(lb, tol=1e-9) < 3:
-        raise ValueError("degenerate configuration: lines span fewer than 3 dimensions")
-
-    # Two DLT rows per pair x <-> x': (0, -x'_2 x, x'_1 x), (x'_2 x, 0, -x'_0 x).
-    amat = np.zeros((2 * len(la), 9))
-    amat[0::2, 3:6] = -lb[:, 2:] * la
-    amat[0::2, 6:] = lb[:, 1:2] * la
-    amat[1::2, :3] = lb[:, 2:] * la
-    amat[1::2, 6:] = -lb[:, :1] * la
-    _, s, vt = np.linalg.svd(amat)
-    if s[-2] < 1e-9 * max(s[0], 1e-300):
-        raise ValueError("degenerate configuration: multiple homographies fit")
-    g = vt[-1].reshape(3, 3)
-    if abs(np.linalg.det(g)) < 1e-12:
-        raise ValueError("degenerate configuration: singular line map")
-    h_norm = np.linalg.inv(g).T
-    return Homography(np.linalg.inv(t_b) @ h_norm @ t_a)
+    a = segments_to_array([p[0] for p in pairs])
+    b = segments_to_array([p[1] for p in pairs])
+    maps, error = _dlt(a[None], b[None])
+    if error[0] >= 0:
+        raise ValueError(_DLT_ERRORS[error[0]])
+    return Homography(maps[0])
 
 
 def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
@@ -277,11 +319,37 @@ def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
     1e-12 under the normalization are left out.
     """
     pts = segments_to_array(segs).reshape(-1, 2)
-    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ _normalization(pts).T
+    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ _normalization(pts[None])[0].T
     vecs = np.cross(ph[0::2], ph[1::2])
     norms = np.linalg.norm(vecs, axis=1)
     keep = norms >= 1e-12
     return np.linalg.matrix_rank(vecs[keep] / norms[keep, None], tol=1e-12) == 3
+
+
+def _inlier_masks(
+    ms: np.ndarray,
+    a_pts: np.ndarray,
+    b_pts: np.ndarray,
+    b_lines: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """(k, n) mask of the pairs whose a-segment, warped by each matrix of
+    the (k, 3, 3) stack ``ms``, lies within ``threshold`` orthogonal
+    distance of its b-segment. Every a-segment is warped under every matrix
+    in one _warp_segments pass; a pair it rejects is an outlier.
+    """
+    rows, ok = _warp_segments(ms, a_pts.reshape(-1, 4))
+    u, v = rows[..., 0::2], rows[..., 1::2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The warped segments' supporting lines as LineSegment.homogeneous_line
+        # gives them, but normalized by np.hypot, which can differ from
+        # math.hypot in the last bit.
+        la, lb = v[..., 0] - v[..., 1], u[..., 1] - u[..., 0]
+        lc = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        norm = np.hypot(la, lb)
+        a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=-1)
+        dist = _orthogonal_many(rows.reshape(*ok.shape, 2, 2), b_pts, a_lines, b_lines)
+    return ok & (dist < threshold)
 
 
 def _inlier_mask(
@@ -291,22 +359,8 @@ def _inlier_mask(
     b_lines: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
-    """Pairs whose a-segment, warped by ``h``, lies within ``threshold``
-    orthogonal distance of its b-segment. Every a-segment is warped in one
-    _warp_segments pass; a pair it rejects is an outlier.
-    """
-    rows, ok = _warp_segments(h.m, a_pts.reshape(-1, 4))
-    u, v = rows[:, 0::2], rows[:, 1::2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The warped segments' supporting lines as LineSegment.homogeneous_line
-        # gives them, but normalized by np.hypot, which can differ from
-        # math.hypot in the last bit.
-        la, lb = v[:, 0] - v[:, 1], u[:, 1] - u[:, 0]
-        lc = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        norm = np.hypot(la, lb)
-        a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=1)
-        dist = _orthogonal_many(rows.reshape(-1, 2, 2), b_pts, a_lines, b_lines)
-    return ok & (dist < threshold)
+    """The inlier mask of one model: _inlier_masks of ``h`` alone."""
+    return _inlier_masks(h.m[None], a_pts, b_pts, b_lines, threshold)[0]
 
 
 def estimate_homography(
@@ -321,6 +375,13 @@ def estimate_homography(
     or b-lines all meet in one point fails at once. The internal
     generator is reseeded from params.seed on every call, so the result
     does not depend on input ordering beyond index identity.
+
+    Minimal samples are drawn one rng.choice call each, in blocks that grow
+    from one sample up to _HEST_ELEMENTS model-pair entries; a block is
+    fitted by one _dlt call and tested by one _inlier_masks call, and the
+    adaptive stop is replayed in draw order. Samples drawn past the stop
+    are dropped (nothing reads the generator afterwards), so the result is
+    that of one sample per iteration.
 
     Returns (homography, boolean inlier mask).
 
@@ -347,25 +408,31 @@ def estimate_homography(
     best_mask: np.ndarray | None = None
     best_count = 0
     max_iters = params.hest_iters
-    it = 0
+    it, size, cap = 0, 1, max(1, _HEST_ELEMENTS // n)
     while it < max_iters:
-        it += 1
-        sample = rng.choice(n, size=4, replace=False)
-        try:
-            h = homography_from_lines([pairs[int(i)] for i in sample])
-        except ValueError:
-            continue
-        mask = inlier_mask(h)
-        count = int(mask.sum())
-        if count > best_count:
-            best_h, best_mask, best_count = h, mask, count
-            if count == n:
+        k = min(size, max_iters - it)
+        size = min(2 * size, cap)
+        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(k)])
+        maps, _ = _dlt(a_pts[samples], b_pts[samples])  # a failed sample's map is NaN
+        models, fitted = _stored_homographies(maps)
+        masks = _inlier_masks(models, a_pts, b_pts, b_lines, params.hest_inlier_threshold)
+        counts = masks.sum(axis=1)
+        for j in np.flatnonzero(fitted).tolist():
+            if it + j >= max_iters:
                 break
-            # Standard adaptive bound at 99% confidence.
-            w = count / n
-            denom = math.log1p(-min(w**4, 1.0 - 1e-12))
-            needed = int(math.ceil(math.log(0.01) / denom)) if denom < 0.0 else max_iters
-            max_iters = min(max_iters, max(needed, it))
+            count = int(counts[j])
+            if count > best_count:
+                best_h, best_mask, best_count = Homography(maps[j]), masks[j].copy(), count
+                if count == n:
+                    break
+                # Standard adaptive bound at 99% confidence.
+                w = count / n
+                denom = math.log1p(-min(w**4, 1.0 - 1e-12))
+                needed = int(math.ceil(math.log(0.01) / denom)) if denom < 0.0 else max_iters
+                max_iters = min(max_iters, max(needed, it + j + 1))
+        if best_count == n:
+            break
+        it += k
     if best_h is None or best_count < 4:
         raise ValueError("no homography model found consensus")
 
@@ -390,7 +457,13 @@ def estimate_homography(
 def corner_error(
     h_est: Homography, h_gt: Homography, width: int, height: int
 ) -> float:
-    """Mean displacement of the four image corners between two warps."""
+    """Mean displacement of the four image corners between two warps.
+
+    Raises:
+        ValueError: when the frame size is not positive.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("image dimensions must be positive")
     corners = [(0.0, 0.0), (float(width), 0.0), (float(width), float(height)), (0.0, float(height))]
     total = 0.0
     for c in corners:

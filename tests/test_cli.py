@@ -339,6 +339,24 @@ class TestEval:
         assert float(out_lines[0].split()[1]) < 0.5
         assert out_lines[1] == "num_inliers 20"
 
+    @pytest.mark.parametrize("width, height", [("0", "64"), ("-5", "-5"), ("64", "0")])
+    def test_hest_rejects_bad_dimensions(self, tmp_path, capsys, width, height) -> None:
+        a, h = self.write_pair(tmp_path)
+        rc = main(
+            [
+                "eval", "hest",
+                "--lines-a", str(a),
+                "--lines-b", str(a),
+                "--homography", str(h),
+                "--width", width,
+                "--height", height,
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: image dimensions must be positive" in captured.err
+
     def test_vp_self_match(self, tmp_path, capsys) -> None:
         vps_path = tmp_path / "v.json"
         rng = np.random.default_rng(85)

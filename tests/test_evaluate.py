@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +423,23 @@ class TestEstimateHomography:
             estimate_homography(pairs)
         assert time.perf_counter() - start < 1.0
 
+    def test_memory_does_not_grow_with_iteration_cap(self) -> None:
+        # Pure outliers keep the adaptive bound above the cap, so both runs
+        # go to hest_iters. Blocks of samples are capped by _HEST_ELEMENTS,
+        # so the peak is that of the largest block, not of the cap. The
+        # interpreter's own allocations move it by a few KB between runs.
+        pairs = self.outlier_pairs(np.random.default_rng(71), 200)
+        peaks = []
+        for iters in (2_000, 20_000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                estimate_homography(pairs, EvalParams(hest_iters=iters))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+
     def test_no_consensus_on_degenerate_input(self) -> None:
         # Every 4-subset is concurrent or contains the duplicate, so no
         # minimal sample ever yields a model.
@@ -439,6 +458,11 @@ class TestCornerError:
         assert math.isclose(
             corner_error(h, Homography.identity(), 128, 128), 2.0, abs_tol=1e-12
         )
+
+    @pytest.mark.parametrize("width, height", [(0, 64), (64, 0), (-5, -5)])
+    def test_rejects_non_positive_frame(self, width: int, height: int) -> None:
+        with pytest.raises(ValueError, match="image dimensions must be positive"):
+            corner_error(H_GT, H_GT, width, height)
 
 
 class TestVpConsistency:

@@ -306,4 +306,6 @@ def test_warp_fixed_cases_cover_every_failure() -> None:
                     apply_homography(h, seg)
         check_warp(h, [seg])
     segs = [c[1] for c in cases]
-    assert warp_lines(segs, swap, 64, 48, 0.0) == oracle_warp_lines(segs, swap, 64, 48, 0.0)
+    with np.errstate(over="ignore"):  # the frozen scalar divide overflows on 1e300 / 1e-11
+        want = oracle_warp_lines(segs, swap, 64, 48, 0.0)
+    assert warp_lines(segs, swap, 64, 48, 0.0) == want
