@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import (
     CameraIntrinsics,
@@ -512,6 +511,85 @@ def vp_consistency(
     return out
 
 
+def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost one-to-one pairing of the rows and columns of a small
+    2-D cost matrix, as (rows ascending, their columns). A port of the
+    solver of scipy.optimize.linear_sum_assignment, Crouse's shortest
+    augmenting path (IEEE TAES 2016), with its choices among ties: a wide
+    matrix is solved row by row (a tall one transposed); each row runs
+    Dijkstra over the reduced costs to the nearest free column, the duals
+    move by the path costs, and the path is flipped.
+
+    Raises:
+        ValueError: on a NaN or -inf entry, or when a row has no finite
+            path to a free column.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    if np.isnan(c).any() or (c == -math.inf).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = c.shape
+    c = c.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # The columns are scanned in reverse so that a constant matrix
+        # pairs row i with column i.
+        remaining = list(range(nc - 1, -1, -1))
+        short = [math.inf] * nc
+        rows, cols = [], []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink < 0:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                # Among tied columns, one with no row ends the path.
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    lowest = short[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = np.array(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(pairs)
+        return pairs[order], order
+    return np.arange(nr), pairs
+
+
 def vp_error_auc(
     gt_vps: Sequence[VanishingPoint],
     predicted: Sequence[VanishingPoint],
@@ -536,14 +614,21 @@ def vp_error_auc(
     kinv = intrinsics.inverse_matrix()
 
     def directions(vps: Sequence[VanishingPoint]) -> np.ndarray:
-        d = np.stack([kinv @ v.v for v in vps])
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+        with np.errstate(all="ignore"):  # refused below when it matters
+            d = np.stack([kinv @ v.v for v in vps])
+            norm = np.linalg.norm(d, axis=1, keepdims=True)
+        if not (np.isfinite(d).all() and np.all((norm > 0.0) & (norm < math.inf))):
+            raise ValueError(
+                "vanishing point directions overflow or vanish under the "
+                "inverse intrinsics; check fx, fy, cx and cy"
+            )
+        return d / norm
 
     dg = directions(gt_vps)
     dp = directions(predicted)
     cosangle = np.clip(np.abs(dg @ dp.T), 0.0, 1.0)
     err_deg = np.degrees(np.arccos(cosangle))
-    rows, cols = linear_sum_assignment(err_deg)
+    rows, cols = _min_cost_assignment(err_deg)
     assigned = err_deg[rows, cols]
     median = float(np.median(assigned))
     auc = float(

@@ -98,7 +98,17 @@ def write_field_file(path: str | Path, fields: FieldPair) -> None:
 
     Angle values that round up to float32 pi are wrapped back to 0.0 so the
     stored range stays inside [0, pi).
+
+    Raises:
+        ValueError: when r is not positive and finite at 32-bit precision,
+            which read_field_file would refuse.
     """
+    with np.errstate(over="ignore"):
+        r = float(np.float32(fields.r))
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(
+            f"band radius r {fields.r!r} is not positive and finite at 32-bit precision"
+        )
     df = fields.df.data.astype("<f4")
     af = fields.af.data.astype("<f4")
     af[af >= _FLOAT32_PI] = np.float32(0.0)
@@ -108,7 +118,7 @@ def write_field_file(path: str | Path, fields: FieldPair) -> None:
         _FIELD_VERSION,
         fields.df.height,
         fields.df.width,
-        float(fields.r),
+        r,
     )
     Path(path).write_bytes(header + df.tobytes() + af.tobytes())
 

@@ -574,6 +574,70 @@ class TestErrorReporting:
         assert "expected 4 comma-separated" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("r", ["1e40", "3.5e38", "1e-50"])
+    def test_gen_fields_refuses_r_outside_float32(self, tmp_path, capsys, r) -> None:
+        lines_path, _ = write_gt_inputs(tmp_path)
+        out = tmp_path / "o.dlsf"
+        rc = main(
+            [
+                "gen-fields",
+                "--lines", str(lines_path),
+                "--width", "32",
+                "--height", "32",
+                "--r", r,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: band radius r ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["1e40", "1e-50"])
+    def test_gen_gt_refuses_r_outside_float32(self, tmp_path, capsys, r) -> None:
+        img_path = tmp_path / "img.pgm"
+        write_pgm(img_path, square_image(32))
+        rc = main(
+            [
+                "gen-gt",
+                "--image", str(img_path),
+                "--num-homographies", "1",
+                "--r", r,
+                "--out", str(tmp_path / "o.dlsf"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: band radius r ")
+
+    @pytest.mark.parametrize(
+        "intrinsics",
+        [["1e-320", "256", "128", "128"], ["1e300", "1e300", "1e300", "128"]],
+    )
+    def test_eval_vp_refuses_overflowing_intrinsics(
+        self, tmp_path, capsys, intrinsics
+    ) -> None:
+        # These used to warn in matmul or divide and then fail inside the
+        # assignment solver with "matrix contains invalid numeric entries".
+        vps_path = tmp_path / "v.json"
+        vps = [
+            VanishingPoint(np.array([600.0, 128.0, 1.0])),
+            VanishingPoint(np.array([1.0, 0.2, 0.0])),
+        ]
+        write_vp_file(vps_path, vps, [])
+        fx, fy, cx, cy = intrinsics
+        rc = main(
+            [
+                "eval", "vp",
+                "--vps", str(vps_path),
+                "--gt-vps", str(vps_path),
+                "--fx", fx, "--fy", fy, "--cx", cx, "--cy", cy,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vanishing point directions")
+        assert "intrinsics" in err
+
+
 class TestParserReuse:
     def test_consecutive_calls_share_one_parser(self, tmp_path, capsys, monkeypatch) -> None:
         """gen-fields, eval rep, vps, a bad argument, then gen-fields again

@@ -7,6 +7,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -589,6 +590,23 @@ class TestVpErrorAuc:
         assert math.isclose(m1, 1.0, abs_tol=1e-9)
         assert math.isclose(m1, m2, abs_tol=1e-12)
         assert math.isclose(a1, a2, abs_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            CameraIntrinsics(1e-320, 100.0, 64.0, 64.0),  # 1 / fx is inf
+            CameraIntrinsics(1e300, 1e300, 1e300, 64.0),  # direction norms underflow
+        ],
+    )
+    def test_rejects_overflowing_intrinsics_without_warnings(self, k) -> None:
+        gt = [
+            VanishingPoint(np.array([600.0, 128.0, 1.0])),
+            VanishingPoint(np.array([1.0, 0.2, 0.0])),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inverse intrinsics"):
+                vp_error_auc(gt, gt, k)
 
     def test_rejects_empty_ground_truth(self) -> None:
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ binds in ``src/linefields`` must be read in its module or listed in its
 purpose and exempt. Every module-level private name (a ``_x`` function,
 class or constant) must be read somewhere in the package, so a refactor
 leaves none stranded. The names the benchmark's tracer wraps must exist.
+Importing the package and its CLI loads no scipy module.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "linefields"
@@ -121,3 +125,24 @@ def test_benchmark_tracer_boundaries_exist() -> None:
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_package_imports_no_scipy() -> None:
+    # The runtime needs numpy only; scipy is a test-time reference. A
+    # fresh interpreter shows what importing the package and its CLI loads.
+    code = (
+        "import sys\n"
+        "import linefields, linefields.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -87,6 +87,30 @@ class TestFieldFile:
         assert back.af.data[0, 0] == 0.0
         assert back.af.data[0, 1] == 1.0
 
+    @pytest.mark.parametrize("r", [1e40, 3.5e38, 1e-50, 5e-324])
+    def test_refuses_r_outside_float32(self, tmp_path, r: float) -> None:
+        # float32(r) overflows to inf or rounds to 0.0: the writer used to
+        # die in struct.pack or store an r that read_field_file refuses.
+        path = tmp_path / "f.dlsf"
+        fp = FieldPair(
+            df=ScalarField(np.zeros((1, 2))), af=ScalarField(np.zeros((1, 2))), r=r
+        )
+        with pytest.raises(ValueError, match="32-bit precision"):
+            write_field_file(path, fp)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "r",
+        [float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_subnormal)],
+    )
+    def test_float32_extremes_of_r_round_trip(self, tmp_path, r: float) -> None:
+        path = tmp_path / "f.dlsf"
+        fp = FieldPair(
+            df=ScalarField(np.zeros((1, 2))), af=ScalarField(np.zeros((1, 2))), r=r
+        )
+        write_field_file(path, fp)
+        assert read_field_file(path).r == r
+
     def write_and_expect(self, tmp_path, blob: bytes, message: str) -> None:
         path = tmp_path / "bad.dlsf"
         path.write_bytes(blob)
