@@ -596,6 +596,7 @@ class TestVpErrorAuc:
         [
             CameraIntrinsics(1e-320, 100.0, 64.0, 64.0),  # 1 / fx is inf
             CameraIntrinsics(1e300, 1e300, 1e300, 64.0),  # direction norms underflow
+            CameraIntrinsics(1e-300, 1e-300, 0.0, 0.0),  # direction norms overflow
         ],
     )
     def test_rejects_overflowing_intrinsics_without_warnings(self, k) -> None:

@@ -249,7 +249,9 @@ def warp_case(draw):
         if abs(m[2, 0]) > 1e-6 and draw(st.booleans()):
             # Move p1 onto, or next to, the line sent to infinity.
             y = seg.p1.y
-            x = -(m[2, 1] * y + m[2, 2]) / m[2, 0] + draw(st.sampled_from([0.0, 1e-13, 1e-9]))
+            with np.errstate(over="ignore"):  # y near 1e300 overflows; skipped below
+                x = -(m[2, 1] * y + m[2, 2]) / m[2, 0]
+            x += draw(st.sampled_from([0.0, 1e-13, 1e-9]))
             if math.isfinite(x) and (x, y) != tuple(seg.p2):
                 seg = LineSegment((x, y), seg.p2)
         if draw(st.booleans()):  # endpoints one ulp apart
