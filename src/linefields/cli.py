@@ -27,7 +27,7 @@ from .evaluate import (
     vp_error_auc,
 )
 from .fields import render_fields
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, _rows, _segments
 from .io import (
     read_field_file,
     read_homography,
@@ -91,7 +91,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.vp:
         refined, vps, assignment = refine_joint(lines, fields, params)
     else:
-        refined, _, _ = _refine_lines(lines, fields, [None] * len(lines), params)
+        refined = _segments(_refine_lines(_rows(lines), fields, [None] * len(lines), params)[0])
         vps, assignment = [], [None] * len(lines)
     write_lines(args.out, refined)
     if args.vps_out is not None:
@@ -164,11 +164,7 @@ def _cmd_eval_vp_consistency(args: argparse.Namespace) -> int:
     if len(assignment) != len(lines):
         raise ValueError("assignment length does not match the number of lines")
     pred_vps, _ = read_vp_file(args.vps)
-    clusters = [
-        [seg for seg, a in zip(lines, assignment) if a == i]
-        for i in range(len(gt_vps))
-    ]
-    clusters = [c for c in clusters if c]
+    clusters = [[seg for seg, a in zip(lines, assignment) if a == i] for i in range(len(gt_vps))]
     thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     values = vp_consistency(clusters, pred_vps, thresholds)
     for t, v in zip(thresholds, values):

@@ -43,11 +43,12 @@ from .fields import (
 from .geometry import (
     TWO_PI,
     LineSegment,
+    _angles,
     _clip_segments,
     _require_finite,
+    _rows,
     _segments,
     circular_distance,
-    segments_to_array,
 )
 
 __all__ = [
@@ -577,13 +578,14 @@ def filter_lines(
     xmin, ymin = 0.5, 0.5
     xmax, ymax = head_w - 0.5, h - 0.5
     ts = np.linspace(0.0, 1.0, params.n_samples)
-    rows, kept = _clip_segments(segments_to_array(lines).reshape(-1, 4), xmin, ymin, xmax, ymax)
-    inside = [seg for seg, k in zip(lines, kept) if k]
-    if not inside:
+    ends = _rows(lines)
+    rows, kept = _clip_segments(ends, xmin, ymin, xmax, ymax)
+    inside = np.flatnonzero(kept)
+    if len(inside) == 0:
         return []
     # All survivors are sampled in one (lines, n_samples) pass.
-    x1, y1, x2, y2 = (col[:, None] for col in rows[kept].T)
-    angle = np.array([seg.angle for seg in inside])[:, None]
+    x1, y1, x2, y2 = (col[:, None] for col in rows[inside].T)
+    angle = _angles(ends[inside])[:, None]
     xs = x1 + ts * (x2 - x1)
     ys = y1 + ts * (y2 - y1)
     df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
@@ -592,7 +594,7 @@ def filter_lines(
     circ = np.minimum(diff, math.pi - diff)
     agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
     keep = agrees.mean(axis=1) >= params.min_inlier_frac
-    return [seg for seg, k in zip(inside, keep) if k]
+    return [lines[i] for i in inside[keep].tolist()]
 
 
 def detect(

@@ -24,11 +24,10 @@ from .geometry import (
     _line_arrays,
     _orthogonal_many,
     _require_finite,
-    _segments,
+    _rows,
     _stored_homographies,
     _warp_segments,
     apply_homography,
-    segments_to_array,
 )
 from .vp import VanishingPoint
 
@@ -77,9 +76,10 @@ class EvalParams:
 
 
 def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(na, nb) structural distances between the endpoint rows a and b."""
     def endpoint_distance(p: int, q: int) -> np.ndarray:
-        dx = a[:, None, p, 0] - b[None, :, q, 0]
-        dy = a[:, None, p, 1] - b[None, :, q, 1]
+        dx = a[:, None, 2 * p] - b[None, :, 2 * q]
+        dy = a[:, None, 2 * p + 1] - b[None, :, 2 * q + 1]
         return np.sqrt(dx * dx + dy * dy)
 
     same = 0.5 * (endpoint_distance(0, 0) + endpoint_distance(1, 1))
@@ -154,16 +154,15 @@ def match_one_to_one(
     if len(lines_a) == 0 or len(lines_b) == 0:
         return []
     h_inv = h_gt.inverse()
-    b_rows, ok = _warp_segments(h_inv.m, segments_to_array(lines_b).reshape(-1, 4))
+    b_rows, ok = _warp_segments(h_inv.m, _rows(lines_b))
     if not ok.all():
         apply_homography(h_inv, lines_b[int(np.argmin(ok))])  # raises the first failure
-    a_pts = segments_to_array(lines_a)
-    b_pts = b_rows.reshape(-1, 2, 2)
+    a_rows = _rows(lines_a)
     if params.distance_kind == "structural":
-        dist = _structural_matrix(a_pts, b_pts)
+        dist = _structural_matrix(a_rows, b_rows)
     else:
-        a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(_segments(b_rows))
-        dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
+        a_lines, b_lines = _homogeneous_lines(a_rows), _homogeneous_lines(b_rows)
+        dist = _orthogonal_many(a_rows[:, None], b_rows, a_lines[:, None], b_lines)
     rows, cols = _greedy_pairs(dist)
     return [
         LineMatch(i, j, d)
@@ -234,7 +233,7 @@ def _line_vecs(pts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dlt(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct linear transforms of k samples at once.
 
-    ``a`` and ``b`` are (k, m, 2, 2) endpoint stacks of m >= 4 line pairs
+    ``a`` and ``b`` are (k, m, 4) endpoint rows of m >= 4 line pairs
     each. Returns the (k, 3, 3) point maps a -> b as homography_from_lines
     hands them to Homography, and for each sample the index into
     _DLT_ERRORS of the first gate it fails, or -1. The map of a failed
@@ -298,15 +297,13 @@ def homography_from_lines(
     """
     if len(pairs) < 4:
         raise ValueError("homography estimation needs at least 4 line pairs")
-    a = segments_to_array([p[0] for p in pairs])
-    b = segments_to_array([p[1] for p in pairs])
-    maps, error = _dlt(a[None], b[None])
+    maps, error = _dlt(_rows([p[0] for p in pairs])[None], _rows([p[1] for p in pairs])[None])
     if error[0] >= 0:
         raise ValueError(_DLT_ERRORS[error[0]])
     return Homography(maps[0])
 
 
-def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
+def _lines_span_plane(rows: np.ndarray) -> bool:
     """False when the supporting lines all meet in one point (or are all
     parallel), so that no 4 of them determine a homography.
 
@@ -317,7 +314,7 @@ def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
     of a set rejected here passes that gate. Lines that shrink below
     1e-12 under the normalization are left out.
     """
-    pts = segments_to_array(segs).reshape(-1, 2)
+    pts = rows.reshape(-1, 2)
     ph = np.hstack([pts, np.ones((len(pts), 1))]) @ _normalization(pts[None])[0].T
     vecs = np.cross(ph[0::2], ph[1::2])
     norms = np.linalg.norm(vecs, axis=1)
@@ -327,8 +324,8 @@ def _lines_span_plane(segs: Sequence[LineSegment]) -> bool:
 
 def _inlier_masks(
     ms: np.ndarray,
-    a_pts: np.ndarray,
-    b_pts: np.ndarray,
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
     b_lines: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
@@ -337,29 +334,18 @@ def _inlier_masks(
     distance of its b-segment. Every a-segment is warped under every matrix
     in one _warp_segments pass; a pair it rejects is an outlier.
     """
-    rows, ok = _warp_segments(ms, a_pts.reshape(-1, 4))
+    rows, ok = _warp_segments(ms, a_rows)
     u, v = rows[..., 0::2], rows[..., 1::2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The warped segments' supporting lines as LineSegment.homogeneous_line
-        # gives them, but normalized by np.hypot, which can differ from
-        # math.hypot in the last bit.
+        # The warped segments' supporting lines as _homogeneous_lines gives
+        # them, but normalized by np.hypot, which can differ from math.hypot
+        # in the last bit.
         la, lb = v[..., 0] - v[..., 1], u[..., 1] - u[..., 0]
         lc = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
         norm = np.hypot(la, lb)
         a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=-1)
-        dist = _orthogonal_many(rows.reshape(*ok.shape, 2, 2), b_pts, a_lines, b_lines)
+        dist = _orthogonal_many(rows, b_rows, a_lines, b_lines)
     return ok & (dist < threshold)
-
-
-def _inlier_mask(
-    h: Homography,
-    a_pts: np.ndarray,
-    b_pts: np.ndarray,
-    b_lines: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """The inlier mask of one model: _inlier_masks of ``h`` alone."""
-    return _inlier_masks(h.m[None], a_pts, b_pts, b_lines, threshold)[0]
 
 
 def estimate_homography(
@@ -392,17 +378,11 @@ def estimate_homography(
     n = len(pairs)
     if n < 4:
         raise ValueError("homography estimation needs at least 4 candidate pairs")
-    lines_a = [p[0] for p in pairs]
-    lines_b = [p[1] for p in pairs]
-    if not (_lines_span_plane(lines_a) and _lines_span_plane(lines_b)):
+    a_rows, b_rows = _rows([p[0] for p in pairs]), _rows([p[1] for p in pairs])
+    if not (_lines_span_plane(a_rows) and _lines_span_plane(b_rows)):
         raise ValueError("no homography model found consensus")
     rng = np.random.default_rng(params.seed)
-    a_pts, b_pts = segments_to_array(lines_a), segments_to_array(lines_b)
-    b_lines = _homogeneous_lines(lines_b)
-
-    def inlier_mask(h: Homography) -> np.ndarray:
-        return _inlier_mask(h, a_pts, b_pts, b_lines, params.hest_inlier_threshold)
-
+    inlier_args = (a_rows, b_rows, _homogeneous_lines(b_rows), params.hest_inlier_threshold)
     best_h: Homography | None = None
     best_mask: np.ndarray | None = None
     best_count = 0
@@ -412,9 +392,9 @@ def estimate_homography(
         k = min(size, max_iters - it)
         size = min(2 * size, cap)
         samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(k)])
-        maps, _ = _dlt(a_pts[samples], b_pts[samples])  # a failed sample's map is NaN
+        maps, _ = _dlt(a_rows[samples], b_rows[samples])  # a failed sample's map is NaN
         models, fitted = _stored_homographies(maps)
-        masks = _inlier_masks(models, a_pts, b_pts, b_lines, params.hest_inlier_threshold)
+        masks = _inlier_masks(models, *inlier_args)
         counts = masks.sum(axis=1)
         for j in np.flatnonzero(fitted).tolist():
             if it + j >= max_iters:
@@ -442,7 +422,7 @@ def estimate_homography(
             )
         except ValueError:
             break
-        mask = inlier_mask(refit)
+        mask = _inlier_masks(refit.m[None], *inlier_args)[0]
         count = int(mask.sum())
         if count > best_count:
             best_h, best_mask, best_count = refit, mask, count
@@ -499,7 +479,7 @@ def vp_consistency(
     if len(predicted) == 0:
         return [0.0 for _ in ths]
 
-    ends = [_line_arrays(c)[:3] for c in clusters]  # midpoints, first and second endpoints
+    ends = [_line_arrays(_rows(c))[:3] for c in clusters]  # midpoints, first, second endpoints
     med = np.array([[float(np.median(_d_vp_many(*e, v.v))) for v in predicted] for e in ends])
     claimed = [(ci, vi) for ci, vi in zip(*_greedy_pairs(med)) if math.isfinite(med[ci, vi])]
     out = []

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _point_segment_many, _segment_terms, segments_to_array
+from .geometry import LineSegment, _angles, _point_segment_many, _rows, _segment_terms
 
 __all__ = [
     "ScalarField",
@@ -118,8 +118,8 @@ def render_fields(
     height = int(height)
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
-    ends = segments_to_array(lines).reshape(-1, 4)
-    angles = np.array([seg.angle for seg in lines])
+    ends = _rows(lines)
+    angles = _angles(ends)
     seg = _segment_terms(ends)
     scale = float(np.max(np.abs(ends)))
     # Below 1e150 no product overflows, so every distance is finite and

@@ -29,7 +29,6 @@ __all__ = [
     "d_vp",
     "apply_homography",
     "clip_segment_to_rect",
-    "segments_to_array",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -105,17 +104,17 @@ class LineSegment:
 
     @property
     def length(self) -> float:
-        return math.hypot(self.p2.x - self.p1.x, self.p2.y - self.p1.y)
+        return float(_lengths(_rows([self]))[0])
 
     @property
     def angle(self) -> float:
         """Orientation in [0, pi)."""
-        return wrap_angle(math.atan2(self.p2.y - self.p1.y, self.p2.x - self.p1.x))
+        return float(_angles(_rows([self]))[0])
 
     @property
     def oriented_angle(self) -> float:
         """Direction p1 -> p2 in (-pi, pi]."""
-        return math.atan2(self.p2.y - self.p1.y, self.p2.x - self.p1.x)
+        return float(_oriented_angles(_rows([self]))[0])
 
     @property
     def midpoint(self) -> Point2:
@@ -123,11 +122,7 @@ class LineSegment:
 
     def homogeneous_line(self) -> np.ndarray:
         """Coefficients (a, b, c) of the supporting line, with hypot(a, b) = 1."""
-        a = self.p1.y - self.p2.y
-        b = self.p2.x - self.p1.x
-        c = self.p1.x * self.p2.y - self.p2.x * self.p1.y
-        n = math.hypot(a, b)
-        return np.array([a / n, b / n, c / n])
+        return _homogeneous_lines(_rows([self]))[0]
 
     def reversed(self) -> "LineSegment":
         return LineSegment(self.p2, self.p1)
@@ -282,7 +277,7 @@ def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> flo
     from p1. One point of the render_fields kernel, _point_segment_many.
     """
     px, py = np.array([float(p[0])]), np.array([float(p[1])])
-    terms = _segment_terms(seg.as_array().reshape(1, 4))
+    terms = _segment_terms(_rows([seg]))
     return float(_point_segment_many(px, py, *terms)[0])
 
 
@@ -322,27 +317,27 @@ def _point_segment_many(px, py, x1, y1, dx, dy, den) -> np.ndarray:
 
 def orthogonal_distance(l1: LineSegment, l2: LineSegment) -> float:
     """Symmetric mean distance of each endpoint to the other supporting line."""
-    lines = l1.homogeneous_line(), l2.homogeneous_line()
-    return float(_orthogonal_many(l1.as_array(), l2.as_array(), *lines))
+    rows = _rows([l1, l2])
+    return float(_orthogonal_many(rows[0], rows[1], *_homogeneous_lines(rows)))
 
 
 def _orthogonal_many(
-    a_pts: np.ndarray, b_pts: np.ndarray, a_lines: np.ndarray, b_lines: np.ndarray
+    a_rows: np.ndarray, b_rows: np.ndarray, a_lines: np.ndarray, b_lines: np.ndarray
 ) -> np.ndarray:
     """Vectorized orthogonal_distance over broadcasting segment stacks.
 
-    ``a_pts``/``b_pts`` are (..., 2, 2) endpoint arrays and ``a_lines``/
+    ``a_rows``/``b_rows`` are (..., 4) endpoint rows and ``a_lines``/
     ``b_lines`` their (..., 3) supporting lines with hypot(a, b) = 1.
     Row-paired (n, ...) inputs give one value per pair; (n, 1, ...) against
-    (1, m, ...) gives the (n, m) matrix.
+    (m, ...) gives the (n, m) matrix.
     """
 
-    def to_lines(pts: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    def to_lines(rows: np.ndarray, lines: np.ndarray) -> np.ndarray:
         a, b, c = (lines[..., None, k] for k in range(3))
-        d = np.abs(pts[..., 0] * a + pts[..., 1] * b + c)
+        d = np.abs(rows[..., 0::2] * a + rows[..., 1::2] * b + c)  # both endpoints
         return d[..., 0] + d[..., 1]  # the bits of sum(axis=-1), many times faster
 
-    return 0.25 * (to_lines(a_pts, b_lines) + to_lines(b_pts, a_lines))
+    return 0.25 * (to_lines(a_rows, b_lines) + to_lines(b_rows, a_lines))
 
 
 def d_vp(seg: LineSegment, v) -> float:
@@ -356,8 +351,8 @@ def d_vp(seg: LineSegment, v) -> float:
     vec = np.asarray(getattr(v, "v", v), dtype=float)
     if vec.shape != (3,):
         raise ValueError("vanishing point must be a homogeneous 3-vector")
-    e = seg.as_array()
-    return float(_d_vp_many(np.array([seg.midpoint]), e[:1], e[1:], vec)[0])
+    e = _rows([seg])
+    return float(_d_vp_many(np.array([seg.midpoint]), e[:, :2], e[:, 2:], vec)[0])
 
 
 def _d_vp_many(
@@ -397,7 +392,7 @@ def clip_segment_to_rect(
     Returns None when nothing (or a single point) remains inside. One row
     of _clip_segments.
     """
-    rows, kept = _clip_segments(seg.as_array().reshape(1, 4), xmin, ymin, xmax, ymax)
+    rows, kept = _clip_segments(_rows([seg]), xmin, ymin, xmax, ymax)
     return _segments(rows)[0] if kept[0] else None
 
 
@@ -424,11 +419,9 @@ def _clip_segments(
     return rows, kept & ((rows[:, 0] != rows[:, 2]) | (rows[:, 1] != rows[:, 3]))
 
 
-def segments_to_array(lines: Sequence[LineSegment]) -> np.ndarray:
-    """Stack segments into an (n, 2, 2) endpoint array."""
-    if len(lines) == 0:
-        return np.zeros((0, 2, 2))
-    return np.stack([seg.as_array() for seg in lines])
+def _rows(lines: Sequence[LineSegment]) -> np.ndarray:
+    """The (n, 4) endpoint rows x1, y1, x2, y2 of a line set; _segments inverts it."""
+    return np.array([(*seg.p1, *seg.p2) for seg in lines], dtype=float).reshape(-1, 4)
 
 
 def _segments(rows: np.ndarray) -> list[LineSegment]:
@@ -436,15 +429,31 @@ def _segments(rows: np.ndarray) -> list[LineSegment]:
     return [LineSegment(Point2(x1, y1), Point2(x2, y2)) for x1, y1, x2, y2 in rows.tolist()]
 
 
-def _line_arrays(
-    lines: Sequence[LineSegment],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoints, first and second endpoints as (n, 2) arrays, and lengths."""
-    pts = segments_to_array(lines)
-    lengths = np.array([seg.length for seg in lines])
-    return 0.5 * (pts[:, 0] + pts[:, 1]), pts[:, 0], pts[:, 1], lengths
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of each (n, 4) endpoint row. The row kernels take math.hypot
+    and math.atan2 per row: np.hypot and np.arctan2 differ in the last bit."""
+    return np.array([math.hypot(x2 - x1, y2 - y1) for x1, y1, x2, y2 in rows.tolist()])
 
 
-def _homogeneous_lines(lines: Sequence[LineSegment]) -> np.ndarray:
-    """(n, 3) supporting lines, one LineSegment.homogeneous_line per row."""
-    return np.stack([seg.homogeneous_line() for seg in lines])
+def _oriented_angles(rows: np.ndarray) -> np.ndarray:
+    """Direction p1 -> p2 of each row, in (-pi, pi]."""
+    return np.array([math.atan2(y2 - y1, x2 - x1) for x1, y1, x2, y2 in rows.tolist()])
+
+
+def _angles(rows: np.ndarray) -> np.ndarray:
+    """Orientation of each row, in [0, pi)."""
+    return np.array([wrap_angle(a) for a in _oriented_angles(rows).tolist()])
+
+
+def _homogeneous_lines(rows: np.ndarray) -> np.ndarray:
+    """(n, 3) supporting lines (a, b, c) of the rows, with hypot(a, b) = 1."""
+    x1, y1, x2, y2 = rows.T
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats, silently
+        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
+        n = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
+        return np.stack([a / n, b / n, c / n], axis=1)
+
+
+def _line_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoints, first and second endpoints as (n, 2) arrays, and lengths of rows."""
+    return 0.5 * (rows[:, :2] + rows[:, 2:]), rows[:, :2], rows[:, 2:], _lengths(rows)

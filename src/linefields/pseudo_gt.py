@@ -21,11 +21,12 @@ from .geometry import (
     Homography,
     LineSegment,
     _clip_segments,
+    _lengths,
     _require_finite,
     _require_int,
+    _rows,
     _segments,
     _warp_segments,
-    segments_to_array,
 )
 
 __all__ = [
@@ -136,11 +137,10 @@ def warp_lines(
     anything shorter than ``min_length`` afterwards (or mapping to
     infinity) is dropped.
     """
-    rows, ok = _warp_segments(h.m, segments_to_array(lines).reshape(-1, 4))
+    rows, ok = _warp_segments(h.m, _rows(lines))
     rows, kept = _clip_segments(rows[ok], 0.0, 0.0, float(width), float(height))
     rows = rows[kept]
-    long = [not math.hypot(x2 - x1, y2 - y1) < min_length for x1, y1, x2, y2 in rows.tolist()]
-    return _segments(rows[np.array(long, dtype=bool)])
+    return _segments(rows[~(_lengths(rows) < min_length)])
 
 
 def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:

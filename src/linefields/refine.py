@@ -24,7 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FieldPair, _bilinear_corners, _blend, _half_angle
-from .geometry import LineSegment, Point2, _d_vp_many, _line_arrays, _require_finite
+from .geometry import (
+    LineSegment,
+    _d_vp_many,
+    _line_arrays,
+    _oriented_angles,
+    _require_finite,
+    _rows,
+    _segments,
+)
 from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, fit_vps, refine_vp
 
 __all__ = [
@@ -137,18 +145,18 @@ def _batch_costs(
 
 
 def _line_state(
-    lines: Sequence[LineSegment], vps: Sequence[VanishingPoint | None]
+    rows: np.ndarray, vps: Sequence[VanishingPoint | None]
 ) -> tuple[np.ndarray, ...]:
     """Per-line angle, midpoint x and y, half length, VP rows (None when no
-    line has one) and which lines have a VP."""
-    mids, _, _, lengths = _line_arrays(lines)
+    line has one) and which lines have a VP, of the (n, 4) endpoint rows."""
+    mids, _, _, lengths = _line_arrays(rows)
     # A missing VP is the zero vector; a VanishingPoint never is.
     v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps]).reshape(-1, 3)
     use_v = v_vec.any(axis=1)
     if not use_v.any():
         v_vec = None
     mx, my = mids.T.copy()
-    theta = np.array([l.oriented_angle for l in lines])
+    theta = _oriented_angles(rows)
     return theta, mx, my, 0.5 * lengths, v_vec, use_v
 
 
@@ -180,20 +188,21 @@ def line_cost(
         slice(max(int(min(y1, y2)) - 2, 0), int(max(y1, y2)) + 2),
         slice(max(int(min(x1, x2)) - 2, 0), int(max(x1, x2)) + 2),
     )
-    state = _line_state([l], [v])
+    state = _line_state(_rows([l]), [v])
     return float(_batch_costs(_sampling_tables(fp, window), *state, params)[0])
 
 
 def _refine_lines(
-    lines: Sequence[LineSegment],
+    rows: np.ndarray,
     fp: FieldPair,
     vps: Sequence[VanishingPoint | None],
     params: RefineParams,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[list[LineSegment], np.ndarray, np.ndarray]:
-    """Refine a set of lines at once; returns (lines, costs, converged).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Refine (n, 4) endpoint rows at once; returns (rows, costs, converged).
 
-    ``vps`` holds one VanishingPoint or None per line; ``tables`` is
+    Rows whose cost cannot be evaluated come back unchanged. ``vps``
+    holds one VanishingPoint or None per line; ``tables`` is
     _sampling_tables(fp), built here when not given. Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
     on the trial steps of all _MAX_BOOSTS damping levels of every line
@@ -201,20 +210,20 @@ def _refine_lines(
     takes its first downhill level, so the rules are per line, as
     described in refine_line.
     """
-    theta, mx, my, half_len, v_vec, use_v = _line_state(lines, vps)
+    theta, mx, my, half_len, v_vec, use_v = _line_state(rows, vps)
     if tables is None:
         tables = _sampling_tables(fp)
 
-    def costs(rows: np.ndarray, th: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        vv = None if v_vec is None else v_vec[rows]
-        return _batch_costs(tables, th, cx, cy, half_len[rows], vv, use_v[rows], params)
+    def costs(idx: np.ndarray, th: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        vv = None if v_vec is None else v_vec[idx]
+        return _batch_costs(tables, th, cx, cy, half_len[idx], vv, use_v[idx], params)
 
-    f = costs(np.arange(len(lines)), theta, mx, my)
+    f = costs(np.arange(len(rows)), theta, mx, my)
     evaluable = np.flatnonzero(np.isfinite(f))
     h_t = params.fd_step
     h_a = params.fd_step / np.maximum(half_len, params.fd_step)
-    mu = np.full(len(lines), 1e-3)
-    converged = np.zeros(len(lines), dtype=bool)
+    mu = np.full(len(rows), 1e-3)
+    converged = np.zeros(len(rows), dtype=bool)
     active = evaluable
 
     for _ in range(params.max_iter):
@@ -264,12 +273,11 @@ def _refine_lines(
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]
 
-    refined = list(lines)
-    for k in evaluable:
-        c, s, hl = math.cos(theta[k]), math.sin(theta[k]), float(half_len[k])
-        refined[k] = LineSegment(
-            Point2(mx[k] - hl * c, my[k] - hl * s), Point2(mx[k] + hl * c, my[k] + hl * s)
-        )
+    k, th = evaluable, theta[evaluable].tolist()  # math.cos/sin: np.cos/sin may differ
+    hx = half_len[k] * np.array([math.cos(t) for t in th])
+    hy = half_len[k] * np.array([math.sin(t) for t in th])
+    refined = rows.copy()
+    refined[k] = np.stack([mx[k] - hx, my[k] - hy, mx[k] + hx, my[k] + hy], axis=1)
     return refined, f, converged
 
 
@@ -299,10 +307,9 @@ def refine_line(
     (line, cost, converged). Lines whose cost cannot be evaluated (samples
     outside the field) are returned unchanged and flagged not converged.
     """
-    refined, cost, converged = _refine_lines([l], fp, [v], params or RefineParams())
-    if full_output:
-        return refined[0], float(cost[0]), bool(converged[0])
-    return refined[0]
+    rows, cost, converged = _refine_lines(_rows([l]), fp, [v], params or RefineParams())
+    out = _segments(rows)[0] if np.isfinite(cost[0]) else l
+    return (out, float(cost[0]), bool(converged[0])) if full_output else out
 
 
 def refine_joint(
@@ -322,24 +329,24 @@ def refine_joint(
     """
     params = params or RefineParams()
     vp_params = vp_params or VpParams()
-    current = list(lines)
-    n = len(current)
+    n = len(lines)
     if n == 0:
         return [], [], []
 
-    vps, assignment = fit_vps(current, vp_params)
+    vps, assignment = fit_vps(lines, vp_params)
+    rows = _rows(lines)
     tables = _sampling_tables(fp)
     for _ in range(params.k_alternations):
         line_vps = [vps[j] if j is not None else None for j in assignment]
-        current, _, _ = _refine_lines(current, fp, line_vps, params, tables)
+        rows, _, _ = _refine_lines(rows, fp, line_vps, params, tables)
         if vps:
             for j in range(len(vps)):
-                members = [current[i] for i in range(n) if assignment[i] == j]
+                members = [i for i in range(n) if assignment[i] == j]
                 if len(members) >= 2:
-                    vps[j] = refine_vp(vps[j], members)
-            mids, e1, e2, _ = _line_arrays(current)
+                    vps[j] = refine_vp(vps[j], _segments(rows[members]))
+            mids, e1, e2, _ = _line_arrays(rows)
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)  # the first closest VP
             close = dists[closest, np.arange(n)] < vp_params.t_vp
             assignment = [int(j) if c else None for j, c in zip(closest, close)]
-    return current, vps, assignment
+    return _segments(rows), vps, assignment

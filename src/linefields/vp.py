@@ -14,7 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _d_vp_many, _homogeneous_lines, _line_arrays, _require_finite
+from .geometry import (
+    LineSegment,
+    _d_vp_many,
+    _homogeneous_lines,
+    _line_arrays,
+    _require_finite,
+    _rows,
+)
 
 __all__ = [
     "VanishingPoint",
@@ -98,8 +105,7 @@ def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
     Raises:
         ValueError: when the lines are identical (undefined intersection).
     """
-    a = l1.homogeneous_line()
-    b = l2.homogeneous_line()
+    a, b = _homogeneous_lines(_rows([l1, l2]))
     v = np.cross(a, b)
     if float(np.linalg.norm(v)) < 1e-12:
         raise ValueError("lines share a supporting line; intersection undefined")
@@ -187,7 +193,7 @@ def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output:
     """
     if len(inliers) < 2:
         raise ValueError("vanishing point refinement needs at least 2 lines")
-    mids, e1p, e2p, lengths = _line_arrays(inliers)
+    mids, e1p, e2p, lengths = _line_arrays(_rows(inliers))
     sqw = np.sqrt(lengths)
 
     def residuals(vec: np.ndarray) -> np.ndarray:
@@ -322,8 +328,8 @@ def fit_vps(
     if n < 2:
         return models, assignment
 
-    arrays = _line_arrays(lines)
-    hom = _homogeneous_lines(lines)
+    ends = _rows(lines)
+    arrays, hom = _line_arrays(ends), _homogeneous_lines(ends)
     rng = np.random.default_rng(params.seed)
     remaining = np.arange(n)
 
@@ -348,9 +354,7 @@ def fit_vps(
 
         mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < params.t_vp
         inlier_idx = remaining[mask]
-        refined = refine_vp(
-            VanishingPoint(best_vec), [lines[int(ix)] for ix in inlier_idx]
-        )
+        refined = refine_vp(VanishingPoint(best_vec), [lines[i] for i in inlier_idx.tolist()])
         ref_mask = _d_vp_many(sub_m, sub_e1, sub_e2, refined.v) < params.t_vp
         if int(ref_mask.sum()) >= params.min_support:
             chosen, chosen_mask = refined, ref_mask

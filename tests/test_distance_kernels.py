@@ -34,8 +34,8 @@ from linefields import (
     orthogonal_distance,
     point_segment_distance,
 )
-from linefields.evaluate import _inlier_mask
-from linefields.geometry import _d_vp_many, _homogeneous_lines, _orthogonal_many, segments_to_array
+from linefields.evaluate import _inlier_masks
+from linefields.geometry import _d_vp_many, _homogeneous_lines, _orthogonal_many, _rows
 
 RTOL = 1e-15  # a few float64 ulps: rounding order and hypot differ, nothing else
 
@@ -83,6 +83,11 @@ def scalar_point_segment_distance(p, seg: LineSegment) -> float:
     return math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
 
 
+def segments_to_array(lines) -> np.ndarray:
+    """The (n, 2, 2) endpoint stack the references read (a frozen copy)."""
+    return np.stack([seg.as_array() for seg in lines])
+
+
 def orthogonal_matrix(a_pts, b_pts, a_lines, b_lines) -> np.ndarray:
     """The matching matrix as match_one_to_one computed it before the kernel."""
 
@@ -116,9 +121,8 @@ def per_pair_inliers(h: Homography, pairs, threshold: float):
 
 
 def array_inliers(h: Homography, pairs, threshold: float) -> np.ndarray:
-    a_pts = segments_to_array([p[0] for p in pairs])
-    b_pts = segments_to_array([p[1] for p in pairs])
-    return _inlier_mask(h, a_pts, b_pts, _homogeneous_lines([p[1] for p in pairs]), threshold)
+    a_rows, b_rows = _rows([p[0] for p in pairs]), _rows([p[1] for p in pairs])
+    return _inlier_masks(h.m[None], a_rows, b_rows, _homogeneous_lines(b_rows), threshold)[0]
 
 
 coords = st.floats(-50.0, 300.0, allow_nan=False, allow_infinity=False)
@@ -137,13 +141,14 @@ def segments(draw, count: st.SearchStrategy) -> list[LineSegment]:
 @settings(max_examples=60, deadline=None)
 @given(a=segments(st.integers(1, 8)), b=segments(st.integers(1, 8)))
 def test_orthogonal_kernel_rows_equal_matrix_entries(a, b) -> None:
-    a_pts, b_pts = segments_to_array(a), segments_to_array(b)
-    a_lines, b_lines = _homogeneous_lines(a), _homogeneous_lines(b)
-    matrix = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
-    assert np.array_equal(matrix, orthogonal_matrix(a_pts, b_pts, a_lines, b_lines))
+    a_rows, b_rows = _rows(a), _rows(b)
+    a_lines, b_lines = _homogeneous_lines(a_rows), _homogeneous_lines(b_rows)
+    matrix = _orthogonal_many(a_rows[:, None], b_rows, a_lines[:, None], b_lines)
+    want = orthogonal_matrix(segments_to_array(a), segments_to_array(b), a_lines, b_lines)
+    assert np.array_equal(matrix, want)
 
     ii, jj = np.divmod(np.arange(len(a) * len(b)), len(b))
-    rows = _orthogonal_many(a_pts[ii], b_pts[jj], a_lines[ii], b_lines[jj])
+    rows = _orthogonal_many(a_rows[ii], b_rows[jj], a_lines[ii], b_lines[jj])
     assert np.array_equal(rows, matrix.ravel())
     for i, j in zip(ii, jj):
         d = orthogonal_distance(a[i], b[j])

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefields import (
     CameraIntrinsics,
@@ -20,6 +22,15 @@ from linefields import (
     orthogonal_distance,
     point_segment_distance,
     wrap_angle,
+)
+from linefields.geometry import (
+    _angles,
+    _homogeneous_lines,
+    _line_arrays,
+    _lengths,
+    _oriented_angles,
+    _rows,
+    _segments,
 )
 
 
@@ -114,6 +125,82 @@ class TestLineSegment:
     def test_reversed_swaps_endpoints(self) -> None:
         seg = LineSegment((1.0, 2.0), (3.0, 4.0))
         assert seg.reversed() == LineSegment((3.0, 4.0), (1.0, 2.0))
+
+
+# Row kernels against the scalar formulas LineSegment's properties had
+# before they became one-row kernel calls.
+
+
+def scalar_oriented_angle(s: LineSegment) -> float:
+    return math.atan2(s.p2.y - s.p1.y, s.p2.x - s.p1.x)
+
+
+def scalar_homogeneous_line(s: LineSegment) -> list[float]:
+    a, b = s.p1.y - s.p2.y, s.p2.x - s.p1.x
+    c = s.p1.x * s.p2.y - s.p2.x * s.p1.y
+    n = math.hypot(a, b)
+    return [a / n, b / n, c / n]
+
+
+COORDS = st.floats(-1e150, 1e150)
+
+
+def nudged(c: float, steps: int) -> float:
+    """``c`` moved ``steps`` ulps (down when negative)."""
+    for _ in range(abs(steps)):
+        c = math.nextafter(c, math.copysign(math.inf, steps))
+    return c
+
+
+@st.composite
+def segment_sets(draw) -> list[LineSegment]:
+    """Segments with coordinates up to 1e150 in magnitude, some of them
+    only a few ulps long."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = (draw(COORDS), draw(COORDS))
+        if draw(st.booleans()):
+            q = (draw(COORDS), draw(COORDS))
+        else:
+            q = (nudged(p[0], draw(st.integers(-3, 3))), nudged(p[1], draw(st.integers(-3, 3))))
+        if p != q:
+            out.append(LineSegment(p, q))
+    return out or [LineSegment((0.0, 0.0), (0.0, 5e-324))]
+
+
+def same_bits(got: np.ndarray, want) -> bool:
+    want = np.array(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRowKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(segs=segment_sets())
+    def test_kernels_equal_the_properties_bit_for_bit(self, segs) -> None:
+        rows = _rows(segs)
+        assert _segments(rows) == segs
+        assert same_bits(_rows(_segments(rows)), rows)
+        lengths = [math.hypot(s.p2.x - s.p1.x, s.p2.y - s.p1.y) for s in segs]
+        assert same_bits(_lengths(rows), lengths)
+        assert same_bits(_lengths(rows), [s.length for s in segs])
+        oriented = [scalar_oriented_angle(s) for s in segs]
+        assert same_bits(_oriented_angles(rows), oriented)
+        assert same_bits(_oriented_angles(rows), [s.oriented_angle for s in segs])
+        assert same_bits(_angles(rows), [wrap_angle(a) for a in oriented])
+        assert same_bits(_angles(rows), [s.angle for s in segs])
+        lines = [scalar_homogeneous_line(s) for s in segs]
+        assert same_bits(_homogeneous_lines(rows), lines)
+        assert same_bits(_homogeneous_lines(rows), [s.homogeneous_line() for s in segs])
+        mids, e1, e2, kernel_lengths = _line_arrays(rows)
+        assert same_bits(mids, [s.midpoint for s in segs])
+        assert same_bits(e1, [s.p1 for s in segs]) and same_bits(e2, [s.p2 for s in segs])
+        assert same_bits(kernel_lengths, lengths)
+
+    def test_empty_set(self) -> None:
+        rows = _rows([])
+        assert rows.shape == (0, 4) and _segments(rows) == []
+        assert _lengths(rows).shape == _angles(rows).shape == (0,)
+        assert _homogeneous_lines(rows).shape == (0, 3)
 
 
 class TestPointSegmentDistance:

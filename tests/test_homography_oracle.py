@@ -37,7 +37,36 @@ from linefields import (
     orthogonal_distance,
 )
 from linefields import evaluate
-from linefields.geometry import _homogeneous_lines, _orthogonal_many, segments_to_array
+
+
+# Frozen copies of the segment-set helpers the references called: the
+# (n, 2, 2) endpoint stack, per-segment supporting lines and the
+# orthogonal distance kernel on endpoint pairs.
+
+
+def segments_to_array(lines) -> np.ndarray:
+    if len(lines) == 0:
+        return np.zeros((0, 2, 2))
+    return np.stack([seg.as_array() for seg in lines])
+
+
+def homogeneous_lines(lines) -> np.ndarray:
+    out = []
+    for s in lines:
+        a, b = s.p1.y - s.p2.y, s.p2.x - s.p1.x
+        c = s.p1.x * s.p2.y - s.p2.x * s.p1.y
+        n = math.hypot(a, b)
+        out.append([a / n, b / n, c / n])
+    return np.array(out)
+
+
+def orthogonal_many(a_pts, b_pts, a_lines, b_lines) -> np.ndarray:
+    def to_lines(pts, lines):
+        a, b, c = (lines[..., None, k] for k in range(3))
+        d = np.abs(pts[..., 0] * a + pts[..., 1] * b + c)
+        return d[..., 0] + d[..., 1]
+
+    return 0.25 * (to_lines(a_pts, b_lines) + to_lines(b_pts, a_lines))
 
 
 def oracle_normalization(pts: np.ndarray) -> np.ndarray:
@@ -171,7 +200,7 @@ def frozen_inlier_mask(m, a_pts, b_pts, b_lines, threshold) -> np.ndarray:
         lc = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
         norm = np.hypot(la, lb)
         a_lines = np.stack([la / norm, lb / norm, lc / norm], axis=1)
-        dist = _orthogonal_many(rows.reshape(-1, 2, 2), b_pts, a_lines, b_lines)
+        dist = orthogonal_many(rows.reshape(-1, 2, 2), b_pts, a_lines, b_lines)
     return ok & (dist < threshold)
 
 
@@ -186,7 +215,7 @@ def frozen_estimate_homography(pairs, params: EvalParams):
         raise ValueError("no homography model found consensus")
     rng = np.random.default_rng(params.seed)
     a_pts, b_pts = segments_to_array(lines_a), segments_to_array(lines_b)
-    b_lines = _homogeneous_lines(lines_b)
+    b_lines = homogeneous_lines(lines_b)
 
     def inlier_mask(m):
         return frozen_inlier_mask(m, a_pts, b_pts, b_lines, params.hest_inlier_threshold)

@@ -28,12 +28,37 @@ from hypothesis.extra import numpy as hnp
 from linefields import EvalParams, Homography, LineMatch, LineSegment, match_one_to_one
 from linefields import evaluate
 from linefields.evaluate import _greedy_pairs, _structural_matrix
-from linefields.geometry import (
-    _homogeneous_lines,
-    _orthogonal_many,
-    apply_homography,
-    segments_to_array,
-)
+from linefields.geometry import apply_homography
+
+
+# Frozen copies of the segment-set helpers the oracle called: the
+# (n, 2, 2) endpoint stack, per-segment supporting lines and the
+# orthogonal distance kernel on endpoint pairs.
+
+
+def segments_to_array(lines) -> np.ndarray:
+    if len(lines) == 0:
+        return np.zeros((0, 2, 2))
+    return np.stack([seg.as_array() for seg in lines])
+
+
+def homogeneous_lines(lines) -> np.ndarray:
+    out = []
+    for s in lines:
+        a, b = s.p1.y - s.p2.y, s.p2.x - s.p1.x
+        c = s.p1.x * s.p2.y - s.p2.x * s.p1.y
+        n = math.hypot(a, b)
+        out.append([a / n, b / n, c / n])
+    return np.array(out)
+
+
+def orthogonal_many(a_pts, b_pts, a_lines, b_lines) -> np.ndarray:
+    def to_lines(pts, lines):
+        a, b, c = (lines[..., None, k] for k in range(3))
+        d = np.abs(pts[..., 0] * a + pts[..., 1] * b + c)
+        return d[..., 0] + d[..., 1]
+
+    return 0.25 * (to_lines(a_pts, b_lines) + to_lines(b_pts, a_lines))
 
 
 def oracle_greedy_pairs(dist):
@@ -73,8 +98,8 @@ def oracle_match_one_to_one(lines_a, lines_b, h_gt, params=None):
     if params.distance_kind == "structural":
         dist = oracle_structural_matrix(a_pts, b_pts)
     else:
-        a_lines, b_lines = _homogeneous_lines(lines_a), _homogeneous_lines(warped_b)
-        dist = _orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
+        a_lines, b_lines = homogeneous_lines(lines_a), homogeneous_lines(warped_b)
+        dist = orthogonal_many(a_pts[:, None], b_pts, a_lines[:, None], b_lines)
     return [LineMatch(i, j, float(dist[i, j])) for i, j in oracle_greedy_pairs(dist)]
 
 
@@ -153,7 +178,8 @@ def test_structural_matrix_matches_oracle(na, nb, data):
     a = data.draw(hnp.arrays(np.float64, (na, 2, 2), elements=coords))
     b = data.draw(hnp.arrays(np.float64, (nb, 2, 2), elements=coords))
     with np.errstate(all="ignore"):
-        got, want = _structural_matrix(a, b), oracle_structural_matrix(a, b)
+        got = _structural_matrix(a.reshape(-1, 4), b.reshape(-1, 4))  # endpoint rows
+        want = oracle_structural_matrix(a, b)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()

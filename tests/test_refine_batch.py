@@ -5,7 +5,7 @@ and builds every per-line number from elementwise operations or row-wise
 reductions. So refining any subset of lines, in any order, must give each
 line bit for bit what refining it alone gives, including its cost and
 converged flag, and a singular system on one line must leave the others
-untouched.
+untouched. Lines go in and come out as (n, 4) endpoint rows.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linefields import LineSegment, RefineParams, VanishingPoint, d_vp, line_cost, render_fields
+from linefields.geometry import _rows
 from linefields.refine import _MAX_BOOSTS, _refine_lines
 
 from util_synth import pencil_segments, perturb_segment
@@ -51,18 +52,19 @@ def make_pool():
 
 
 FP, LINES, VPS = make_pool()
+ROWS = _rows(LINES)
 
 
 def refine_rows(rows):
-    return _refine_lines([LINES[k] for k in rows], FP, [VPS[k] for k in rows], PARAMS)
+    return _refine_lines(ROWS[rows], FP, [VPS[k] for k in rows], PARAMS)
 
 
 ALONE = [refine_rows([k]) for k in range(len(LINES))]
 
 
-def assert_as_alone(k: int, got: LineSegment, cost: float, converged: bool, alone=None) -> None:
+def assert_as_alone(k: int, got: np.ndarray, cost: float, converged: bool, alone=None) -> None:
     want, want_cost, want_conv = alone or ALONE[k]
-    assert got.p1 == want[0].p1 and got.p2 == want[0].p2
+    assert got.tobytes() == want[0].tobytes()
     assert cost == want_cost[0]
     assert converged == want_conv[0]
 
@@ -72,10 +74,12 @@ def test_pool_covers_every_kind_of_line() -> None:
     assert near[:4] == [True, True, False, False] and near[6]
     assert d_vp(LINES[2], VPS[2]) > 1.5
     refined = [out[0][0] for out in ALONE]
-    without_vp = _refine_lines([LINES[2]], FP, [None], PARAMS)[0][0]
-    assert refined[2].p1 != without_vp.p1  # the far VP still pulls its line
-    assert refined[7] is LINES[7] and math.isinf(ALONE[7][1][0]) and not ALONE[7][2][0]
-    assert refined[8].p1 == LINES[8].p1 and not ALONE[8][2][0]
+    without_vp = _refine_lines(ROWS[[2]], FP, [None], PARAMS)[0][0]
+    assert (refined[2][:2] != without_vp[:2]).any()  # the far VP still pulls its line
+    # An unevaluable line comes back unchanged, bit for bit.
+    assert refined[7].tobytes() == ROWS[7].tobytes()
+    assert math.isinf(ALONE[7][1][0]) and not ALONE[7][2][0]
+    assert tuple(refined[8][:2]) == LINES[8].p1 and not ALONE[8][2][0]
     assert sum(bool(out[2][0]) for out in ALONE) >= 5
 
 
@@ -87,7 +91,7 @@ def test_any_subset_in_any_order_refines_as_alone(order: list[int], size: int) -
     for slot, k in enumerate(rows):
         assert_as_alone(k, out[slot], costs[slot], converged[slot])
     if 7 in rows:
-        assert out[rows.index(7)] is LINES[7]
+        assert out[rows.index(7)].tobytes() == ROWS[7].tobytes()
 
 
 def recording_solve(monkeypatch: pytest.MonkeyPatch, poisoned):
@@ -136,7 +140,7 @@ def test_singular_line_boosts_once_while_the_others_step(monkeypatch: pytest.Mon
 
         recording_solve(monkeypatch, poisoned)
         alone = refine_rows([CHOSEN])
-        if alone[0][0].p1 != ALONE[CHOSEN][0][0].p1:
+        if (alone[0][0][:2] != ALONE[CHOSEN][0][0][:2]).any():
             break
     calls = recording_solve(monkeypatch, poisoned)
     out, costs, converged = refine_rows(BATCH)
@@ -146,7 +150,7 @@ def test_singular_line_boosts_once_while_the_others_step(monkeypatch: pytest.Mon
             assert_as_alone(k, out[slot], costs[slot], converged[slot])
     slot = BATCH.index(CHOSEN)
     assert_as_alone(CHOSEN, out[slot], costs[slot], converged[slot], alone=alone)
-    assert out[slot].p1 != ALONE[CHOSEN][0][0].p1  # the boost changed its path
+    assert (out[slot][:2] != ALONE[CHOSEN][0][0][:2]).any()  # the boost changed its path
     assert costs[slot] < line_cost(LINES[CHOSEN], FP, VPS[CHOSEN])  # and it still stepped
 
 
@@ -161,7 +165,7 @@ def test_always_singular_line_gives_up_after_every_boost(monkeypatch: pytest.Mon
     slot = BATCH.index(CHOSEN)
     assert converged[slot]  # no downhill step at any damping level
     assert costs[slot] == line_cost(LINES[CHOSEN], FP, VPS[CHOSEN])
-    assert out[slot].p1 == pytest.approx(LINES[CHOSEN].p1, abs=1e-9)
+    assert tuple(out[slot][:2]) == pytest.approx(LINES[CHOSEN].p1, abs=1e-9)
     for slot, k in enumerate(BATCH):
         if k != CHOSEN:
             assert_as_alone(k, out[slot], costs[slot], converged[slot])

@@ -14,8 +14,10 @@ each fixed case can show it covered the case it names.
 
 The oracle reads no sampling or line set-up code of the library: the
 bilinear lookup (``oracle_bilinear_many``, also the filter oracle's) and
-the per-line state (``oracle_line_state``: a given VP is always used) are
-frozen here, and the library's lookup is checked against the frozen one.
+the per-line state (``oracle_line_state``: a given VP is always used,
+with frozen per-segment midpoints, lengths and angles) are frozen here,
+and the library's lookup is checked against the frozen one. The library
+solver takes and returns (n, 4) endpoint rows; the oracle keeps segments.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from linefields import (
     render_fields,
 )
 from linefields.fields import _bilinear_many
-from linefields.geometry import Point2, _d_vp_many, _line_arrays
+from linefields.geometry import Point2, _d_vp_many, _rows
 from linefields.refine import _MAX_BOOSTS, _PROBE_A, _PROBE_T, _batch_costs, _refine_lines, _sampling_tables
 from linefields.vp import _solve_2x2
 
@@ -79,12 +81,14 @@ def oracle_bilinear_many(data, xs, ys, circular):
 
 
 def oracle_line_state(lines, vps):
-    mids, _, _, lengths = _line_arrays(lines)
+    pts = np.stack([seg.as_array() for seg in lines])
+    mids = 0.5 * (pts[:, 0] + pts[:, 1])
+    lengths = np.array([math.hypot(l.p2.x - l.p1.x, l.p2.y - l.p1.y) for l in lines])
     use_v = np.array([v is not None for v in vps], dtype=bool)
     v_vec = None
     if use_v.any():
         v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps])
-    theta = np.array([l.oriented_angle for l in lines])
+    theta = np.array([math.atan2(l.p2.y - l.p1.y, l.p2.x - l.p1.x) for l in lines])
     return theta, mids[:, 0].copy(), mids[:, 1].copy(), 0.5 * lengths, v_vec, use_v
 
 
@@ -205,9 +209,8 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
 def assert_same(lines, fp, vps, params, seen: Counter | None = None) -> Counter:
     seen = Counter() if seen is None else seen
     want, want_f, want_conv = oracle_refine_lines(lines, fp, vps, params, seen)
-    got, got_f, got_conv = _refine_lines(lines, fp, vps, params)
-    for g, w in zip(got, want, strict=True):
-        assert g.p1 == w.p1 and g.p2 == w.p2
+    got, got_f, got_conv = _refine_lines(_rows(lines), fp, vps, params)
+    assert got.tolist() == [[*w.p1, *w.p2] for w in want]
     assert np.array_equal(got_f, want_f)
     assert np.array_equal(got_conv, want_conv)
     return seen
@@ -281,7 +284,7 @@ def test_lines_accepted_at_level_ten_or_more() -> None:
 def test_line_that_fails_every_level() -> None:
     seen = assert_same([GT[1], MID], FP, [None, None], RefineParams())
     assert seen["no_level"] >= 1
-    assert _refine_lines([MID], FP, [None], RefineParams())[2][0]
+    assert _refine_lines(_rows([MID]), FP, [None], RefineParams())[2][0]
 
 
 def test_lines_probing_across_the_border() -> None:
@@ -318,15 +321,15 @@ def test_singular_level_in_the_middle_of_a_ladder(monkeypatch, level) -> None:
         seen = Counter()
         oracle_refine_lines([MID], FP, [None], RefineParams(max_iter=1), seen)
     assert seen["level_5"] == 1 and len(first_ladder) == 6
-    clean = _refine_lines([MID], FP, [None], RefineParams())
+    clean = _refine_lines(_rows([MID]), FP, [None], RefineParams())
 
     poison_solve(monkeypatch, first_ladder[level])
     lines = [MID, *LATE, GT[1]]
     seen = assert_same(lines, FP, [None] * len(lines), RefineParams())
     assert seen["singular"] == 1
-    got = _refine_lines([MID], FP, [None], RefineParams())
+    got = _refine_lines(_rows([MID]), FP, [None], RefineParams())
     # Level 2 was rejected anyway; level 5 was the accepted one.
-    assert (got[0][0].p1 != clean[0][0].p1) == (level == 5)
+    assert (got[0][0, :2] != clean[0][0, :2]).any() == (level == 5)
 
 
 def test_tables_match_per_sample_values() -> None:
