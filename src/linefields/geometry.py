@@ -447,11 +447,12 @@ def _angles(rows: np.ndarray) -> np.ndarray:
 
 def _homogeneous_lines(rows: np.ndarray) -> np.ndarray:
     """(n, 3) supporting lines (a, b, c) of the rows, with hypot(a, b) = 1."""
-    x1, y1, x2, y2 = rows.T
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats, silently
-        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
-        n = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
-        return np.stack([a / n, b / n, c / n], axis=1)
+    lines = []
+    for x1, y1, x2, y2 in rows.tolist():
+        a, b = y1 - y2, x2 - x1
+        n = math.hypot(a, b)
+        lines.append((a / n, b / n, (x1 * y2 - x2 * y1) / n))
+    return np.array(lines).reshape(-1, 3)
 
 
 def _line_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
