@@ -29,6 +29,7 @@ from .evaluate import (
 from .fields import render_fields
 from .geometry import CameraIntrinsics, _rows, _segments
 from .io import (
+    _stored_r,
     read_field_file,
     read_homography,
     read_lines,
@@ -47,6 +48,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _cmd_gen_fields(args: argparse.Namespace) -> int:
+    _stored_r(args.r)
     lines, _ = read_lines(args.lines)
     fields = render_fields(lines, args.width, args.height, r=args.r)
     write_field_file(args.out, fields)
@@ -54,6 +56,7 @@ def _cmd_gen_fields(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_gt(args: argparse.Namespace) -> int:
+    _stored_r(args.r)
     image = read_pgm(args.image).astype(np.float64)
     fields = generate_pseudo_gt(
         image,
@@ -278,8 +281,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

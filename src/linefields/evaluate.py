@@ -363,10 +363,10 @@ def estimate_homography(
 
     Minimal samples are drawn one rng.choice call each, in blocks that grow
     from one sample up to _HEST_ELEMENTS model-pair entries; a block is
-    fitted by one _dlt call and tested by one _inlier_masks call, and the
-    adaptive stop is replayed in draw order. Samples drawn past the stop
-    are dropped (nothing reads the generator afterwards), so the result is
-    that of one sample per iteration.
+    fitted by one _dlt call, the samples it fits are tested by one
+    _inlier_masks call, and the adaptive stop is replayed in draw order.
+    Samples drawn past the stop are dropped (nothing reads the generator
+    afterwards), so the result is that of one sample per iteration.
 
     Returns (homography, boolean inlier mask).
 
@@ -394,14 +394,16 @@ def estimate_homography(
         samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(k)])
         maps, _ = _dlt(a_rows[samples], b_rows[samples])  # a failed sample's map is NaN
         models, fitted = _stored_homographies(maps)
-        masks = _inlier_masks(models, *inlier_args)
-        counts = masks.sum(axis=1)
-        for j in np.flatnonzero(fitted).tolist():
+        fitted = np.flatnonzero(fitted)
+        if len(fitted):  # only the samples the DLT fitted are tested
+            masks = _inlier_masks(models[fitted], *inlier_args)
+            counts = masks.sum(axis=1)
+        for i, j in enumerate(fitted.tolist()):
             if it + j >= max_iters:
                 break
-            count = int(counts[j])
+            count = int(counts[i])
             if count > best_count:
-                best_h, best_mask, best_count = Homography(maps[j]), masks[j].copy(), count
+                best_h, best_mask, best_count = Homography(maps[j]), masks[i].copy(), count
                 if count == n:
                     break
                 # Standard adaptive bound at 99% confidence.

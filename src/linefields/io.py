@@ -93,6 +93,20 @@ def read_field_file(path: str | Path) -> FieldPair:
     )
 
 
+def _stored_r(r: float) -> float:
+    """The band radius r as a field file stores it, at 32-bit precision.
+
+    Raises:
+        ValueError: when r is not positive and finite at 32-bit precision,
+            which read_field_file would refuse.
+    """
+    with np.errstate(over="ignore"):
+        stored = float(np.float32(r))
+    if not (math.isfinite(stored) and stored > 0.0):
+        raise ValueError(f"band radius r {r!r} is not positive and finite at 32-bit precision")
+    return stored
+
+
 def write_field_file(path: str | Path, fields: FieldPair) -> None:
     """Serialize a field pair at 32-bit precision.
 
@@ -100,15 +114,10 @@ def write_field_file(path: str | Path, fields: FieldPair) -> None:
     stored range stays inside [0, pi).
 
     Raises:
-        ValueError: when r is not positive and finite at 32-bit precision,
-            which read_field_file would refuse.
+        ValueError: when r is not positive and finite at 32-bit precision
+            (_stored_r).
     """
-    with np.errstate(over="ignore"):
-        r = float(np.float32(fields.r))
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(
-            f"band radius r {fields.r!r} is not positive and finite at 32-bit precision"
-        )
+    r = _stored_r(fields.r)
     df = fields.df.data.astype("<f4")
     af = fields.af.data.astype("<f4")
     af[af >= _FLOAT32_PI] = np.float32(0.0)

@@ -608,6 +608,53 @@ class TestErrorReporting:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: band radius r ")
 
+    def test_gen_gt_refuses_r_before_detecting(self, tmp_path, capsys, monkeypatch) -> None:
+        from linefields import pseudo_gt
+
+        def no_detect(*args, **kwargs):
+            raise AssertionError("detect ran before r was checked")
+
+        monkeypatch.setattr(pseudo_gt, "detect", no_detect)
+        img_path = tmp_path / "img.pgm"
+        write_pgm(img_path, square_image(32))
+        gen = ["gen-gt", "--image", str(img_path), "--num-homographies", "8"]
+        rc = main(gen + ["--r", "1e40", "--out", str(tmp_path / "o.dlsf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: band radius r ") and err.count("\n") == 1
+
+    def test_gen_fields_refuses_r_before_rendering(self, tmp_path, capsys, monkeypatch) -> None:
+        from linefields import cli
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("render_fields ran before r was checked")
+
+        monkeypatch.setattr(cli, "render_fields", no_render)
+        lines_path, _ = write_gt_inputs(tmp_path)
+        gen = ["gen-fields", "--lines", str(lines_path), "--width", "32", "--height", "32"]
+        assert main(gen + ["--r", "1e-50", "--out", str(tmp_path / "o.dlsf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: band radius r ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "message", ["Unable to allocate 74.5 GiB for an array", ""]
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, message) -> None:
+        # A huge grid fails to allocate with numpy's MemoryError subclass;
+        # the test raises one instead of allocating.
+        from linefields import cli
+
+        def huge(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "render_fields", huge)
+        lines_path, _ = write_gt_inputs(tmp_path)
+        gen = ["gen-fields", "--lines", str(lines_path), "--width", "100000", "--height", "100000"]
+        assert main(gen + ["--out", str(tmp_path / "o.dlsf")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message or 'out of memory'}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "intrinsics",
         [["1e-320", "256", "128", "128"], ["1e300", "1e300", "1e300", "128"]],

@@ -441,6 +441,28 @@ class TestEstimateHomography:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
 
+    def test_samples_the_dlt_rejects_are_not_tested(self, monkeypatch) -> None:
+        # 199 concurrent a-lines and one more span the plane, so the set
+        # passes the up-front check, but no minimal sample fits: four lines
+        # of the pencil span 2 dimensions, and three of them with the odd
+        # one admit many maps. The inlier test sees none of the 10,000.
+        from linefields import evaluate
+
+        rng = np.random.default_rng(72)
+        a = concurrent_lines(rng, np.array([300.0, -200.0, 1.0]), 199)
+        pairs = list(zip(a + scattered_segments(rng, 1), scattered_segments(rng, 200)))
+        tested = []
+        inlier_masks = evaluate._inlier_masks
+
+        def counting(ms, *args):
+            tested.append(len(ms))
+            return inlier_masks(ms, *args)
+
+        monkeypatch.setattr(evaluate, "_inlier_masks", counting)
+        with pytest.raises(ValueError, match="no homography model found consensus"):
+            estimate_homography(pairs, EvalParams(hest_iters=10_000))
+        assert sum(tested) == 0
+
     def test_no_consensus_on_degenerate_input(self) -> None:
         # Every 4-subset is concurrent or contains the duplicate, so no
         # minimal sample ever yields a model.
