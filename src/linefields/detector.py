@@ -44,10 +44,12 @@ from .geometry import (
     TWO_PI,
     LineSegment,
     _angles,
+    _circular,
     _clip_segments,
     _require_finite,
     _rows,
     _segments,
+    _signed_circular,
     circular_distance,
 )
 
@@ -315,8 +317,7 @@ def _count_in_rects(
         rid = rid[inside]
         n_in += np.bincount(rid, minlength=len(rects))
         flat = iy[inside] * w + ix[inside]
-        diff = np.mod(flat_dir[flat] - theta[rid], period)
-        circ = np.minimum(diff, period - diff)
+        circ = _circular(flat_dir[flat] - theta[rid], period)
         aligned = (circ <= tol) & flat_usable[flat]
         k_in += np.bincount(rid[aligned], minlength=len(rects))
     return n_in, k_in
@@ -487,8 +488,7 @@ def lsd_extract(
         if not near.any():
             return tol
         # np.mod is Python's float %, element by element.
-        d = np.mod(pldir[np.asarray(region)[near]] - ldir[seed], period)
-        d = np.where(d > half, d - period, d)
+        d = _signed_circular(pldir[np.asarray(region)[near]] - ldir[seed], period)
         two_std = 2.0 * math.sqrt(float(np.mean(d * d)))
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
@@ -590,8 +590,7 @@ def filter_lines(
     ys = y1 + ts * (y2 - y1)
     df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
     af_s = _bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
-    diff = np.mod(np.abs(af_s - angle), math.pi)
-    circ = np.minimum(diff, math.pi - diff)
+    circ = _circular(np.abs(af_s - angle), math.pi)
     agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
     keep = agrees.mean(axis=1) >= params.min_inlier_frac
     return [lines[i] for i in inside[keep].tolist()]

@@ -76,11 +76,13 @@ class EvalParams:
 
 
 def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(na, nb) structural distances between the endpoint rows a and b."""
+    """(na, nb) structural distances between the endpoint rows a and b. A
+    distance too large to represent is +inf and never matches."""
     def endpoint_distance(p: int, q: int) -> np.ndarray:
         dx = a[:, None, 2 * p] - b[None, :, 2 * q]
         dy = a[:, None, 2 * p + 1] - b[None, :, 2 * q + 1]
-        return np.sqrt(dx * dx + dy * dy)
+        with np.errstate(over="ignore"):
+            return np.sqrt(dx * dx + dy * dy)
 
     same = 0.5 * (endpoint_distance(0, 0) + endpoint_distance(1, 1))
     swapped = 0.5 * (endpoint_distance(0, 1) + endpoint_distance(1, 0))
@@ -210,7 +212,8 @@ def _normalization(pts: np.ndarray) -> np.ndarray:
     """Hartley similarities of the (k, p, 2) point stacks: centroid to
     origin, mean norm sqrt(2)."""
     centroid = pts.mean(axis=1)
-    spread = np.mean(np.linalg.norm(pts - centroid[:, None], axis=2), axis=1)
+    with np.errstate(over="ignore"):  # far points: spread inf, scale 0
+        spread = np.mean(np.linalg.norm(pts - centroid[:, None], axis=2), axis=1)
     scale = math.sqrt(2.0) / np.maximum(spread, 1e-12)
     t = np.zeros((len(pts), 3, 3))
     t[:, 0, 0] = t[:, 1, 1] = scale

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .geometry import LineSegment, _angles, _point_segment_many, _rows, _segment_terms
+from .geometry import LineSegment, _angles, _circular, _point_segment_many, _rows, _segment_terms
 
 __all__ = [
     "ScalarField",
@@ -207,12 +207,7 @@ def orient_angles(theta: ScalarField, image_grad_angle: ScalarField) -> ScalarFi
         raise ValueError("angle fields must share a shape")
     t = theta.data
     ref = image_grad_angle.data
-
-    def circ2pi(a: np.ndarray) -> np.ndarray:
-        d = np.mod(a, 2.0 * math.pi)
-        return np.minimum(d, 2.0 * math.pi - d)
-
-    keep = circ2pi(t - ref) < circ2pi(t - math.pi - ref)
+    keep = _circular(t - ref, 2.0 * math.pi) < _circular(t - math.pi - ref, 2.0 * math.pi)
     out = np.where(keep, t, t - math.pi)
     out = np.mod(out + math.pi, 2.0 * math.pi) - math.pi
     return ScalarField(out)

@@ -17,18 +17,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "TWO_PI",
     "Point2",
     "LineSegment",
     "Homography",
     "CameraIntrinsics",
     "wrap_angle",
     "circular_distance",
-    "point_segment_distance",
     "orthogonal_distance",
     "d_vp",
     "apply_homography",
-    "clip_segment_to_rect",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -83,6 +80,19 @@ def circular_distance(a: float, b: float, period: float = math.pi) -> float:
     """
     d = wrap_angle(a - b, period)
     return min(d, period - d)
+
+
+def _circular(d: np.ndarray, period: float) -> np.ndarray:
+    """Distance on a circle of the given period of each angle difference
+    ``d``, elementwise; the result lies in [0, period / 2]."""
+    d = np.mod(d, period)
+    return np.minimum(d, period - d)
+
+
+def _signed_circular(d: np.ndarray, period: float) -> np.ndarray:
+    """Each angle difference ``d`` wrapped into (-period / 2, period / 2]."""
+    d = np.mod(d, period)
+    return np.where(d > 0.5 * period, d - period, d)
 
 
 @dataclass(frozen=True)
@@ -270,17 +280,6 @@ def _warp_segments(m: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, ok & ((rows[..., 0] != rows[..., 2]) | (rows[..., 1] != rows[..., 3]))
 
 
-def point_segment_distance(p: Point2 | Sequence[float], seg: LineSegment) -> float:
-    """Euclidean distance from a point to the closest point of a segment.
-
-    A segment so short that its squared length underflows to 0 is measured
-    from p1. One point of the render_fields kernel, _point_segment_many.
-    """
-    px, py = np.array([float(p[0])]), np.array([float(p[1])])
-    terms = _segment_terms(_rows([seg]))
-    return float(_point_segment_many(px, py, *terms)[0])
-
-
 def _segment_terms(ends: np.ndarray) -> np.ndarray:
     """Rows x1, y1, dx, dy, den of the (n, 4) endpoint rows ``ends``, as
     _point_segment_many takes them. A segment whose squared length den
@@ -384,26 +383,14 @@ def _d_vp_many(
     return np.where((norm >= _DEGENERATE_EPS) & np.isfinite(d), d, np.inf)
 
 
-def clip_segment_to_rect(
-    seg: LineSegment, xmin: float, ymin: float, xmax: float, ymax: float
-) -> LineSegment | None:
-    """Liang-Barsky clip of a segment against an axis-aligned rectangle.
-
-    Returns None when nothing (or a single point) remains inside. One row
-    of _clip_segments.
-    """
-    rows, kept = _clip_segments(_rows([seg]), xmin, ymin, xmax, ymax)
-    return _segments(rows)[0] if kept[0] else None
-
-
 def _clip_segments(
     ends: np.ndarray, xmin: float, ymin: float, xmax: float, ymax: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Liang-Barsky clip of the (n, 4) endpoint rows ``ends``: the clipped
     rows, and the mask of rows that keep more than a single point. Every
-    row goes through clip_segment_to_rect's tests, edge by edge. t0 only
-    rises and t1 only falls, so a row whose entry lies past its exit at
-    some edge ends with t1 < t0 and fails the final test."""
+    row goes through the four edge tests in turn. t0 only rises and t1
+    only falls, so a row whose entry lies past its exit at some edge ends
+    with t1 < t0 and fails the final test."""
     x1, y1 = ends[:, 0], ends[:, 1]
     t0, t1 = np.zeros(len(ends)), np.ones(len(ends))
     kept = np.ones(len(ends), dtype=bool)

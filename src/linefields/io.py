@@ -26,7 +26,6 @@ __all__ = [
     "read_lines",
     "write_lines",
     "read_homography",
-    "write_homography",
     "read_vp_file",
     "write_vp_file",
     "read_pgm",
@@ -204,11 +203,6 @@ def read_homography(path: str | Path) -> Homography:
         return Homography(np.array(values).reshape(3, 3))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def write_homography(path: str | Path, h: Homography) -> None:
-    rows = [" ".join(repr(float(v)) for v in row) for row in h.m]
-    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def read_vp_file(path: str | Path) -> tuple[list[VanishingPoint], list]:

@@ -20,6 +20,7 @@ from .fields import FieldPair, ScalarField, _bilinear_many, render_fields
 from .geometry import (
     Homography,
     LineSegment,
+    _circular,
     _clip_segments,
     _lengths,
     _require_finite,
@@ -184,8 +185,7 @@ def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:
         vals = af_stack[:, r0 : r0 + rows]
         cost = np.zeros_like(vals)
         for j in range(n - 1):
-            diff = np.abs(vals[j + 1 :] - vals[j]) % math.pi
-            dist = np.minimum(diff, math.pi - diff)  # d(i, j) for i > j
+            dist = _circular(np.abs(vals[j + 1 :] - vals[j]), math.pi)  # d(i, j) for i > j
             cost[j + 1 :] += dist
             for d in dist:
                 cost[j] += d

@@ -32,12 +32,12 @@ from .geometry import (
     _require_finite,
     _rows,
     _segments,
+    _signed_circular,
 )
 from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, fit_vps, refine_vp
 
 __all__ = [
     "RefineParams",
-    "line_cost",
     "refine_line",
     "refine_joint",
 ]
@@ -74,20 +74,14 @@ class RefineParams:
             raise ValueError("iteration counts must be positive")
 
 
-def _sampling_tables(
-    fp: FieldPair, window: tuple[slice, slice] = (slice(None), slice(None))
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sampling_tables(fp: FieldPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grids _batch_costs samples: DF, cos(2 AF) and sin(2 AF).
 
     Angles mod pi interpolate on the doubled circle; tabulating it once
     gives each sample the values _bilinear_many computes at its corners.
-    Only the ``window`` (rows, columns) of the AF tables is filled, the
-    rest reads 0.
     """
-    cos2, sin2 = np.zeros((2, *fp.af.data.shape))
-    af2 = 2.0 * fp.af.data[window]
-    cos2[window], sin2[window] = np.cos(af2), np.sin(af2)
-    return fp.df.data, cos2, sin2
+    af2 = 2.0 * fp.af.data
+    return fp.df.data, np.cos(af2), np.sin(af2)
 
 
 def _batch_costs(
@@ -130,8 +124,7 @@ def _batch_costs(
     df_s, cos_s, sin_s = (_blend(t.ravel().take(corners), weights) for t in tables)
     af_s = _half_angle(sin_s, cos_s)
 
-    delta = np.mod(af_s - thetas[:, None], math.pi)
-    delta = np.where(delta > 0.5 * math.pi, delta - math.pi, delta)
+    delta = _signed_circular(af_s - thetas[:, None], math.pi)
     c_af = np.mean(1.0 - np.cos(delta), axis=1)
     c_df = np.mean(df_s, axis=1)
     cost = params.lambda_af * c_af + params.lambda_df * c_df
@@ -158,38 +151,6 @@ def _line_state(
     mx, my = mids.T.copy()
     theta = _oriented_angles(rows)
     return theta, mx, my, 0.5 * lengths, v_vec, use_v
-
-
-def line_cost(
-    l: LineSegment,
-    fp: FieldPair,
-    v: VanishingPoint | None = None,
-    params: RefineParams | None = None,
-) -> float:
-    """Field-agreement cost of one line.
-
-    The angular term averages 1 - cos of the sampled angle deviations
-    (taken modulo pi into (-pi/2, pi/2]); the distance term averages the
-    sampled distance field; the vanishing point term adds lambda_vp d_vp
-    whenever ``v`` is given, however far it lies from the line.
-
-    Raises:
-        ValueError: when a sample point falls outside the field.
-    """
-    params = params or RefineParams()
-    h, w = fp.height, fp.width
-    for p in (l.p1, l.p2):
-        if not (0.5 <= p.x <= w - 0.5 and 0.5 <= p.y <= h - 0.5):
-            raise ValueError(f"line endpoint {tuple(p)} falls outside the field")
-    # Samples lie between the endpoints (up to rounding), so they read no
-    # grid cell outside the endpoints' box widened by 2.
-    (x1, y1), (x2, y2) = l.p1, l.p2
-    window = (
-        slice(max(int(min(y1, y2)) - 2, 0), int(max(y1, y2)) + 2),
-        slice(max(int(min(x1, x2)) - 2, 0), int(max(x1, x2)) + 2),
-    )
-    state = _line_state(_rows([l]), [v])
-    return float(_batch_costs(_sampling_tables(fp, window), *state, params)[0])
 
 
 def _refine_lines(

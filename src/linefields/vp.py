@@ -26,7 +26,6 @@ from .geometry import (
 __all__ = [
     "VanishingPoint",
     "VpParams",
-    "VpAssignment",
     "vp_from_two_lines",
     "fit_vps",
     "refine_vp",

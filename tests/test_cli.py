@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,23 @@ class TestEval:
         assert out_lines[0].startswith("corner_error ")
         assert float(out_lines[0].split()[1]) < 0.5
         assert out_lines[1] == "num_inliers 20"
+
+    def test_far_line_evaluates_without_warnings(self, tmp_path, capsys) -> None:
+        # Squared distances and Hartley spreads of a line near +-1e300
+        # overflow to inf: it never matches and no model fits it, silently.
+        a = tmp_path / "a.csv"
+        a.write_text("1e300,1,-1e300,2\n10,10,50,12\n20,40,60,80\n5,90,90,95\n")
+        h = tmp_path / "h.txt"
+        h.write_text(IDENTITY_H)
+        pair = ["--lines-a", str(a), "--lines-b", str(a), "--homography", str(h)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "rep", *pair]) == 0
+            assert main(["eval", "le", *pair]) == 0
+            assert main(["eval", "hest", *pair, "--width", "100", "--height", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "repeatability 1.0\nlocalization_error 0.0\n"
+        assert captured.err == "error: no homography model found consensus\n"
 
     @pytest.mark.parametrize("width, height", [("0", "64"), ("-5", "-5"), ("64", "0")])
     def test_hest_rejects_bad_dimensions(self, tmp_path, capsys, width, height) -> None:

@@ -5,9 +5,9 @@ kernels ``_orthogonal_many`` and ``_d_vp_many``; a pair gives bit for bit
 the entry the matching matrix holds for it. The scalar functions they
 replaced are frozen here: they sum in another order (orthogonal distance)
 or normalize with ``math.hypot`` instead of ``np.hypot`` (d_vp), so they
-agree to the last bits only. ``point_segment_distance`` is one point of
-the render kernel ``_point_segment_many``, which does the scalar
-function's arithmetic: the two agree bit for bit.
+agree to the last bits only. The render kernel ``_point_segment_many``
+does the scalar point-segment distance's arithmetic: one point of it
+(``util_synth.point_segment_distance``) agrees with it bit for bit.
 
 ``estimate_homography`` tests every pair against a model in one array
 pass. ``per_pair_inliers`` is the loop it replaced: scalar
@@ -32,10 +32,11 @@ from linefields import (
     apply_homography,
     d_vp,
     orthogonal_distance,
-    point_segment_distance,
 )
 from linefields.evaluate import _inlier_masks
 from linefields.geometry import _d_vp_many, _homogeneous_lines, _orthogonal_many, _rows
+
+from util_synth import point_segment_distance
 
 RTOL = 1e-15  # a few float64 ulps: rounding order and hypot differ, nothing else
 

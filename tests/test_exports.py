@@ -1,7 +1,10 @@
-"""Exported names resolve, and README's module table names only exported ones.
+"""Exported names resolve, each in one module, and README's module table
+names only exported ones.
 
 A pruned function must leave no stale entry in an ``__all__`` list and no
-row in the README's module table.
+row in the README's module table. The package star-imports every module,
+so a name in two modules' ``__all__`` would silently take the later
+module's object.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ def test_every_exported_name_resolves(name: str) -> None:
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_every_package_name_is_in_exactly_one_module() -> None:
+    owners = {name: [] for name in linefields.__all__}
+    for m in MODULES:
+        for name in importlib.import_module(f"linefields.{m}").__all__:
+            owners.setdefault(name, []).append(m)
+    assert {name: found for name, found in owners.items() if len(found) != 1} == {}
 
 
 def readme_module_table() -> dict[str, list[str]]:

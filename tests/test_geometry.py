@@ -17,14 +17,13 @@ from linefields import (
     Point2,
     apply_homography,
     circular_distance,
-    clip_segment_to_rect,
     d_vp,
     orthogonal_distance,
-    point_segment_distance,
     wrap_angle,
 )
 from linefields.geometry import (
     _angles,
+    _clip_segments,
     _homogeneous_lines,
     _line_arrays,
     _lengths,
@@ -32,6 +31,8 @@ from linefields.geometry import (
     _rows,
     _segments,
 )
+
+from util_synth import point_segment_distance
 
 
 class TestWrapAngle:
@@ -336,19 +337,24 @@ class TestApplyHomography:
 
 
 class TestClipSegmentToRect:
+    @staticmethod
+    def clip(seg: LineSegment) -> list[LineSegment]:
+        """The kept clip of ``seg`` against [0, 10] x [0, 10], as a list."""
+        rows, kept = _clip_segments(_rows([seg]), 0.0, 0.0, 10.0, 10.0)
+        return _segments(rows[kept])
+
     def test_inside_unchanged(self) -> None:
         seg = LineSegment((2.0, 2.0), (8.0, 8.0))
-        assert clip_segment_to_rect(seg, 0.0, 0.0, 10.0, 10.0) == seg
+        assert self.clip(seg) == [seg]
 
     def test_crossing_clipped_exactly(self) -> None:
         # dyadic clip parameters: t0 = 0.25 and t1 = 0.5 are exact
         seg = LineSegment((-10.0, 5.0), (30.0, 5.0))
-        clipped = clip_segment_to_rect(seg, 0.0, 0.0, 10.0, 10.0)
-        assert clipped == LineSegment((0.0, 5.0), (10.0, 5.0))
+        assert self.clip(seg) == [LineSegment((0.0, 5.0), (10.0, 5.0))]
 
     def test_outside_returns_none(self) -> None:
         seg = LineSegment((20.0, 20.0), (30.0, 25.0))
-        assert clip_segment_to_rect(seg, 0.0, 0.0, 10.0, 10.0) is None
+        assert self.clip(seg) == []
 
 
 class TestCameraIntrinsics:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +23,16 @@ from linefields import (
     read_vp_file,
     render_fields,
     write_field_file,
-    write_homography,
     write_lines,
     write_pgm,
     write_vp_file,
 )
+
+
+def write_homography(path, h: Homography) -> None:
+    """The nine entries of ``h``, row major, three per line."""
+    rows = [" ".join(repr(float(v)) for v in row) for row in h.m]
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def small_fields() -> FieldPair:

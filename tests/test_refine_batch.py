@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefields import LineSegment, RefineParams, VanishingPoint, d_vp, line_cost, render_fields
+from linefields import LineSegment, RefineParams, VanishingPoint, d_vp, render_fields
 from linefields.geometry import _rows
 from linefields.refine import _MAX_BOOSTS, _refine_lines
 
+from test_refine import line_cost
 from util_synth import pencil_segments, perturb_segment
 
 PARAMS = RefineParams()

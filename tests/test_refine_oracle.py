@@ -36,7 +36,6 @@ from linefields import (
     RefineParams,
     ScalarField,
     VanishingPoint,
-    line_cost,
     render_fields,
 )
 from linefields.fields import _bilinear_many
@@ -360,23 +359,6 @@ def test_batch_costs_match_per_sample_sampling() -> None:
         got = _batch_costs(_sampling_tables(FP), *args)
         assert np.array_equal(got, oracle_batch_costs(FP, *args))
         assert np.isfinite(got).any() and np.isinf(got).any()
-
-
-def test_line_cost_reads_only_its_window() -> None:
-    # line_cost fills the AF tables only around the line; every sample it
-    # reads must still fall inside that window.
-    rng = np.random.default_rng(29)
-    ends = [0.5, 1.0, 1.5, 2.5, SIZE - 2.5, SIZE - 1.5, SIZE - 1.0, SIZE - 0.5]
-    lines = [random_line(rng, "anywhere") for _ in range(200)]
-    for p, q in rng.choice(ends, (200, 2, 2)):
-        if tuple(p) != tuple(q):
-            lines.append(LineSegment(tuple(p), tuple(q)))
-    lines += [LineSegment((x, 0.5), (x, SIZE - 0.5)) for x in (0.5, 7.25, SIZE - 0.5)]
-    params = RefineParams()
-    for k, l in enumerate(lines):
-        v = vp_along(l, 0.0) if k % 2 else None
-        want = oracle_batch_costs(FP, *oracle_line_state([l], [v]), params)[0]
-        assert line_cost(l, FP, v, params) == want
 
 
 @st.composite

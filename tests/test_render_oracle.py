@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefields import LineSegment, point_segment_distance, render_fields
+from linefields import LineSegment, render_fields
 from linefields import fields
+
+from util_synth import point_segment_distance
 
 
 def oracle_render_fields(lines, width, height):

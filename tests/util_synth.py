@@ -12,7 +12,15 @@ import math
 
 import numpy as np
 
-from linefields import LineSegment, point_segment_distance
+from linefields import LineSegment
+from linefields.geometry import _point_segment_many, _rows, _segment_terms
+
+
+def point_segment_distance(p, seg: LineSegment) -> float:
+    """Distance from point ``p`` to the closest point of ``seg``: one point
+    of _point_segment_many, the kernel render_fields draws with."""
+    px, py = np.array([float(p[0])]), np.array([float(p[1])])
+    return float(_point_segment_many(px, py, *_segment_terms(_rows([seg])))[0])
 
 
 def segment_distance(a: LineSegment, b: LineSegment) -> float:
