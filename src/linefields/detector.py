@@ -18,6 +18,13 @@ so its turn just marks it taken. A lonely pixel is not taken in advance:
 a region whose running angle has drifted may still absorb it. Neither
 shortcut changes a bit of the output.
 
+Each padded per-pixel grid (line direction, cos and sin of k times it) is
+allocated once, as the array("d") buffer that region growing indexes per
+pixel. numpy fills it and reads it (lonely seeds, local tolerance, NFA
+count) through views of that same memory, and the direction is computed
+at the usable pixels only. Besides those three grids, a call holds arrays
+over the usable pixels (seed order, lonely test) and fixed-size NFA chunks.
+
 Two input flavors are supported: classical image gradients, and surrogate
 magnitude/angle grids derived from attraction fields. Both feed the same
 extractor; only the grid placement differs (a 2x2 gradient estimate sits
@@ -277,11 +284,13 @@ def _count_in_rects(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixels whose center lies in each rectangle, and the aligned subset.
 
-    ``rects`` holds one _fit_rect row per rectangle, shape (n, 9). Every
-    rectangle is tested over the grid pixels of its corners' bounding
-    box. The boxes of all rectangles are laid end to end and scanned in
-    chunks of at most _NFA_ELEMENTS pixels, each pixel with the arithmetic
-    of its own rectangle, so the counts do not depend on the chunking.
+    ``rects`` holds one _fit_rect row per rectangle, shape (n, 9), and
+    ``ldir`` and ``usable`` the (h, w) direction and usability grids, which
+    may be views into padded grids. Every rectangle is tested over the grid
+    pixels of its corners' bounding box. The boxes of all rectangles are
+    laid end to end and scanned in chunks of at most _NFA_ELEMENTS pixels,
+    each pixel with the arithmetic of its own rectangle, so the counts do
+    not depend on the chunking.
     """
     h, w = ldir.shape
     cx, cy, theta, ux, uy, lmin, lmax, wmin, wmax = rects.T
@@ -299,7 +308,6 @@ def _count_in_rects(
     starts = ends - sizes
     n_in = np.zeros(len(rects), dtype=np.intp)
     k_in = np.zeros(len(rects), dtype=np.intp)
-    flat_dir, flat_usable = ldir.ravel(), usable.ravel()
     total = int(sizes.sum())
     for start in range(0, total, _NFA_ELEMENTS):
         pos = np.arange(start, min(start + _NFA_ELEMENTS, total))
@@ -316,9 +324,9 @@ def _count_in_rects(
         inside = (pl >= lmin[rid]) & (pl <= lmax[rid]) & (pw >= wmin[rid]) & (pw <= wmax[rid])
         rid = rid[inside]
         n_in += np.bincount(rid, minlength=len(rects))
-        flat = iy[inside] * w + ix[inside]
-        circ = _circular(flat_dir[flat] - theta[rid], period)
-        aligned = (circ <= tol) & flat_usable[flat]
+        iy, ix = iy[inside], ix[inside]
+        circ = _circular(ldir[iy, ix] - theta[rid], period)
+        aligned = (circ <= tol) & usable[iy, ix]
         k_in += np.bincount(rid[aligned], minlength=len(rects))
     return n_in, k_in
 
@@ -328,23 +336,21 @@ def _offsets(wp: int) -> tuple[int, ...]:
     return (-wp - 1, -wp, -wp + 1, -1, 1, wp - 1, wp, wp + 1)
 
 
-def _padded(ldir2d: np.ndarray, usable_idx: np.ndarray):
-    """The usable pixels (flat indices, row-major) on the grid padded by
-    one unusable pixel.
+def _padded(shape: tuple[int, int], usable_idx: np.ndarray):
+    """The usable pixels (flat indices, row-major) of an (h, w) grid on the
+    grid padded by one unusable pixel.
 
     Returns the padded width, the padded flat index of every usable pixel,
-    and padded flat arrays of the line direction (0.0 off the usable
-    pixels) and of usability. Every pixel of the image then has its 8
-    neighbours at ``_offsets(wp)``, none of them usable outside the image.
+    and the padded flat usability grid. Every pixel of the image then has
+    its 8 neighbours at ``_offsets(wp)``, none of them usable outside the
+    image.
     """
-    h, w = ldir2d.shape
+    h, w = shape
     wp = w + 2
     pidx = usable_idx + 2 * (usable_idx // w) + wp + 1
     pusable = np.zeros((h + 2) * wp, dtype=bool)
     pusable[pidx] = True
-    pldir = np.zeros((h + 2) * wp)
-    pldir[pidx] = ldir2d.ravel()[usable_idx]
-    return wp, pidx, pldir, pusable
+    return wp, pidx, pusable
 
 
 def _lonely(
@@ -403,10 +409,9 @@ def lsd_extract(
     k = TWO_PI / period
 
     mag = magnitude.data
-    ldir2d = np.mod(angle.data + 0.5 * math.pi, period)
-    usable2d = mag >= params.mag_threshold
+    usable_idx = np.flatnonzero(mag >= params.mag_threshold)
     max_mag = float(mag.max(initial=0.0))
-    if max_mag <= 0.0 or not usable2d.any():
+    if max_mag <= 0.0 or len(usable_idx) == 0:
         return []
 
     p_align = 2.0 * tol / period
@@ -416,7 +421,6 @@ def lsd_extract(
     min_region_size = max(int(-log_nt / math.log10(p_align)), 2)
 
     flat_mag = mag.ravel()
-    usable_idx = np.flatnonzero(usable2d)
     bins = np.minimum(
         (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
         params.n_bins - 1,
@@ -427,21 +431,26 @@ def lsd_extract(
 
     # Region growing runs on a grid padded by one always-taken pixel, so the
     # 8 neighbours of any pixel p are p + offsets, in row-major order.
-    wp, pidx, pldir, pusable = _padded(ldir2d, usable_idx)
+    wp, pidx, pusable = _padded((h, w), usable_idx)
     n_pad = len(pusable)
     offsets = _offsets(wp)
-    seed_order = pidx[order].tolist()
-    lonely = _lonely(wp, pidx, pldir, pusable, tol, period)[order].tolist()
 
-    # Region growing reads these per pixel as Python floats. An array("d")
-    # holds a padded grid's doubles as they are; a list would need a float
-    # object per pixel, built anew at every call.
+    # Each padded grid (line direction, cos and sin of k times it; 0.0 off
+    # the usable pixels) exists once, as the array("d") that region growing
+    # reads per pixel as Python floats; a list would need a float object
+    # per pixel. numpy fills and reads the same memory through views.
+    ldir, cos_k, sin_k = (array("d", [0.0]) * n_pad for _ in range(3))
+    pldir, pcos, psin = (np.frombuffer(grid) for grid in (ldir, cos_k, sin_k))
+    pldir[pidx] = np.mod(angle.data.ravel()[usable_idx] + 0.5 * math.pi, period)
     k_dir = k * pldir[pidx]
-    trig = np.zeros((2, n_pad))
-    trig[:, pidx] = np.cos(k_dir), np.sin(k_dir)
-    ldir, cos_k, sin_k = (array("d", grid.tobytes()) for grid in (pldir, *trig))
+    pcos[pidx] = np.cos(k_dir)
+    psin[pidx] = np.sin(k_dir)
     # status: 0 free, 1 taken (in a region, below the threshold or padding)
-    status = bytearray((~pusable).astype(np.uint8).tobytes())
+    status = bytearray(b"\x01") * n_pad
+    np.frombuffer(status, dtype=np.uint8)[pidx] = 0
+    # Seeds in turn order; a lonely seed p is stored as ~p, which is < 0.
+    seeds = pidx[order]
+    seeds = np.where(_lonely(wp, pidx, pldir, pusable, tol, period)[order], ~seeds, seeds)
 
     def grow(seed: int, grow_tol: float) -> tuple[list[int], float]:
         region = [seed]
@@ -495,11 +504,13 @@ def lsd_extract(
     rects: list[tuple[float, ...]] = []
     threshold = params.density_threshold
 
-    for seed, alone in zip(seed_order, lonely):
-        if alone:
-            # grow() would stop at the seed, smaller than min_region_size;
-            # taken or not, the seed is taken after its turn.
-            status[seed] = 1
+    # A memoryview yields each seed as a Python int as the loop reaches it;
+    # a list would hold one int object per usable pixel for the whole loop.
+    for seed in memoryview(seeds):
+        if seed < 0:
+            # grow() would stop at the lonely seed, smaller than
+            # min_region_size; taken or not, it is taken after its turn.
+            status[~seed] = 1
             continue
         if status[seed]:
             continue
@@ -547,10 +558,11 @@ def lsd_extract(
         rects.append(rect)
 
     # The NFA test reads only the static grids and takes no pixel, so all
-    # rectangles are counted after growing. Alignment counting ignores
-    # sub-threshold pixels.
+    # rectangles are counted after growing, on the image part of the padded
+    # grids. Alignment counting ignores sub-threshold pixels.
     rows = np.array(rects).reshape(-1, 9)
-    counts = _count_in_rects(rows, ldir2d, usable2d, tol, period, grid_offset)
+    image_dir, image_usable = (g.reshape(h + 2, wp)[1:-1, 1:-1] for g in (pldir, pusable))
+    counts = _count_in_rects(rows, image_dir, image_usable, tol, period, grid_offset)
     kept = [
         n_in > 0 and not log_nt + _log10_binomial_tail(n_in, k_in, p_align) > params.log_nfa_max
         for n_in, k_in in zip(*(c.tolist() for c in counts))

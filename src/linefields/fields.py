@@ -109,8 +109,13 @@ def render_fields(
     order under a strict ``<``, so the fields are bit for bit those of
     drawing every segment over every pixel.
 
+    Products of coordinates beyond about 1e154 overflow without a warning:
+    such a distance is inf or NaN, and a NaN never wins a pixel.
+
     Raises:
-        ValueError: on an empty segment list or non-positive dimensions.
+        ValueError: on an empty segment list or non-positive dimensions,
+            and when some pixel keeps no finite distance. Every true
+            distance is finite, so only that overflow leaves one.
     """
     if len(lines) == 0:
         raise ValueError("cannot render fields without segments")
@@ -154,6 +159,8 @@ def render_fields(
                 closer = d < df
                 df[closer] = d[closer]
                 af[closer] = angles[part][k][closer]
+    if not np.all(np.isfinite(best_df)):
+        raise ValueError("segment coordinates are too large to render")
     return FieldPair(ScalarField(best_df), ScalarField(best_af), float(r))
 
 
@@ -210,6 +217,9 @@ def orient_angles(theta: ScalarField, image_grad_angle: ScalarField) -> ScalarFi
     keep = _circular(t - ref, 2.0 * math.pi) < _circular(t - math.pi - ref, 2.0 * math.pi)
     out = np.where(keep, t, t - math.pi)
     out = np.mod(out + math.pi, 2.0 * math.pi) - math.pi
+    # Just below -pi, out + pi is a negative tiny whose mod rounds up to
+    # 2*pi; the wrap of the +pi that gives is -pi.
+    out[out == math.pi] = -math.pi
     return ScalarField(out)
 
 

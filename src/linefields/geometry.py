@@ -283,11 +283,13 @@ def _warp_segments(m: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _segment_terms(ends: np.ndarray) -> np.ndarray:
     """Rows x1, y1, dx, dy, den of the (n, 4) endpoint rows ``ends``, as
     _point_segment_many takes them. A segment whose squared length den
-    underflows to 0 gets dx = dy = 0 and den = 1: it is measured from p1."""
+    underflows to 0 gets dx = dy = 0 and den = 1: it is measured from p1.
+    Overflow gives inf without a warning."""
     x1, y1 = ends[:, 0], ends[:, 1]
-    dx = ends[:, 2] - x1
-    dy = ends[:, 3] - y1
-    den = dx * dx + dy * dy
+    with np.errstate(over="ignore"):
+        dx = ends[:, 2] - x1
+        dy = ends[:, 3] - y1
+        den = dx * dx + dy * dy
     flat = den == 0.0
     return np.stack(
         [x1, y1, np.where(flat, 0.0, dx), np.where(flat, 0.0, dy), np.where(flat, 1.0, den)]
@@ -298,20 +300,22 @@ def _point_segment_many(px, py, x1, y1, dx, dy, den) -> np.ndarray:
     """Distances from points to segments, elementwise over broadcasting
     arrays (at least one of them not 0-d) of point coordinates and the
     _segment_terms rows. Computed in place: the closest point is p1 + t d,
-    t the projection clipped to [0, 1]."""
-    t = (px - x1) * dx + (py - y1) * dy
-    t /= den
-    np.clip(t, 0.0, 1.0, out=t)
-    cx = t * dx
-    cx += x1
-    np.subtract(px, cx, out=cx)
-    cx *= cx
-    t *= dy
-    t += y1
-    np.subtract(py, t, out=t)
-    t *= t
-    cx += t
-    return np.sqrt(cx, out=cx)
+    t the projection clipped to [0, 1]. Overflow gives inf or NaN without
+    a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (px - x1) * dx + (py - y1) * dy
+        t /= den
+        np.clip(t, 0.0, 1.0, out=t)
+        cx = t * dx
+        cx += x1
+        np.subtract(px, cx, out=cx)
+        cx *= cx
+        t *= dy
+        t += y1
+        np.subtract(py, t, out=t)
+        t *= t
+        cx += t
+        return np.sqrt(cx, out=cx)
 
 
 def orthogonal_distance(l1: LineSegment, l2: LineSegment) -> float:

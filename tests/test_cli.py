@@ -654,6 +654,19 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: band radius r ") and err.count("\n") == 1
 
+    def test_gen_fields_refuses_overflowing_segment(self, tmp_path, capsys) -> None:
+        # It crosses the frame, so every pixel is within the frame's diagonal
+        # of it, but its squared length and projections overflow. Warnings
+        # are errors here, so this also checks that none is raised.
+        lines_path = tmp_path / "huge.csv"
+        lines_path.write_text("-1e200,1,1e200,2\n")
+        out = tmp_path / "o.dlsf"
+        gen = ["gen-fields", "--lines", str(lines_path), "--width", "16", "--height", "16"]
+        assert main(gen + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: segment coordinates are too large to render\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "message", ["Unable to allocate 74.5 GiB for an array", ""]
     )

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +31,7 @@ from linefields import (
     vp_error_auc,
 )
 
-from util_synth import concurrent_lines
+from util_synth import concurrent_lines, traced_peak
 
 H_GT = Homography(
     np.array([[1.02, 0.01, 3.0], [-0.008, 0.98, -2.0], [1e-4, -5e-5, 1.0]])
@@ -430,15 +428,10 @@ class TestEstimateHomography:
         # so the peak is that of the largest block, not of the cap. The
         # interpreter's own allocations move it by a few KB between runs.
         pairs = self.outlier_pairs(np.random.default_rng(71), 200)
-        peaks = []
-        for iters in (2_000, 20_000):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                estimate_homography(pairs, EvalParams(hest_iters=iters))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            traced_peak(estimate_homography, pairs, EvalParams(hest_iters=iters))[1]
+            for iters in (2_000, 20_000)
+        ]
         assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
 
     def test_samples_the_dlt_rejects_are_not_tested(self, monkeypatch) -> None:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from linefields import (
     FieldPair,
@@ -187,6 +189,25 @@ class TestOrientAngles:
     def test_shape_mismatch(self) -> None:
         with pytest.raises(ValueError):
             orient_angles(ScalarField(np.zeros((2, 2))), ScalarField(np.zeros((2, 3))))
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.floats(-1e-14, 1e-14) | st.floats(-4 * math.pi, 4 * math.pi),
+                st.sampled_from([math.pi, -math.pi, 0.0]) | st.floats(-math.pi, math.pi),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @example(pairs=[(-5e-16, math.pi)])  # out + pi is about -4e-16; its mod rounds to 2*pi
+    def test_output_in_half_open_range_and_congruent_mod_pi(self, pairs) -> None:
+        theta, ref = (np.array([list(col)]) for col in zip(*pairs))
+        out = orient_angles(ScalarField(theta), ScalarField(ref)).data
+        assert np.all(out >= -math.pi) and np.all(out < math.pi)
+        diff = np.mod(out - theta, math.pi)
+        slack = 8.0 * np.finfo(float).eps * (np.abs(theta) + math.pi)
+        assert np.all(np.minimum(diff, math.pi - diff) <= slack)
 
 
 class TestBilinearSample:

@@ -35,6 +35,7 @@ from linefields import (
     ScalarField,
     image_gradient,
     lsd_extract,
+    orient_angles,
     render_fields,
     sample_homography,
     surrogate_gradient,
@@ -52,7 +53,7 @@ from linefields.detector import (
 )
 from linefields.geometry import TWO_PI, LineSegment, Point2, circular_distance
 
-from util_synth import random_segments
+from util_synth import dense_field_pair, random_segments
 
 
 class _Rect:
@@ -455,6 +456,21 @@ def test_rendered_field_pair_matches_oracle_in_small_chunks():
         rendered_pair_matches_oracle()
 
 
+def test_dense_field_pair_matches_oracle():
+    """40 long lines at 256 x 256, as dense as a benchmark view: many long
+    diagonal rectangles for the NFA count on the padded grids. Period pi,
+    then 2 pi with the angles oriented by a companion image that brightens
+    towards the lines, so each line's two flanks point apart."""
+    segs, fp = dense_field_pair()
+    mag, theta = surrogate_gradient(fp)
+    lines = assert_matches_oracle(mag.data, theta.data, DetectorParams(angle_period=math.pi), 0.5)
+    assert len(lines) >= len(segs)
+    _, grad_angle = image_gradient(np.maximum(40.0, 200.0 - 30.0 * fp.df.data))
+    oriented = orient_angles(theta, grad_angle)
+    lines = assert_matches_oracle(mag.data, oriented.data, DetectorParams(), 0.5)
+    assert len(lines) >= len(segs)
+
+
 # ------------------------------------------------------ rectangle fits
 
 
@@ -638,7 +654,9 @@ def lonely_mask(mag, ang, params):
 
 def lonely_of(ldir, usable, params):
     usable_idx = np.flatnonzero(usable)
-    wp, pidx, pldir, pusable = _padded(ldir, usable_idx)
+    wp, pidx, pusable = _padded(ldir.shape, usable_idx)
+    pldir = np.zeros(len(pusable))
+    pldir[pidx] = ldir.ravel()[usable_idx]
     alone = _lonely(wp, pidx, pldir, pusable, params.angle_tolerance, params.angle_period)
     out = np.zeros(ldir.shape, dtype=bool)
     out.ravel()[usable_idx] = alone

@@ -168,7 +168,7 @@ def test_overflowing_coordinates_cull_nothing() -> None:
             finite += 1
             assert np.array_equal(got[0], df) and np.array_equal(got[1], af)
         else:
-            assert got == "field data must be finite"
+            assert got == "segment coordinates are too large to render"
     assert finite > 20
     # Closest to the first tile's center, but its projection overflows to
     # NaN wherever px + py > 46; the far vertical wins those pixels.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from linefields import (
     vp_from_two_lines,
 )
 
-from util_synth import concurrent_lines
+from util_synth import concurrent_lines, traced_peak
 
 
 def scale_about_midpoint(seg: LineSegment, s: float) -> LineSegment:
@@ -371,12 +370,7 @@ class TestFitVps:
         angles = rng.uniform(0.0, math.pi, 30)
         halves = 20.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         lines = [LineSegment(tuple(m - h), tuple(m + h)) for m, h in zip(mids, halves)]
-        tracemalloc.start()
-        try:
-            fit_vps(lines, VpParams(ransac_iters=300_000, max_models=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(fit_vps, lines, VpParams(ransac_iters=300_000, max_models=1))
         assert peak < 16e6
 
 

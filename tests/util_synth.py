@@ -8,11 +8,13 @@ concurrent pencils for vanishing point tests.
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 
-from linefields import LineSegment
+from linefields import FieldPair, LineSegment, render_fields
 from linefields.geometry import _point_segment_many, _rows, _segment_terms
 
 
@@ -93,6 +95,28 @@ def random_segments(
             segments.append(cand)
     assert len(segments) >= k_range[0], "separation rejection starved the scene"
     return segments
+
+
+def dense_field_pair() -> tuple[list[LineSegment], FieldPair]:
+    """40 random segments, 24 to 60 px long and 4 px apart, and their
+    fields on a 256 x 256 frame: the many long lines of a benchmark view."""
+    rng = np.random.default_rng(0)
+    segs = random_segments(
+        rng, size=256, k_range=(40, 40), min_length=24, max_length=60, min_separation=4
+    )
+    return segs, render_fields(segs, 256, 256)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes that tracemalloc saw
+    allocated during the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pencil_segments(
