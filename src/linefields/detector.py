@@ -23,7 +23,8 @@ allocated once, as the array("d") buffer that region growing indexes per
 pixel. numpy fills it and reads it (lonely seeds, local tolerance, NFA
 count) through views of that same memory, and the direction is computed
 at the usable pixels only. Besides those three grids, a call holds arrays
-over the usable pixels (seed order, lonely test) and fixed-size NFA chunks.
+over the usable pixels (seed order) and fixed-size chunks of the
+lonely-seed test and the NFA count.
 
 Two input flavors are supported: classical image gradients, and surrogate
 magnitude/angle grids derived from attraction fields. Both feed the same
@@ -70,6 +71,7 @@ __all__ = [
 ]
 
 _NFA_ELEMENTS = 1 << 13  # candidate pixels the NFA count tests at once
+_LONELY_ELEMENTS = 1 << 13  # usable pixels the lonely-seed test takes at once
 
 
 @dataclass(frozen=True)
@@ -368,16 +370,22 @@ def _lonely(
     such a seed grows to a region of one pixel whatever is already taken.
     """
     half = 0.5 * period
-    own = pldir[pidx]
     alone = np.ones(len(pidx), dtype=bool)
-    for off in _offsets(wp):
-        q = pidx + off
-        # Directions lie in [0, period], so grow's (x % period) is x or
-        # x + period, the same float.
-        d = pldir[q] - own
-        d = np.where(d < 0.0, d + period, d)
-        d = np.where(d > half, period - d, d)
-        alone &= ~(pusable[q] & (d <= tol))
+    offsets = _offsets(wp)
+    for lo in range(0, len(pidx), _LONELY_ELEMENTS):
+        p = pidx[lo : lo + _LONELY_ELEMENTS]
+        own = pldir[p]
+        part = alone[lo : lo + _LONELY_ELEMENTS]
+        for off in offsets:
+            q = p + off
+            d = pldir[q] - own
+            # Directions lie in [0, period], so grow's (x % period) is x or
+            # x + period, the same float: d + 1.0 * period below 0, d + 0.0
+            # above.
+            d += period * (d < 0.0)
+            # period - d is below d exactly when d > half, as grow tests.
+            np.minimum(d, period - d, out=d)
+            part &= ~(pusable[q] & (d <= tol))
     return alone
 
 

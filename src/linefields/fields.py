@@ -5,13 +5,16 @@ any segment (DF) and the orientation modulo pi of that closest segment
 (AF). Values live at pixel centers: the array entry (iy, ix) describes the
 image point (ix + 0.5, iy + 0.5).
 
-render_fields is exact without drawing every segment over every pixel:
-per tile it skips each segment whose distance from the tile center exceeds
-the smallest one by more than the tile's pixel-center diameter (plus a
-rounding margin). By the triangle inequality such a segment is farther
-from every pixel of the tile than the segment closest to the center, so
-it can neither win nor tie, and the fields equal the full-grid loop's bit
-for bit.
+render_fields is exact without drawing every segment over every pixel.
+It culls twice with one bound: per 32 px tile against all segments, then
+per 8 px block against its tile's survivors, skipping each segment whose
+distance from the cell center exceeds the smallest one by more than the
+cell's pixel-center diameter (plus a rounding margin). By the triangle
+inequality such a segment is farther from every pixel of the cell than
+the candidate closest to the center, so it can neither win nor tie. The
+surviving (block, segment) pairs are drawn in fixed-size chunks, a few
+array passes each, and reduced to the lowest-index minimum, so the fields
+equal the full-grid loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ __all__ = [
     "bilinear_sample",
 ]
 
-_TILE = 32  # side of the pixel tiles render_fields culls segments for
-_RENDER_ELEMENTS = 1 << 16  # candidate-pixel distances render_fields holds at once
+_TILE = 32  # side of the pixel tiles render_fields first culls segments for
+_BLOCK = 8  # side of the blocks it culls each tile's survivors for, then draws
+_RENDER_ELEMENTS = 1 << 14  # pixel distances render_fields measures at once
 
 
 @dataclass(frozen=True)
@@ -97,25 +101,32 @@ def render_fields(
     distance ties go to the segment with the lowest index. A segment so
     short that its squared length underflows to 0 is measured from p1.
 
-    The grid is drawn in _TILE x _TILE tiles (partial at the right and
-    bottom edges), each from the segments that can win one of its pixels.
-    With c the tile center and R the half-diagonal of its pixel centers,
-    |d(p, S) - d(c, S)| <= R for every pixel p of the tile, so a segment
-    with d(c, S_k) > min_j d(c, S_j) + 2R is farther from every pixel than
-    the segment closest to c, and cannot win or tie. The margin added to
-    that limit is orders above the rounding of the computed distances, and
-    a NaN center distance keeps the segment. Survivors are measured with
-    the per-pixel arithmetic of the full-grid loop and reduced in index
-    order under a strict ``<``, so the fields are bit for bit those of
-    drawing every segment over every pixel.
+    Segments are culled twice with one bound. For a cell of pixels with
+    center c and pixel-center half-diagonal R, |d(p, S) - d(c, S)| <= R
+    for every pixel p of the cell, so a segment with d(c, S_k) >
+    d(c, S_j) + 2R is farther from every pixel than S_j, and can neither
+    win nor tie one. The cells are first _TILE x _TILE tiles, each against
+    all segments, then the _BLOCK x _BLOCK blocks of each tile, each
+    against its tile's survivors (partial cells at the right and bottom
+    edges have a smaller R). S_j is the candidate closest to c, so it is
+    itself a candidate and the winner of every pixel survives both
+    levels. The margin added to the limit is orders above the rounding of
+    the computed distances, and a NaN center distance keeps the segment.
+    The surviving (block, segment) pairs are measured with the per-pixel
+    arithmetic of the full-grid loop and reduced to the lowest-index
+    minimum, which is what a strict ``<`` in segment order keeps, so the
+    fields are bit for bit those of drawing every segment over every
+    pixel.
 
-    Products of coordinates beyond about 1e154 overflow without a warning:
-    such a distance is inf or NaN, and a NaN never wins a pixel.
+    Products of coordinates beyond about 1e154 overflow without a warning.
+    Nothing is culled once a coordinate reaches 1e150, so every distance
+    is measured there.
 
     Raises:
         ValueError: on an empty segment list or non-positive dimensions,
-            and when some pixel keeps no finite distance. Every true
-            distance is finite, so only that overflow leaves one.
+            and when a pixel's distance to some segment overflows to NaN
+            or some pixel keeps no finite distance. Every true distance is
+            finite, so only overflow does either.
     """
     if len(lines) == 0:
         raise ValueError("cannot render fields without segments")
@@ -131,37 +142,114 @@ def render_fields(
     # within a few ulps of scale + width + height of the true one. Above,
     # nothing is culled.
     margin = 1e-9 * (1.0 + scale + width + height) if scale < 1e150 else np.inf
-    left = np.arange(0, width, _TILE)
-    right = np.minimum(left + _TILE, width)
-    center_x = (0.5 * (left + right))[:, None]
-    rows = max(1, _RENDER_ELEMENTS // (_TILE * _TILE))
+    pairs = max(1, _RENDER_ELEMENTS // (_BLOCK * _BLOCK))
     best_df = np.full((height, width), np.inf)
     best_af = np.zeros((height, width))
+    # Blocks numbered row-major over the frame. A chunk holds every pair of
+    # its blocks but maybe the first and last; a block split between two
+    # chunks merges under `<`. The last tile row draws what is left.
+    block = k = np.empty(0, dtype=np.intp)
     for top in range(0, height, _TILE):
-        bottom = min(top + _TILE, height)
-        py = (np.arange(top, bottom, dtype=float) + 0.5)[:, None]
-        # (tiles in this row, segments) center distances
-        dc = _point_segment_many(center_x, 0.5 * (top + bottom), *seg)
-        radius = 0.5 * np.hypot(right - left - 1, bottom - top - 1)
-        limit = dc.min(axis=1) + 2.0 * radius + margin
-        keep = ~(dc > limit[:, None])
-        for x_lo, x_hi, kept in zip(left.tolist(), right.tolist(), keep):
-            px = np.arange(x_lo, x_hi, dtype=float) + 0.5
-            df = best_df[top:bottom, x_lo:x_hi]
-            af = best_af[top:bottom, x_lo:x_hi]
-            index = np.flatnonzero(kept)
-            for start in range(0, len(index), rows):
-                part = index[start : start + rows]
-                d = _point_segment_many(px, py, *seg[:, part, None, None])
-                np.fmin(d, np.inf, out=d)  # a NaN never wins, as under `<`
-                k = d.argmin(axis=0)
-                d = d.min(axis=0)
-                closer = d < df
-                df[closer] = d[closer]
-                af[closer] = angles[part][k][closer]
+        row_block, row_k = _survivors(top, min(top + _TILE, height), width, seg, margin)
+        block = np.concatenate([block, row_block + top // _BLOCK * -(-width // _BLOCK)])
+        k = np.concatenate([k, row_k])
+        while len(k) >= pairs or (top + _TILE >= height and len(k)):
+            _draw(best_df, best_af, block[:pairs], k[:pairs], seg, angles)
+            block, k = block[pairs:], k[pairs:]
     if not np.all(np.isfinite(best_df)):
         raise ValueError("segment coordinates are too large to render")
     return FieldPair(ScalarField(best_df), ScalarField(best_af), float(r))
+
+
+def _survivors(
+    top: int, bottom: int, width: int, seg: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (block, segment) pairs of the tile row spanning pixel rows
+    [top, bottom) that pass both culls, sorted by block, then segment.
+    Blocks are numbered row-major from 0 within the row."""
+    # Level one: (tiles, segments) center distances.
+    tile_x, tile_w = _cells(width, _TILE)
+    d = _point_segment_many(tile_x[:, None], 0.5 * (top + bottom), *seg)
+    radius = 0.5 * np.hypot(tile_w - 1, bottom - top - 1)
+    near = ~(d > (d.min(axis=1) + 2.0 * radius + margin)[:, None])
+    # Level two: each block against its tile's survivors.
+    block_x, block_w = _cells(width, _BLOCK)
+    block_y, block_h = _cells(bottom - top, _BLOCK)
+    col, k = np.nonzero(near[np.arange(len(block_x)) * _BLOCK // _TILE])
+    rows = len(block_y)
+    row = np.repeat(np.arange(rows), len(k))
+    col, k = np.tile(col, rows), np.tile(k, rows)
+    block = row * len(block_x) + col
+    d = _point_segment_many(block_x[col], top + block_y[row], *seg[:, k])
+    # Each block keeps its tile's closest segment, so the runs of `block`
+    # are all the blocks, in order.
+    first = np.flatnonzero(np.diff(block, prepend=-1))
+    radius = 0.5 * np.hypot(block_w - 1, block_h[:, None] - 1).ravel()
+    limit = np.minimum.reduceat(d, first) + 2.0 * radius + margin
+    near = ~(d > limit[block])
+    return block[near], k[near]
+
+
+def _draw(
+    best_df: np.ndarray,
+    best_af: np.ndarray,
+    block: np.ndarray,
+    k: np.ndarray,
+    seg: np.ndarray,
+    angles: np.ndarray,
+) -> None:
+    """Measure segments ``k`` over the pixels of blocks ``block`` and keep
+    each pixel's lowest-index minimum where it is ``<`` the stored DF.
+
+    The pairs are sorted by block, then segment; blocks are numbered
+    row-major over the frame. Block pixels past the frame repeat its last
+    row or column.
+    """
+    height, width = best_df.shape
+    first = np.flatnonzero(np.diff(block, prepend=-1))
+    count = np.diff(first, append=len(block))
+    rank = np.arange(len(block)) - np.repeat(first, count)
+    # Reorder the pairs by rank, then blocks with the most pairs first,
+    # then block: the pairs of each rank belong to a prefix of the blocks,
+    # in one order.
+    order = np.lexsort((block, -np.repeat(count, count), rank))
+    rank_size = np.bincount(rank).tolist()
+    block, k = block[order], k[order]
+    rows, cols = np.divmod(block, -(-width // _BLOCK))
+    step = np.arange(_BLOCK)
+    ys = np.minimum(rows[:, None] * _BLOCK + step, height - 1)
+    xs = np.minimum(cols[:, None] * _BLOCK + step, width - 1)
+    d = _point_segment_many(
+        xs[:, None, :] + 0.5, ys[:, :, None] + 0.5, *seg[:, k, None, None]
+    ).reshape(len(k), -1)
+    if np.isnan(d).any():
+        raise ValueError("segment coordinates are too large to render")
+    # Rank by rank, which is segment order within each block, under `<`;
+    # with no NaN the minimum is the value that `<` keeps.
+    runs = rank_size[0]
+    best = d[:runs]
+    win = np.repeat(k[:runs, None], d.shape[1], axis=1)
+    lo = runs
+    for size in rank_size[1:]:
+        part = d[lo : lo + size]
+        closer = part < best[:size]
+        np.copyto(win[:size], k[lo : lo + size, None], where=closer)
+        np.minimum(best[:size], part, out=best[:size])
+        lo += size
+    pix = (ys[:runs, :, None] * width + xs[:runs, None, :]).reshape(runs, -1)
+    flat_df = best_df.reshape(-1)
+    closer = best < flat_df[pix]
+    pix = pix[closer]
+    flat_df[pix] = best[closer]
+    best_af.reshape(-1)[pix] = angles[win[closer]]
+
+
+def _cells(length: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and sizes of the cells of ``side`` pixels (the last one
+    partial) that tile ``length`` pixels from 0."""
+    lo = np.arange(0, length, side)
+    hi = np.minimum(lo + side, length)
+    return 0.5 * (lo + hi), hi - lo
 
 
 def df_normalize(value, r: float, direction: Literal["forward", "inverse"] = "forward"):

@@ -667,6 +667,22 @@ class TestErrorReporting:
         assert captured.err == "error: segment coordinates are too large to render\n"
         assert not out.exists()
 
+    def test_gen_fields_refuses_nan_distances_beside_a_finite_segment(
+        self, tmp_path, capsys
+    ) -> None:
+        # The second segment keeps every pixel finite, but the crossing
+        # one's distances overflow to NaN, so no pixel's closest distance
+        # is known.
+        lines_path = tmp_path / "huge.csv"
+        lines_path.write_text("-1e200,1,1e200,2\n5,5,10,10\n")
+        out = tmp_path / "o.dlsf"
+        gen = ["gen-fields", "--lines", str(lines_path), "--width", "16", "--height", "16"]
+        assert main(gen + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: segment coordinates are too large to render\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "message", ["Unable to allocate 74.5 GiB for an array", ""]
     )

@@ -154,6 +154,22 @@ class TestLsdExtract:
         _, detect_peak = traced_peak(detect, fp)
         assert detect_peak <= 9 * grid
 
+    def test_image_mode_memory_budget(self) -> None:
+        """On a noisy image of bright 4 px bars nearly every pixel is usable.
+        The lonely-seed test takes the usable pixels in fixed-size chunks:
+        about 10.8 float64 grids at the peak, against 13.7 when it made its
+        per-offset temporaries over all of them at once."""
+        rng = np.random.default_rng(0)
+        segs = random_segments(
+            rng, size=256, k_range=(8, 8), min_length=60, max_length=120, min_separation=16
+        )
+        df = render_fields(segs, 256, 256).df.data
+        image = np.where(df <= 2.0, 200.0, 40.0) + rng.normal(0.0, 8.0, df.shape)
+        mag, ang = image_gradient(image)
+        lines, peak = traced_peak(lsd_extract, mag, ang, DetectorParams(), grid_offset=1.0)
+        assert len(lines) >= len(segs)
+        assert peak <= 12 * 256 * 256 * 8
+
 
 class TestFilterLines:
     def test_exact_line_kept(self) -> None:

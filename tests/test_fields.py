@@ -20,7 +20,7 @@ from linefields import (
     surrogate_gradient,
 )
 
-from util_synth import brute_force_fields, random_segments
+from util_synth import brute_force_fields, random_segments, traced_peak, two_view_segments
 
 
 class TestScalarField:
@@ -99,6 +99,14 @@ class TestRenderFields:
     def test_carries_radius(self) -> None:
         fp = render_fields([LineSegment((0.0, 0.0), (5.0, 5.0))], 8, 8, r=3.5)
         assert fp.r == 3.5
+
+    def test_memory_budget(self) -> None:
+        """A 384 x 384 view of 170 segments, as in the two_view benchmark:
+        the two output grids plus bounded chunks, about 2.4 float64 grids
+        at the peak. The per-tile renderer peaked at 2.6; a full-grid copy
+        would add one more."""
+        _, peak = traced_peak(render_fields, two_view_segments(), 384, 384)
+        assert peak <= 2.6 * 384 * 384 * 8
 
 
 class TestDfNormalize:

@@ -691,10 +691,12 @@ def scalar_lonely(ldir, usable, params):
     w=st.integers(1, 10),
     period=st.sampled_from([TWO_PI, math.pi]),
     seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 7, detector._LONELY_ELEMENTS]),
 )
-def test_lonely_mask_matches_scalar_rule(h, w, period, seed):
+def test_lonely_mask_matches_scalar_rule(h, w, period, seed, chunk):
     """Directions at 0, at the period itself, just below it and whole
-    tolerances apart, where a rounding slip would flip the test."""
+    tolerances apart, where a rounding slip would flip the test; the
+    usable pixels in one chunk or in several."""
     rng = np.random.default_rng(seed)
     params = DetectorParams(angle_period=period)
     tol = params.angle_tolerance
@@ -705,7 +707,9 @@ def test_lonely_mask_matches_scalar_rule(h, w, period, seed):
         rng.uniform(0.0, period, (h, w)),
     )
     usable = rng.random((h, w)) < 0.8
-    assert np.array_equal(lonely_of(ldir, usable, params), scalar_lonely(ldir, usable, params))
+    with mock.patch.object(detector, "_LONELY_ELEMENTS", chunk):
+        lonely = lonely_of(ldir, usable, params)
+    assert np.array_equal(lonely, scalar_lonely(ldir, usable, params))
 
 
 def grid_of(ldirs, mags):

@@ -2,9 +2,10 @@
 
 ``oracle_render_fields`` draws every segment over every pixel, one pass
 per segment, and keeps a pixel's closest segment under a strict ``<``.
-The tiled renderer measures each tile only against the segments that can
-win it and reduces them in index order, which must not change a bit: DF
-and AF are compared with ``np.array_equal``, no tolerance. The lattice
+The renderer culls segments per 32 px tile, then per 8 px block, measures
+each block only against the segments that can win it and keeps the
+lowest-index minimum, which must not change a bit: DF and AF are compared
+with ``np.array_equal``, no tolerance. The lattice
 coordinates below put many pixel centers at exactly equal distances from
 two segments, so the lowest-index tie rule is exercised, not just the
 generic case.
@@ -23,27 +24,36 @@ from hypothesis import strategies as st
 from linefields import LineSegment, render_fields
 from linefields import fields
 
-from util_synth import point_segment_distance
+from util_synth import point_segment_distance, two_view_segments
+
+
+def oracle_distances(seg, width, height):
+    """Distances from every pixel center to one segment."""
+    px = np.arange(width, dtype=float) + 0.5
+    py = (np.arange(height, dtype=float) + 0.5)[:, None]
+    x1, y1 = seg.p1
+    dx = seg.p2.x - x1
+    dy = seg.p2.y - y1
+    t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
+    t = np.clip(t, 0.0, 1.0)
+    cx = x1 + t * dx
+    cy = y1 + t * dy
+    return np.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
 
 
 def oracle_render_fields(lines, width, height):
-    px = np.arange(width, dtype=float) + 0.5
-    py = (np.arange(height, dtype=float) + 0.5)[:, None]
     best_df = np.full((height, width), np.inf)
     best_af = np.zeros((height, width))
     for seg in lines:
-        x1, y1 = seg.p1
-        dx = seg.p2.x - x1
-        dy = seg.p2.y - y1
-        t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
-        t = np.clip(t, 0.0, 1.0)
-        cx = x1 + t * dx
-        cy = y1 + t * dy
-        d = np.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
+        d = oracle_distances(seg, width, height)
         closer = d < best_df
         best_df[closer] = d[closer]
         best_af[closer] = seg.angle
     return best_df, best_af
+
+
+def some_distance_is_nan(lines, width, height) -> bool:
+    return any(np.isnan(oracle_distances(seg, width, height)).any() for seg in lines)
 
 
 def assert_matches_oracle(lines, width, height) -> None:
@@ -53,9 +63,9 @@ def assert_matches_oracle(lines, width, height) -> None:
     assert np.array_equal(fp.af.data, af)
 
 
-def chunk_elements(candidates: int) -> int:
-    """_RENDER_ELEMENTS that holds this many candidates of a full tile."""
-    return candidates * fields._TILE * fields._TILE
+def chunk_elements(pairs: int) -> int:
+    """_RENDER_ELEMENTS that holds this many (block, segment) pairs."""
+    return pairs * fields._BLOCK * fields._BLOCK
 
 
 # Half-pixel lattice points in and around a grid of up to 100 x 100: pixel
@@ -114,16 +124,40 @@ def test_exact_ties_go_to_the_lowest_index() -> None:
 
 
 def test_more_candidates_than_one_chunk() -> None:
-    rows = fields._RENDER_ELEMENTS // (fields._TILE * fields._TILE)
-    # A pencil through the first tile's center: no segment can be culled
-    # there, and each exact copy ties with its original one chunk later.
+    pairs = fields._RENDER_ELEMENTS // (fields._BLOCK * fields._BLOCK)
+    # A pencil through the corner shared by four blocks of the first tile:
+    # no segment can be culled there, and each exact copy ties with its
+    # original one chunk later.
     pencil = []
-    for a in np.linspace(0.0, math.pi, rows + 5, endpoint=False):
+    for a in np.linspace(0.0, math.pi, pairs + 5, endpoint=False):
         u = 12.0 * np.array([math.cos(a), math.sin(a)])
         pencil.append(LineSegment(tuple(16.0 - u), tuple(16.0 + u)))
     lines = pencil + pencil + [LineSegment(seg.p2, seg.p1) for seg in pencil]
-    assert len(lines) > 3 * rows
-    assert_matches_oracle(lines, 70, 45)
+    assert len(lines) > 3 * pairs
+    with mock.patch.object(fields, "_draw", wraps=fields._draw) as draw:
+        assert_matches_oracle(lines, 70, 45)
+    # (best_df, best_af, block, k, seg, angles) of each chunk: there were
+    # several, and a block's pairs were split between two of them.
+    chunks = [call.args[2] for call in draw.call_args_list]
+    assert len(chunks) > 1
+    assert any(a[-1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 31, 32, 33, 63, 65])
+@pytest.mark.parametrize("height", [7, 8, 9, 31, 32, 33, 63, 65])
+def test_frames_around_block_and_tile_multiples(width, height) -> None:
+    """Partial blocks and tiles at the right and bottom edges have smaller
+    radii, and their pixels past the frame must not leak into it."""
+    rng = np.random.default_rng(width * 100 + height)
+    lines = []
+    for _ in range(12):
+        p = rng.uniform(-10.0, 75.0, 2)
+        q = p + rng.uniform(-30.0, 30.0, 2)
+        lines.append(LineSegment(tuple(p), tuple(q)))
+    # Exact ties on the half-pixel lattice, across the edge cells.
+    lines.append(LineSegment((0.0, height - 0.5), (width + 3.0, height - 0.5)))
+    lines.append(LineSegment((width - 0.5, 0.0), (width - 0.5, height + 3.0)))
+    assert_matches_oracle(lines, width, height)
 
 
 def test_segments_outside_and_spanning_the_grid() -> None:
@@ -164,31 +198,44 @@ def test_overflowing_coordinates_cull_nothing() -> None:
         width, height = (int(v) for v in rng.integers(1, 70, 2))
         df, af = oracle_render_fields(lines, width, height)
         got = outcome(lines, width, height)
-        if np.all(np.isfinite(df)):
+        if np.all(np.isfinite(df)) and not some_distance_is_nan(lines, width, height):
             finite += 1
             assert np.array_equal(got[0], df) and np.array_equal(got[1], af)
         else:
             assert got == "segment coordinates are too large to render"
     assert finite > 20
     # Closest to the first tile's center, but its projection overflows to
-    # NaN wherever px + py > 46; the far vertical wins those pixels.
+    # NaN wherever px + py > 46. The full-grid loop lets the far vertical
+    # win those pixels; the true distance there is unknown, so it fails.
     lines = [LineSegment((0.5, 0.5), (4e306, 4e306)), LineSegment((100.0, 0.0), (100.0, 40.0))]
     df, af = oracle_render_fields(lines, 40, 40)
     assert np.all(np.isfinite(df)) and np.any(af == math.pi / 2)
-    got = outcome(lines, 40, 40)
-    assert np.array_equal(got[0], df) and np.array_equal(got[1], af)
+    assert outcome(lines, 40, 40) == "segment coordinates are too large to render"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("per_chunk", [1, 64])
+@pytest.mark.parametrize("crossing_first", [True, False])
+def test_segment_crossing_the_frame_with_nan_distances_fails(per_chunk, crossing_first) -> None:
+    """The crossing segment's distances overflow to NaN at every pixel
+    while the other segment keeps them all finite: silently dropping the
+    crossing one would give DF 5.70 at pixel (0, 1), where it is about 0.
+    With one pair per chunk the finite segment may be drawn first."""
+    crossing = LineSegment((-1e200, 1.0), (1e200, 2.0))
+    lines = [LineSegment((5.0, 5.0), (10.0, 10.0))]
+    lines.insert(0 if crossing_first else 1, crossing)
+    with mock.patch.object(fields, "_RENDER_ELEMENTS", chunk_elements(per_chunk)):
+        assert outcome(lines, 16, 16) == "segment coordinates are too large to render"
 
 
 def test_fixed_two_view_scene() -> None:
-    """384 x 384 with 170 segments, as one view of the two_view benchmark."""
-    rng = np.random.default_rng(170)
-    lines = []
-    while len(lines) < 170:
-        p = rng.uniform(0.0, 384.0, 2)
-        ang = rng.uniform(0.0, math.pi)
-        q = p + rng.uniform(20.0, 120.0) * np.array([math.cos(ang), math.sin(ang)])
-        lines.append(LineSegment(tuple(p), tuple(q)))
-    assert_matches_oracle(lines, 384, 384)
+    assert_matches_oracle(two_view_segments(), 384, 384)
+
+
+def test_fixed_two_view_scene_on_partial_tiles() -> None:
+    """The same segments on a frame whose last tile column and row, and
+    last block column and row, are partial."""
+    assert_matches_oracle(two_view_segments(), 383, 385)
 
 
 @pytest.mark.filterwarnings("error")

@@ -107,6 +107,19 @@ def dense_field_pair() -> tuple[list[LineSegment], FieldPair]:
     return segs, render_fields(segs, 256, 256)
 
 
+def two_view_segments() -> list[LineSegment]:
+    """170 random segments, 20 to 120 px long, that may cross each other
+    and leave a 384 x 384 frame: as many as one two_view benchmark view."""
+    rng = np.random.default_rng(170)
+    segs = []
+    for _ in range(170):
+        p = rng.uniform(0.0, 384.0, 2)
+        ang = rng.uniform(0.0, math.pi)
+        q = p + rng.uniform(20.0, 120.0) * np.array([math.cos(ang), math.sin(ang)])
+        segs.append(LineSegment(tuple(p), tuple(q)))
+    return segs
+
+
 def traced_peak(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the peak bytes that tracemalloc saw
     allocated during the call."""
