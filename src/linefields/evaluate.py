@@ -29,7 +29,7 @@ from .geometry import (
     _warp_segments,
     apply_homography,
 )
-from .vp import VanishingPoint
+from .vp import VanishingPoint, _draws
 
 __all__ = [
     "LineMatch",
@@ -364,12 +364,12 @@ def estimate_homography(
     generator is reseeded from params.seed on every call, so the result
     does not depend on input ordering beyond index identity.
 
-    Minimal samples are drawn one rng.choice call each, in blocks that grow
-    from one sample up to _HEST_ELEMENTS model-pair entries; a block is
-    fitted by one _dlt call, the samples it fits are tested by one
-    _inlier_masks call, and the adaptive stop is replayed in draw order.
-    Samples drawn past the stop are dropped (nothing reads the generator
-    afterwards), so the result is that of one sample per iteration.
+    Minimal samples are drawn by vp._draws in blocks that grow from one
+    sample up to _HEST_ELEMENTS model-pair entries; a block is fitted by
+    one _dlt call, its fitted samples are tested by one _inlier_masks call
+    and the adaptive stop is replayed in draw order. A sample reads only
+    its own words and nothing reads the generator after the stop, so the
+    result is that of one sample per iteration.
 
     Returns (homography, boolean inlier mask).
 
@@ -394,7 +394,7 @@ def estimate_homography(
     while it < max_iters:
         k = min(size, max_iters - it)
         size = min(2 * size, cap)
-        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(k)])
+        samples = _draws(rng, n, 4, k)
         maps, _ = _dlt(a_rows[samples], b_rows[samples])  # a failed sample's map is NaN
         models, fitted = _stored_homographies(maps)
         fitted = np.flatnonzero(fitted)

@@ -216,6 +216,8 @@ def read_vp_file(path: str | Path) -> tuple[list[VanishingPoint], list]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict) or "vps" not in doc or "assignment" not in doc:
         raise ValueError(f"{path}: document must contain 'vps' and 'assignment'")
     raw_vps = doc["vps"]
@@ -234,7 +236,7 @@ def read_vp_file(path: str | Path) -> tuple[list[VanishingPoint], list]:
             raise ValueError(f"{path}: vps[{i}] is not a numeric triple")
         try:
             vps.append(VanishingPoint(np.array(triple, dtype=float)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an int past the float range overflows
             raise ValueError(f"{path}: vps[{i}]: {exc}") from None
     assignment: list = []
     for i, entry in enumerate(raw_assignment):
@@ -306,7 +308,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise ValueError(
             f"{path}: truncated raster, need {expected} bytes (byte offset {len(blob)})"
         )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    image = np.frombuffer(raster, dtype=np.uint8)
+    if (bad := np.flatnonzero(image > maxval)).size:
+        raise ValueError(f"{path}: sample value above maxval {maxval} (byte offset {pos + bad[0]})")
+    return image.reshape(height, width).copy()
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

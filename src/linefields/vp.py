@@ -4,6 +4,7 @@ Candidates come from minimal 2-line samples (cross product of the two
 supporting lines); consensus is measured by the midpoint-anchored distance
 d_vp, weighted by segment length. Models are extracted greedily: the best
 candidate absorbs its inliers, which are removed before the next round.
+Both this RANSAC and the homography RANSAC draw minimal samples by _draws.
 """
 
 from __future__ import annotations
@@ -249,33 +250,22 @@ def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output:
     return out
 
 
-def _pair_draws(rng: np.random.Generator, m: int, iters: int) -> np.ndarray:
-    """``iters`` rows of ``rng.choice(m, 2, replace=False)``, drawn at once.
+def _draws(rng: np.random.Generator, m: int, k: int, iters: int) -> np.ndarray:
+    """``iters`` rows of k distinct ints in [0, m), 2 <= k <= m < 2**32.
 
-    For m of 3 or more, numpy's choice runs Floyd's sampling over Lemire's
-    bounded integers: one 32-bit word for the first index in [0, m - 1),
-    one for the second in [0, m) (taken as m - 1 if it repeats the first),
-    and one for the coin of the final shuffle. So one block of 3 words per
-    draw gives the same pairs and leaves the generator in the same state.
-    When a word would be rejected and redrawn (the low half of its product
-    falls below (2**32 - n) % n), when m < 3 (no word for the first index)
-    or m >= 2**32, and for bit generators other than PCG64, the state is
-    restored and the draws are made one call at a time.
+    Floyd's sampling (Bentley & Floyd, CACM 1987) on one 32-bit word per
+    column: column c maps its word w to [0, j], j = m - k + c, by Lemire's
+    multiply-shift (w (j + 1)) >> 32, and takes j instead when that repeats
+    an earlier column of its row. The words are read row by row and a row
+    uses only its own, so blocks of any size continue one stream.
     """
-    if 3 <= m < 2**32 and isinstance(rng.bit_generator, np.random.PCG64):
-        state = rng.bit_generator.state
-        words = rng.integers(0, 2**32, size=(iters, 3), dtype=np.uint32).astype(np.uint64)
-        first, second = words[:, 0] * np.uint64(m - 1), words[:, 1] * np.uint64(m)
-        rejected = ((first & 0xFFFFFFFF) < (2**32 - (m - 1)) % (m - 1)) | (
-            (second & 0xFFFFFFFF) < (2**32 - m) % m
-        )
-        if not rejected.any():
-            a, b = (first >> 32).astype(np.intp), (second >> 32).astype(np.intp)
-            b[b == a] = m - 1
-            keep = (words[:, 2] >> 31) == 1
-            return np.where(keep[:, None], np.stack([a, b], axis=1), np.stack([b, a], axis=1))
-        rng.bit_generator.state = state
-    return np.array([rng.choice(m, 2, replace=False) for _ in range(iters)])
+    words = rng.integers(0, 2**32, size=(iters, k), dtype=np.uint32).astype(np.uint64)
+    out = np.empty((iters, k), dtype=np.intp)
+    for c in range(k):
+        j = m - k + c
+        t = (words[:, c] * np.uint64(j + 1) >> 32).astype(np.intp)
+        out[:, c] = np.where((out[:, :c] == t[:, None]).any(axis=1), j, t)
+    return out
 
 
 def _best_candidate(
@@ -312,13 +302,13 @@ def fit_vps(
 ) -> tuple[list[VanishingPoint], VpAssignment]:
     """Greedy sequential multi-model vanishing point fitting.
 
-    Each round draws random 2-line candidates from the still-unassigned
-    lines and scores them by the total length of lines with d_vp below
-    t_vp. Candidates with fewer than min_support inliers are never
-    acceptable, so they cannot outrank a valid model; the best acceptable
-    one is refined and its inliers leave the pool. Deterministic given
-    params.seed. Every assigned line satisfies d_vp < t_vp against its
-    model.
+    Each round draws ransac_iters 2-line candidates from the unassigned
+    lines (_draws) and scores them by the total length of lines with
+    d_vp below t_vp. Candidates with fewer than min_support inliers are
+    never acceptable, so they cannot outrank a valid model; the best
+    acceptable one is refined and its inliers leave the pool.
+    Deterministic given params.seed. Every assigned line satisfies
+    d_vp < t_vp against its model.
     """
     params = params or VpParams()
     n = len(lines)
@@ -341,7 +331,7 @@ def fit_vps(
         rows = max(1, _SCORE_ELEMENTS // len(remaining))
         for start in range(0, params.ransac_iters, rows):
             count = min(rows, params.ransac_iters - start)
-            pairs = remaining[_pair_draws(rng, len(remaining), count)]
+            pairs = remaining[_draws(rng, len(remaining), 2, count)]
             k, best_len = _best_candidate(
                 np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params, best_len
             )

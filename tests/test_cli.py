@@ -703,6 +703,33 @@ class TestErrorReporting:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vps": [[1%s, 0, 1]], "assignment": []}' % ("0" * 400), "vps[0]: int too large"),
+            ("[" * 200_000, "JSON nested too deeply"),
+        ],
+        ids=["huge_int", "deep_nesting"],
+    )
+    def test_eval_vp_refuses_hostile_json(self, tmp_path, capsys, text, message) -> None:
+        # A 401-digit integer raised OverflowError and deep nesting raised
+        # RecursionError, each as a traceback.
+        bad_path, gt_path = tmp_path / "bad.json", tmp_path / "gt.json"
+        bad_path.write_text(text)
+        write_vp_file(gt_path, [VanishingPoint(np.array([600.0, 128.0, 1.0]))], [])
+        rc = main(
+            [
+                "eval", "vp",
+                "--vps", str(bad_path),
+                "--gt-vps", str(gt_path),
+                "--fx", "256", "--fy", "256", "--cx", "128", "--cy", "128",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {bad_path}: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "intrinsics",
         [["1e-320", "256", "128", "128"], ["1e300", "1e300", "1e300", "128"]],
     )

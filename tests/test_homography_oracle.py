@@ -10,11 +10,11 @@ samples must fail with the same message.
 
 ``frozen_estimate_homography`` is the RANSAC loop that fitted and tested
 one minimal sample per iteration, with the one-sample DLT, inlier test
-and Homography storage rule it called. ``estimate_homography`` draws the
-same samples in blocks, fits a block with one stacked DLT, tests it with
-one stacked inlier pass and replays the adaptive stop in draw order. It
-must return the same H bits and inlier mask, or fail with the same
-message.
+and Homography storage rule it called; it draws each sample with
+``_draws(rng, n, 4, 1)``. ``estimate_homography`` draws the same samples
+in blocks, fits a block with one stacked DLT, tests it with one stacked
+inlier pass and replays the adaptive stop in draw order. It must return
+the same H bits and inlier mask, or fail with the same message.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from linefields import (
     orthogonal_distance,
 )
 from linefields import evaluate
+from linefields.vp import _draws
 
 
 # Frozen copies of the segment-set helpers the references called: the
@@ -227,7 +228,7 @@ def frozen_estimate_homography(pairs, params: EvalParams):
     it = 0
     while it < max_iters:
         it += 1
-        sample = rng.choice(n, size=4, replace=False)
+        sample = _draws(rng, n, 4, 1)[0]
         try:
             h = frozen_homography_from_lines([pairs[int(i)] for i in sample])
         except ValueError as err:
@@ -430,7 +431,11 @@ def test_degenerate_samples_match_frozen_loop(seed, ransac_seed) -> None:
 
 
 def test_degenerate_fixture_fails_every_gate() -> None:
-    _, seen = assert_same_estimate(degenerate_pairs(1), EvalParams(hest_iters=300, seed=0))
+    # Which gates one run reaches depends on its draws, so the fixture is
+    # judged over eight RANSAC seeds, each run checked against the frozen loop.
+    seen = set()
+    for seed in range(8):
+        seen |= assert_same_estimate(degenerate_pairs(1), EvalParams(hest_iters=300, seed=seed))[1]
     assert seen == set(evaluate._DLT_ERRORS)
 
 

@@ -8,7 +8,8 @@ a literal list marks no name as read. An import on a line marked
 private name (a ``_x`` function, class or constant) must be read
 somewhere in the package, so a refactor leaves none stranded. The names
 the benchmark's tracer wraps must exist. Importing the package and its
-CLI loads no scipy module.
+CLI loads no scipy module. No module calls numpy's ``choice``: both
+RANSACs draw their minimal samples through ``vp._draws``.
 """
 
 from __future__ import annotations
@@ -122,6 +123,31 @@ def test_checker_finds_an_unread_private_name() -> None:
 def test_package_has_no_unread_private_names() -> None:
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def choice_calls(source: str) -> list[int]:
+    """Line numbers of the ``.choice(...)`` calls in ``source``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+    )
+
+
+def test_checker_finds_a_choice_call() -> None:
+    source = "import numpy as np\nrng = np.random.default_rng(0)\nchoice = 1\nx = rng.choice(5, 2)\n"
+    assert choice_calls(source) == [4]
+
+
+def test_package_calls_no_choice() -> None:
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := choice_calls(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_benchmark_tracer_boundaries_exist() -> None:

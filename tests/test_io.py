@@ -451,6 +451,17 @@ class TestPgm:
         with pytest.raises(ValueError, match="unsupported maxval 65535"):
             read_pgm(path)
 
+    def test_sample_above_maxval_rejected(self, tmp_path) -> None:
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5\n4 4\n15\n" + bytes([15] * 5 + [200] * 11))
+        with pytest.raises(ValueError, match=r"sample value above maxval 15 \(byte offset 15\)"):
+            read_pgm(path)
+
+    def test_samples_up_to_maxval_read_as_stored(self, tmp_path) -> None:
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5\n4 4\n15\n" + bytes(range(16)))
+        assert np.array_equal(read_pgm(path), np.arange(16, dtype=np.uint8).reshape(4, 4))
+
     def test_truncated_raster(self, tmp_path) -> None:
         path = tmp_path / "i.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 10)

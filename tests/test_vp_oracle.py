@@ -4,10 +4,13 @@
 a VanishingPoint through vp_from_two_lines and is scored alone. fit_vps
 scores a round's candidates as one matrix but draws from the RNG in the
 same order, so on any input the two must agree bit for bit: the same
-models, in the same order, and the same assignment. The reference also
-counts which branches a scene took, so each test can show it covered the
-case it names. The pair draws themselves are checked against one
-``rng.choice`` call per draw, outputs and generator state.
+models, in the same order, and the same assignment. The reference draws
+one pair per iteration through ``_draws(rng, m, 2, 1)``; fit_vps draws a
+chunk of pairs per call. The reference also counts which branches a scene
+took, so each test can show it covered the case it names. The sampler
+itself is checked for distinct in-range rows, for blocks that continue
+one stream, and for seeded reruns; no module of the package may call
+numpy's ``choice``.
 
 ``oracle_refine_vp`` is refine_vp before it shared the damping ladder of
 line refinement: per iteration one solve, one trial vector and one cost
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from linefields import LineSegment, VanishingPoint, VpParams, fit_vps, refine_vp, vp_from_two_lines
 from linefields.geometry import _d_vp_many
-from linefields.vp import _pair_draws, _tangent_basis
+from linefields.vp import _draws, _tangent_basis
 
 from util_synth import concurrent_lines
 
@@ -52,7 +55,7 @@ def scalar_fit_vps(lines, params, seen: Counter):
         sub_m, sub_e1, sub_e2 = mids[remaining], e1[remaining], e2[remaining]
         sub_len = lengths[remaining]
         for _ in range(params.ransac_iters):
-            i, j = rng.choice(len(remaining), size=2, replace=False)
+            i, j = _draws(rng, len(remaining), 2, 1)[0]
             try:
                 cand = vp_from_two_lines(lines[remaining[i]], lines[remaining[j]])
             except ValueError:
@@ -171,7 +174,7 @@ def test_matches_reference_when_scored_in_many_chunks(monkeypatch: pytest.Monkey
 
 def test_matches_reference_when_the_last_round_has_two_lines() -> None:
     # A pencil takes all but two lines; the two left form a model of their
-    # own, drawn by numpy's choice with no word for the first index.
+    # own, and every draw from two lines is the pair (0, 1).
     rng = np.random.default_rng(13)
     lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 8, half_range=(40.0, 60.0))
     lines += [LineSegment((10.0, 200.0), (40.0, 240.0)), LineSegment((200.0, 20.0), (150.0, 60.0))]
@@ -182,54 +185,91 @@ def test_matches_reference_when_the_last_round_has_two_lines() -> None:
     assert assignment[-2:] == [1, 1]
 
 
-def choice_loop(rng: np.random.Generator, m: int, iters: int) -> np.ndarray:
-    return np.array([rng.choice(m, 2, replace=False) for _ in range(iters)])
+def assert_distinct_in_range(rows: np.ndarray, m: int, k: int, iters: int) -> None:
+    assert rows.shape == (iters, k) and rows.dtype == np.intp
+    assert ((rows >= 0) & (rows < m)).all()
+    ordered = np.sort(rows, axis=1)
+    assert (ordered[:, 1:] != ordered[:, :-1]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([2, 4]),
+    extra=st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 5)),
+    iters=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=2, extra=0, iters=50, seed=0)
+@example(k=4, extra=2**32 - 5, iters=50, seed=0)
+def test_draws_are_distinct_ints_in_range(k: int, extra: int, iters: int, seed: int) -> None:
+    m = k + extra
+    assert_distinct_in_range(_draws(np.random.default_rng(seed), m, k, iters), m, k, iters)
+
+
+def one_draw_per_iteration(rng: np.random.Generator, m: int, k: int, iters: int) -> np.ndarray:
+    """The frozen reference loops' draws: one single-row call per iteration."""
+    return np.concatenate([_draws(rng, m, k, 1) for _ in range(iters)])
 
 
 @pytest.mark.parametrize("advanced", [False, True])
 @pytest.mark.parametrize("iters", [1, 1000])
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 17, 60, 61, 1000, 99_999, 2**31 + 1])
 def test_pair_draws_match_one_choice_per_draw(m: int, iters: int, advanced: bool) -> None:
-    # m = 2 draws no word for the first index, and 2**31 + 1 rejects about
-    # half its words, so both take the one-call-per-draw path; an advanced
+    # One block of pair draws equals one single-row _draws call (one
+    # choice of a pair) per draw, generator state included. An advanced
     # generator holds half of a 64-bit output in its buffer.
     want_rng, got_rng = np.random.default_rng(m), np.random.default_rng(m)
     if advanced:
         for r in (want_rng, got_rng):
             r.integers(0, 2**32, dtype=np.uint32)
-    want = choice_loop(want_rng, m, iters)
-    got = _pair_draws(got_rng, m, iters)
-    assert got.shape == (iters, 2)
+    want = one_draw_per_iteration(want_rng, m, 2, iters)
+    got = _draws(got_rng, m, 2, iters)
+    assert_distinct_in_range(got, m, 2, iters)
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("m", [2**31 + 2, 3 * 2**30])
-def test_pair_draws_replay_rejections_of_either_word(m: int) -> None:
-    # Both bounds reject about a quarter to a half of their words here, so
-    # across the seeds a block sees rejections of the first word alone, the
-    # second alone, and both.
-    for seed in range(40):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(_pair_draws(got_rng, m, 2), choice_loop(want_rng, m, 2))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_pair_draws_with_another_bit_generator() -> None:
     want_rng = np.random.Generator(np.random.MT19937(3))
     got_rng = np.random.Generator(np.random.MT19937(3))
-    assert np.array_equal(_pair_draws(got_rng, 40, 200), choice_loop(want_rng, 40, 200))
+    assert np.array_equal(_draws(got_rng, 40, 2, 200), one_draw_per_iteration(want_rng, 40, 2, 200))
     got, want = (r.bit_generator.state["state"] for r in (got_rng, want_rng))
     assert np.array_equal(got["key"], want["key"]) and got["pos"] == want["pos"]
 
 
+def assert_blocks_continue_one_stream(k: int, sizes: tuple[int, ...]) -> None:
+    whole_rng, block_rng = np.random.default_rng(21), np.random.default_rng(21)
+    whole = _draws(whole_rng, 30, k, sum(sizes))
+    blocks = np.concatenate([_draws(block_rng, 30, k, n) for n in sizes])
+    assert np.array_equal(blocks, whole)
+    assert block_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
 def test_pair_draws_continue_the_stream_across_blocks() -> None:
     # fit_vps draws a round in chunks; reading them in order is one stream.
-    want_rng, got_rng = np.random.default_rng(21), np.random.default_rng(21)
-    want = choice_loop(want_rng, 30, 700)
-    got = np.concatenate([_pair_draws(got_rng, 30, k) for k in (1, 2, 97, 600)])
-    assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert_blocks_continue_one_stream(2, (1, 2, 97, 600))
+
+
+def test_samples_of_four_continue_the_stream_across_blocks() -> None:
+    # estimate_homography draws in blocks that double from one sample.
+    assert_blocks_continue_one_stream(4, (1, 2, 4, 8, 16, 669))
+
+
+@pytest.mark.parametrize("m, k", [(5, 2), (6, 4)])
+def test_draws_cover_every_subset_evenly(m: int, k: int) -> None:
+    # Floyd's rule makes every k-subset equally likely; with 30,000 rows
+    # each subset's count lies within 5 standard deviations of its mean.
+    rows = np.sort(_draws(np.random.default_rng(8), m, k, 30_000), axis=1)
+    _, counts = np.unique(rows, axis=0, return_counts=True)
+    p = 1.0 / math.comb(m, k)
+    assert len(counts) == math.comb(m, k)
+    assert np.abs(counts - 30_000 * p).max() < 5.0 * math.sqrt(30_000 * p * (1.0 - p))
+
+
+def test_draws_repeat_for_the_same_seed() -> None:
+    first, again = (_draws(np.random.default_rng(5), 1000, 4, 500) for _ in range(2))
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, _draws(np.random.default_rng(6), 1000, 4, 500))
 
 
 # ------------------------------------------------------------ refine_vp
