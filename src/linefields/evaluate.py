@@ -189,11 +189,14 @@ def repeatability(
 def localization_error(
     matches: Sequence[LineMatch], params: EvalParams | None = None
 ) -> float:
-    """Mean distance of the best (lowest-distance) matches, up to le_top_k."""
+    """Mean distance of the best (lowest-distance) matches, up to le_top_k.
+    A distance that is not finite is no localization and is left out."""
     params = params or EvalParams()
     if len(matches) == 0:
         raise ValueError("localization error needs at least one match")
-    dists = sorted(m.distance for m in matches)
+    dists = sorted(m.distance for m in matches if math.isfinite(m.distance))
+    if not dists:
+        raise ValueError("localization error needs a match at a finite distance")
     top = dists[: params.le_top_k]
     return float(sum(top) / len(top))
 
@@ -317,12 +320,10 @@ def _lines_span_plane(rows: np.ndarray) -> bool:
     of a set rejected here passes that gate. Lines that shrink below
     1e-12 under the normalization are left out.
     """
-    pts = rows.reshape(-1, 2)
-    ph = np.hstack([pts, np.ones((len(pts), 1))]) @ _normalization(pts[None])[0].T
-    vecs = np.cross(ph[0::2], ph[1::2])
-    norms = np.linalg.norm(vecs, axis=1)
-    keep = norms >= 1e-12
-    return np.linalg.matrix_rank(vecs[keep] / norms[keep, None], tol=1e-12) == 3
+    pts = rows.reshape(1, -1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm is left out below
+        vecs, norms = _line_vecs(pts, _normalization(pts))
+    return np.linalg.matrix_rank(vecs[0][norms[0] >= 1e-12], tol=1e-12) == 3
 
 
 def _inlier_masks(

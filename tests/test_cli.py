@@ -357,6 +357,25 @@ class TestEval:
         assert captured.out == "repeatability 1.0\nlocalization_error 0.0\n"
         assert captured.err == "error: no homography model found consensus\n"
 
+    def test_le_leaves_out_a_line_that_matches_at_no_finite_distance(
+        self, tmp_path, capsys
+    ) -> None:
+        a = tmp_path / "a.csv"
+        a.write_text("1e300,1,-1e300,2\n" + "".join(f"10,{y},50,{y}\n" for y in (10, 20, 30)))
+        b = tmp_path / "b.csv"
+        b.write_text("".join(f"10,{y},50,{y}\n" for y in (11, 21, 31, 41)))
+        h = tmp_path / "h.txt"
+        h.write_text(IDENTITY_H)
+        pair = ["--lines-a", str(a), "--lines-b", str(b), "--homography", str(h)]
+        assert main(["eval", "le", *pair]) == 0
+        assert main(["eval", "le", *pair, "--distance", "orthogonal"]) == 0
+        assert capsys.readouterr().out == "localization_error 1.0\nlocalization_error 10.625\n"
+        a.write_text("1e300,1,-1e300,2\n")
+        assert main(["eval", "le", *pair]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: localization error needs a match at a finite distance\n"
+
     @pytest.mark.parametrize("width, height", [("0", "64"), ("-5", "-5"), ("64", "0")])
     def test_hest_rejects_bad_dimensions(self, tmp_path, capsys, width, height) -> None:
         a, h = self.write_pair(tmp_path)

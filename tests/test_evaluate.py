@@ -279,6 +279,16 @@ class TestLocalizationError:
         with pytest.raises(ValueError):
             localization_error([])
 
+    def test_leaves_out_distances_that_are_not_finite(self) -> None:
+        matches = [LineMatch(0, 0, math.inf)] + [LineMatch(i, i, 1.0) for i in range(1, 4)]
+        assert localization_error(matches) == 1.0
+        matches.append(LineMatch(4, 4, math.nan))
+        assert localization_error(matches, EvalParams(le_top_k=2)) == 1.0
+
+    def test_rejects_matches_without_a_finite_distance(self) -> None:
+        with pytest.raises(ValueError, match="finite distance"):
+            localization_error([LineMatch(0, 0, math.inf), LineMatch(1, 1, math.nan)])
+
 
 class TestHomographyFromLines:
     def test_recovers_known_homography(self) -> None:

@@ -11,8 +11,8 @@ one sha256 per output file and per command's stdout as JSON. ``--src``
 names the source tree whose ``linefields`` runs (default: this checkout's
 ``src``), so one checkout can digest another's program on the same scenes.
 ``--compare`` lists, per workload, the outputs whose digests differ and in
-how many scenes; it exits 1 when any differs. Nothing under ``perfbench/``
-is changed.
+how many scenes; it exits 1 when any differs, and 2 when the two files
+digest different seeds. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def digest_pools(seed: int, src: Path) -> dict[str, str]:
 def compare(a_path: Path, b_path: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
     if a["seed"] != b["seed"]:
-        print(f"warning: seeds differ ({a['seed']} and {b['seed']})")
+        print(f"error: seeds differ ({a['seed']} and {b['seed']})", file=sys.stderr)
+        return 2
     a, b = a["digests"], b["digests"]
     differ = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
     scenes = {k.rsplit("/", 1)[0] for k in a.keys() | b.keys()}
