@@ -29,7 +29,11 @@ lonely-seed test and the NFA count.
 Two input flavors are supported: classical image gradients, and surrogate
 magnitude/angle grids derived from attraction fields. Both feed the same
 extractor; only the grid placement differs (a 2x2 gradient estimate sits
-at the block center, a field value at the pixel center).
+at the block center, a field value at the pixel center) and so does the
+magnitude threshold. Field mode uses ``mag_threshold``; image mode uses
+LSD's rho = q / sin(tau) with q = 2, the gradient error that 8-bit
+quantization can cause, so pixels whose angle that error could swing by
+more than the tolerance neither seed nor join a region.
 """
 
 from __future__ import annotations
@@ -72,13 +76,18 @@ __all__ = [
 
 _NFA_ELEMENTS = 1 << 13  # candidate pixels the NFA count tests at once
 _LONELY_ELEMENTS = 1 << 13  # usable pixels the lonely-seed test takes at once
+# LSD's bound on the gradient error of 8-bit quantization (von Gioi et al.,
+# IPOL 2012); image mode's threshold is rho = _LSD_Q / sin(angle_tolerance).
+_LSD_Q = 2.0
 
 
 @dataclass(frozen=True)
 class DetectorParams:
     """Knobs of the region-growing extractor."""
 
-    mag_threshold: float = 3.0  # pixels weaker than this never seed or join
+    # Field mode: surrogate magnitudes below this never seed or join. Image
+    # mode ignores it and uses LSD's rho = 2 / sin(angle_tolerance) instead.
+    mag_threshold: float = 3.0
     angle_tolerance: float = math.pi / 8.0  # 22.5 deg growing tolerance
     density_threshold: float = 0.7  # minimum region fill of the rectangle
     log_nfa_max: float = 0.0  # accept when log10(NFA) <= this
@@ -126,7 +135,8 @@ def image_gradient(image: np.ndarray) -> tuple[ScalarField, ScalarField]:
     gx(x, y) averages the horizontal differences of the 2x2 block whose
     top-left pixel is (x, y); gy the vertical ones. The returned angle is
     atan2(gy, gx). The last row and column have no full block and get
-    magnitude zero.
+    magnitude zero. Pixel values so large that a magnitude overflows raise
+    ValueError.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
@@ -139,10 +149,13 @@ def image_gradient(image: np.ndarray) -> tuple[ScalarField, ScalarField]:
     b = img[:-1, 1:]
     c = img[1:, :-1]
     d = img[1:, 1:]
-    gx[:-1, :-1] = ((b + d) - (a + c)) * 0.5
-    gy[:-1, :-1] = ((c + d) - (a + b)) * 0.5
-    mag = np.sqrt(gx * gx + gy * gy)
-    ang = np.arctan2(gy, gx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx[:-1, :-1] = ((b + d) - (a + c)) * 0.5
+        gy[:-1, :-1] = ((c + d) - (a + b)) * 0.5
+        mag = np.sqrt(gx * gx + gy * gy)
+        ang = np.arctan2(gy, gx)
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("image gradient overflows: pixel values too large")
     return ScalarField(mag), ScalarField(ang)
 
 
@@ -587,7 +600,9 @@ def detect(
     size is given, its gradient directions orient the angles and the full
     2*pi period applies, otherwise matching falls back to period pi.
     Detections are then checked against the fields unless
-    ``apply_filter=False``. Image mode runs the classical gradient path.
+    ``apply_filter=False``. Image mode runs the classical gradient path
+    with LSD's own gradient threshold, rho = 2 / sin(angle_tolerance)
+    (5.23 at the default 22.5 deg), in place of ``mag_threshold``.
     """
     params = params or DetectorParams()
     if isinstance(source, FieldPair):
@@ -609,4 +624,5 @@ def detect(
     if img.ndim != 2:
         raise ValueError("image must be a 2-D grayscale array")
     mag, ang = image_gradient(img)
-    return lsd_extract(mag, ang, params, grid_offset=1.0)
+    rho = _LSD_Q / math.sin(params.angle_tolerance)
+    return lsd_extract(mag, ang, replace(params, mag_threshold=rho), grid_offset=1.0)

@@ -101,6 +101,22 @@ class TestGenGt:
         write_field_file(expected, direct)
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_step_below_rho_is_insufficient_signal(self, tmp_path, capsys) -> None:
+        """A step of 4 grey levels has a 2x2 gradient of at most 4: above
+        mag_threshold (3.0) but below LSD's rho (5.23), so no warp has a
+        detection. Seeding at 3.0 found the step in the identity warp."""
+        img = np.full((64, 64), 100.0)
+        img[:, 32:] = 104.0
+        img_path = tmp_path / "img.pgm"
+        write_pgm(img_path, img)
+        out = tmp_path / "gt.dlsf"
+        rc = main(["gen-gt", "--image", str(img_path), "--num-homographies", "4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "insufficient signal: 4 of 4 warps had no detections" in err[0]
+        assert not out.exists()
+
 
 class TestDetect:
     def test_from_fields(self, tmp_path) -> None:

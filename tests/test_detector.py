@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +108,32 @@ class TestImageGradient:
         with pytest.raises(ValueError):
             image_gradient(np.zeros((1, 5)))
 
+    def test_matches_two_by_two_formula(self) -> None:
+        img = np.random.default_rng(22).uniform(0, 255, (12, 9))
+        a, b, c, d = img[:-1, :-1], img[:-1, 1:], img[1:, :-1], img[1:, 1:]
+        gx = ((b + d) - (a + c)) * 0.5
+        gy = ((c + d) - (a + b)) * 0.5
+        mag, ang = image_gradient(img)
+        assert np.array_equal(mag.data[:-1, :-1], np.sqrt(gx * gx + gy * gy))
+        assert np.array_equal(ang.data[:-1, :-1], np.arctan2(gy, gx))
+
+    @pytest.mark.parametrize("value", [1e200, 1e308])
+    def test_overflow_is_one_error(self, value: float) -> None:
+        """1e200 overflows when squared, 1e308 already when two pixels
+        are added: either way one ValueError, and no RuntimeWarning."""
+        img = np.zeros((32, 32))
+        img[:, 16:] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="image gradient overflows: pixel values too large"):
+                image_gradient(img)
+
+    def test_large_finite_step_kept(self) -> None:
+        img = np.zeros((8, 8))
+        img[:, 4:] = 1e150
+        mag, _ = image_gradient(img)
+        assert mag.data[2, 3] == 1e150
+
 
 class TestLsdExtract:
     def test_zero_magnitude_empty(self) -> None:
@@ -169,6 +197,41 @@ class TestLsdExtract:
         lines, peak = traced_peak(lsd_extract, mag, ang, DetectorParams(), grid_offset=1.0)
         assert len(lines) >= len(segs)
         assert peak <= 12 * 256 * 256 * 8
+
+
+class TestMagnitudeThresholds:
+    """Image mode seeds at LSD's rho = 2 / sin(tau); field mode at mag_threshold."""
+
+    @pytest.mark.parametrize("tau", [math.pi / 8.0, math.pi / 10.0])
+    def test_image_mode_equals_lsd_extract_at_rho(self, tau: float) -> None:
+        img = square_image(96) + np.random.default_rng(23).normal(0.0, 8.0, (96, 96))
+        params = DetectorParams(angle_tolerance=tau)
+        mag, ang = image_gradient(img)
+        rho = replace(params, mag_threshold=2.0 / math.sin(tau))
+        at_rho = lsd_extract(mag, ang, rho, grid_offset=1.0)
+        assert detect(img, params) == at_rho
+        assert at_rho != lsd_extract(mag, ang, params, grid_offset=1.0)
+
+    def test_step_between_threshold_and_rho_finds_nothing(self) -> None:
+        img = np.full((64, 64), 100.0)
+        img[:, 32:] = 104.0
+        mag, ang = image_gradient(img)
+        assert mag.data.max() == 4.0
+        assert len(lsd_extract(mag, ang, DetectorParams(), grid_offset=1.0)) == 1
+        assert detect(img) == []
+
+    def test_field_mode_seeds_at_mag_threshold(self) -> None:
+        """rho (5.23) exceeds every surrogate magnitude (at most r = 5), so
+        field mode at rho would find nothing."""
+        gt = LineSegment((40.0, 40.0), (200.0, 60.0))
+        fp = render_fields([gt], 256, 256, r=5.0)
+        mag, theta = surrogate_gradient(fp)
+        params = DetectorParams(angle_period=math.pi)
+        raw = detect(fp, apply_filter=False)
+        assert len(raw) == 1
+        assert raw == lsd_extract(mag, theta, params, grid_offset=0.5)
+        rho = replace(params, mag_threshold=2.0 / math.sin(params.angle_tolerance))
+        assert lsd_extract(mag, theta, rho, grid_offset=0.5) == []
 
 
 class TestFilterLines:

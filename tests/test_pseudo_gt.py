@@ -23,7 +23,7 @@ from linefields import (
     warp_lines,
 )
 
-from util_synth import square_image
+from util_synth import band_scores, bar_image, square_image
 
 
 class TestHomographySamplerParams:
@@ -211,6 +211,19 @@ class TestGeneratePseudoGt:
             for px, py in ((x, q), (x, 3 * q), (q, x), (3 * q, x)):
                 worst = max(worst, bilinear_sample(fp.df, (px - 0.5, py - 0.5)))
         assert worst <= 1.0
+
+    @pytest.mark.parametrize(
+        "noise, max_mae, min_coverage", [(0.0, 0.05, 0.98), (8.0, 0.45, 0.84)]
+    )
+    def test_bar_edges_accuracy(self, noise: float, max_mae: float, min_coverage: float) -> None:
+        """Eight 4 px bars at 256 x 256 with 8 warps, as in the pseudo_gt
+        benchmark: the DF error in the band of the bars' long edges stays
+        small, and the field reaches most of the band. On the noisy image,
+        seeding at 3.0 instead of rho read coverage 0.817 and MAE 0.528."""
+        img, edges = bar_image(np.random.default_rng(0), noise=noise)
+        coverage, mae = band_scores(generate_pseudo_gt(img, 8, seed=0), edges)
+        assert mae <= max_mae
+        assert coverage >= min_coverage
 
     def test_deterministic(self) -> None:
         img = square_image().astype(float)

@@ -228,3 +228,47 @@ def square_image(size: int = 128, lo: float = 30.0, hi: float = 220.0) -> np.nda
     q = size // 4
     img[q : size - q, q : size - q] = hi
     return img
+
+
+def bar_image(rng: np.random.Generator, noise: float) -> tuple[np.ndarray, list[LineSegment]]:
+    """Eight bright 4 px bars on a dark 256 x 256 ground, plus Gaussian
+    noise of std ``noise``: the scenes of the pseudo_gt benchmark.
+
+    Each pixel takes the share of its 4 x 4 subsamples that a bar covers.
+    The bars run along well-separated random segments 80 to 160 px long,
+    and the returned reference lines are their long edges, 2 px to either
+    side.
+    """
+    size, half_width = 256, 2.0
+    axes = random_segments(
+        rng, size=size, k_range=(8, 8), min_length=80, max_length=160, min_separation=16, margin=16
+    )
+    sub = (np.arange(4 * size) + 0.5) / 4.0
+    sx, sy = sub[None, :], sub[:, None]
+    cover = np.zeros((4 * size, 4 * size), dtype=bool)
+    edges = []
+    for seg in axes:
+        (x1, y1), length = seg.p1, seg.length
+        ux, uy = (seg.p2.x - x1) / length, (seg.p2.y - y1) / length
+        along = (sx - x1) * ux + (sy - y1) * uy
+        across = (sy - y1) * ux - (sx - x1) * uy
+        cover |= (along >= 0.0) & (along <= length) & (np.abs(across) <= half_width)
+        for o in (-half_width, half_width):
+            edges.append(LineSegment((x1 - o * uy, y1 + o * ux), (seg.p2.x - o * uy, seg.p2.y + o * ux)))
+    frac = cover.reshape(size, 4, size, 4).mean(axis=(1, 3))
+    return 40.0 + 160.0 * frac + rng.normal(0.0, noise, (size, size)), edges
+
+
+def band_scores(fp: FieldPair, reference: list[LineSegment]) -> tuple[float, float]:
+    """(coverage, MAE) of a distance field in the band of its reference lines.
+
+    The band is every pixel within ``fp.r`` of a reference line.
+    ``coverage`` is the share of the band where the field reaches (DF <
+    r), and the MAE is the mean |DF - true distance| over those pixels, so
+    a missed edge lowers coverage and leaves the error of the others alone.
+    """
+    truth, _ = brute_force_fields(reference, fp.width, fp.height)
+    df = fp.df.data
+    band = truth <= fp.r
+    reached = band & (df < fp.r)
+    return float(reached.sum() / band.sum()), float(np.abs(df - truth)[reached].mean())
