@@ -49,7 +49,7 @@ __all__ = ["main", "build_parser"]
 
 def _cmd_gen_fields(args: argparse.Namespace) -> int:
     _stored_r(args.r)
-    lines, _ = read_lines(args.lines)
+    lines = read_lines(args.lines)
     fields = render_fields(lines, args.width, args.height, r=args.r)
     write_field_file(args.out, fields)
     return 0
@@ -88,7 +88,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     if args.vps_out is not None and not args.vp:
         raise ValueError("--vps-out requires --vp")
-    lines, _ = read_lines(args.lines)
+    lines = read_lines(args.lines)
     fields = read_field_file(args.fields)
     params = RefineParams()
     if args.vp:
@@ -105,15 +105,15 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 def _cmd_vps(args: argparse.Namespace) -> int:
     if args.width < 1 or args.height < 1:
         raise ValueError("image dimensions must be positive")
-    lines, _ = read_lines(args.lines)
+    lines = read_lines(args.lines)
     vps, assignment = fit_vps(lines, VpParams(seed=args.seed))
     write_vp_file(args.out, vps, assignment)
     return 0
 
 
 def _matched_pairs(args: argparse.Namespace):
-    lines_a, _ = read_lines(args.lines_a)
-    lines_b, _ = read_lines(args.lines_b)
+    lines_a = read_lines(args.lines_a)
+    lines_b = read_lines(args.lines_b)
     h_gt = read_homography(args.homography)
     return lines_a, lines_b, h_gt
 
@@ -162,7 +162,7 @@ def _cmd_eval_vp(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_vp_consistency(args: argparse.Namespace) -> int:
-    lines, _ = read_lines(args.lines)
+    lines = read_lines(args.lines)
     gt_vps, assignment = read_vp_file(args.gt_vps)
     if len(assignment) != len(lines):
         raise ValueError("assignment length does not match the number of lines")

@@ -79,19 +79,21 @@ _LONELY_ELEMENTS = 1 << 13  # usable pixels the lonely-seed test takes at once
 # LSD's bound on the gradient error of 8-bit quantization (von Gioi et al.,
 # IPOL 2012); image mode's threshold is rho = _LSD_Q / sin(angle_tolerance).
 _LSD_Q = 2.0
+# LSD's fixed seed-order bins, rectangle density and log10 epsilon (ibid.).
+_N_BINS = 1024
+_DENSITY = 0.7
+_LOG_EPS = 0.0
 
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Knobs of the region-growing extractor."""
+    """Knobs of the region-growing extractor. LSD's fixed constants are
+    module constants: _N_BINS, _DENSITY and _LOG_EPS."""
 
     # Field mode: surrogate magnitudes below this never seed or join. Image
     # mode ignores it and uses LSD's rho = 2 / sin(angle_tolerance) instead.
     mag_threshold: float = 3.0
     angle_tolerance: float = math.pi / 8.0  # 22.5 deg growing tolerance
-    density_threshold: float = 0.7  # minimum region fill of the rectangle
-    log_nfa_max: float = 0.0  # accept when log10(NFA) <= this
-    n_bins: int = 1024  # magnitude buckets for seed ordering
     angle_period: float = TWO_PI  # 2*pi oriented angles, pi unoriented
 
     def __post_init__(self) -> None:
@@ -100,10 +102,6 @@ class DetectorParams:
             raise ValueError("mag_threshold must be non-negative")
         if not (0.0 < self.angle_tolerance < 0.5 * math.pi):
             raise ValueError("angle_tolerance must lie in (0, pi/2)")
-        if not (0.0 < self.density_threshold <= 1.0):
-            raise ValueError("density_threshold must lie in (0, 1]")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be positive")
         if self.angle_period <= 0.0:
             raise ValueError("angle_period must be positive")
 
@@ -240,9 +238,9 @@ def _width(rect: tuple[float, ...]) -> float:
     return max(rect[8] - rect[7], 1.0)
 
 
-def _dense(n: int, rect: tuple[float, ...], threshold: float) -> bool:
-    """Whether n region pixels fill at least ``threshold`` of the rectangle."""
-    return n / ((rect[6] - rect[5]) * _width(rect)) >= threshold
+def _dense(n: int, rect: tuple[float, ...]) -> bool:
+    """Whether n region pixels fill at least _DENSITY of the rectangle."""
+    return n / ((rect[6] - rect[5]) * _width(rect)) >= _DENSITY
 
 
 def _count_in_rects(
@@ -398,13 +396,9 @@ def lsd_extract(
     min_region_size = max(int(-log_nt / math.log10(p_align)), 2)
 
     flat_mag = mag.ravel()
-    bins = np.minimum(
-        (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
-        params.n_bins - 1,
-    )
+    bins = np.minimum((flat_mag[usable_idx] / max_mag * _N_BINS).astype(int), _N_BINS - 1)
     # Strongest bin first, ties in pixel order; numpy radix-sorts 16-bit keys.
-    key_type = np.int16 if params.n_bins <= 1 << 15 else np.intp
-    order = np.argsort((params.n_bins - 1 - bins).astype(key_type), kind="stable")
+    order = np.argsort((_N_BINS - 1 - bins).astype(np.int16), kind="stable")
 
     # Region growing runs on a grid padded by one always-taken pixel, so the
     # 8 neighbours of any pixel p are p + offsets, in row-major order.
@@ -479,7 +473,6 @@ def lsd_extract(
         return max(min(two_std, 0.5 * period - 1e-9), 1e-6)
 
     rects: list[tuple[float, ...]] = []
-    threshold = params.density_threshold
 
     # A memoryview yields each seed as a Python int as the loop reaches it;
     # a list would hold one int object per usable pixel for the whole loop.
@@ -498,7 +491,7 @@ def lsd_extract(
         if rect is None:
             continue
 
-        if not _dense(len(region), rect, threshold):
+        if not _dense(len(region), rect):
             # First retry: re-grow with a tolerance taken from the local
             # angle spread around the seed.
             tol2 = local_tolerance(region, xs, ys, seed, _width(rect))
@@ -509,7 +502,7 @@ def lsd_extract(
             rect, xs, ys, weights = fit(region, reg_angle)
             if rect is None:
                 continue
-            if not _dense(len(region), rect, threshold):
+            if not _dense(len(region), rect):
                 # Then shrink the region around the seed, 75% radius
                 # steps, until a fit is dense enough.
                 sxc, syc = center(seed)
@@ -527,7 +520,7 @@ def lsd_extract(
                     if len(arr_region) < min_region_size:
                         break
                     fitted = _fit_rect(cols[0], cols[1], cols[2], reg_angle, period)
-                    if fitted is not None and _dense(len(arr_region), fitted, threshold):
+                    if fitted is not None and _dense(len(arr_region), fitted):
                         rect = fitted
                         break
                 if rect is None:
@@ -541,7 +534,7 @@ def lsd_extract(
     image_dir, image_usable = (g.reshape(h + 2, wp)[1:-1, 1:-1] for g in (pldir, pusable))
     counts = _count_in_rects(rows, image_dir, image_usable, tol, period, grid_offset)
     kept = [
-        n_in > 0 and not log_nt + _log10_binomial_tail(n_in, k_in, p_align) > params.log_nfa_max
+        n_in > 0 and not log_nt + _log10_binomial_tail(n_in, k_in, p_align) > _LOG_EPS
         for n_in, k_in in zip(*(c.tolist() for c in counts))
     ]
     cx, cy, _, ux, uy, lmin, lmax = rows[np.array(kept, dtype=bool), :7].T

@@ -131,24 +131,20 @@ def write_field_file(path: str | Path, fields: FieldPair) -> None:
     Path(path).write_bytes(header + df.tobytes() + af.tobytes())
 
 
-def read_lines(path: str | Path) -> tuple[list[LineSegment], str | None]:
-    """Parse a CSV of segments, returning (segments, header text or None).
+def read_lines(path: str | Path) -> list[LineSegment]:
+    """Parse a CSV of segments, one ``x1,y1,x2,y2`` record per line.
 
-    A first line starting with '#' is treated as a header and returned
-    without the marker. Blank lines are ignored.
+    A first line starting with '#' is a comment and is skipped. Blank lines
+    are ignored.
 
     Raises:
         ValueError: naming the 1-based line number of any malformed record.
     """
     path = Path(path)
     text = path.read_text()
-    header: str | None = None
     segments: list[LineSegment] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if lineno == 1 and raw.startswith("#"):
-            header = raw[1:]
-            continue
-        if raw.strip() == "":
+        if raw.strip() == "" or (lineno == 1 and raw.startswith("#")):
             continue
         parts = raw.split(",")
         if len(parts) != 4:
@@ -163,27 +159,13 @@ def read_lines(path: str | Path) -> tuple[list[LineSegment], str | None]:
             segments.append(LineSegment((x1, y1), (x2, y2)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return segments, header
+    return segments
 
 
-def write_lines(
-    path: str | Path, lines: Sequence[LineSegment], header: str | None = None
-) -> None:
-    """Write segments as CSV records with full decimal precision.
-
-    Raises:
-        ValueError: when ``header`` holds a line break, which would leave
-            part of it where read_lines expects records.
-    """
-    rows = []
-    if header is not None:
-        if header.splitlines() not in ([], [header]):
-            raise ValueError("header must be a single line")
-        rows.append(f"#{header}")
-    for seg in lines:
-        rows.append(
-            f"{seg.p1.x!r},{seg.p1.y!r},{seg.p2.x!r},{seg.p2.y!r}"
-        )
+def write_lines(path: str | Path, lines: Sequence[LineSegment]) -> None:
+    """Write segments as CSV records with full decimal precision (``repr``),
+    so read_lines gives back the same floats."""
+    rows = [f"{s.p1.x!r},{s.p1.y!r},{s.p2.x!r},{s.p2.y!r}" for s in lines]
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""))
 
 

@@ -171,9 +171,9 @@ def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:
         if fp.r != r:
             raise ValueError("field pairs must share the band radius r")
 
+    n = len(pairs)
     df_stack = np.stack([fp.df.data for fp in pairs])
-    n = df_stack.shape[0]
-    df_stack.sort(axis=0)
+    df_stack.partition((n - 1) // 2, axis=0)  # in place: no second stack
     df_med = df_stack[(n - 1) // 2].copy()  # a view would keep the stack alive
     del df_stack
 

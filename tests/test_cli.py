@@ -124,7 +124,7 @@ class TestDetect:
         out = tmp_path / "det.csv"
         rc = main(["detect", "--fields", str(fields_path), "--out", str(out)])
         assert rc == 0
-        detected, _ = read_lines(out)
+        detected = read_lines(out)
         assert len(detected) == 1
         assert orthogonal_distance(detected[0], GT_SEG) < 1.0
 
@@ -135,7 +135,7 @@ class TestDetect:
             ["detect", "--fields", str(fields_path), "--no-filter", "--out", str(out)]
         )
         assert rc == 0
-        detected, _ = read_lines(out)
+        detected = read_lines(out)
         assert len(detected) >= 1
 
     def test_from_image(self, tmp_path) -> None:
@@ -146,7 +146,7 @@ class TestDetect:
         out = tmp_path / "det.csv"
         rc = main(["detect", "--image", str(img_path), "--out", str(out)])
         assert rc == 0
-        detected, _ = read_lines(out)
+        detected = read_lines(out)
         assert len(detected) == 1
         assert orthogonal_distance(detected[0], LineSegment((32.0, 1.0), (32.0, 63.0))) < 1.0
 
@@ -175,7 +175,7 @@ class TestRefine:
             ]
         )
         assert rc == 0
-        refined, _ = read_lines(out)
+        refined = read_lines(out)
         assert len(refined) == 1
         assert orthogonal_distance(refined[0], GT_SEG) < orthogonal_distance(pert, GT_SEG)
 
@@ -199,7 +199,7 @@ class TestRefine:
             ]
         )
         assert rc == 0
-        refined, _ = read_lines(out)
+        refined = read_lines(out)
         assert len(refined) == 8
         vps, assignment = read_vp_file(vps_out)
         assert len(vps) == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,11 @@ from linefields import (
     render_fields,
     surrogate_gradient,
 )
+from linefields import detector
 
 from util_synth import dense_field_pair, random_segments, square_image, stripe_scene, traced_peak
+
+LSD_CONSTANTS = ("n_bins", "density_threshold", "log_nfa_max")
 
 
 class TestDetectorParams:
@@ -37,8 +40,18 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             DetectorParams(angle_tolerance=math.pi)
 
+    def test_lsd_constants_are_not_fields(self) -> None:
+        # LSD fixes its seed-order bins, density and log10 epsilon; they are
+        # module constants, so no keyword can change them.
+        assert [f.name for f in fields(DetectorParams)] == [
+            "mag_threshold",
+            "angle_tolerance",
+            "angle_period",
+        ]
+        assert (detector._N_BINS, detector._DENSITY, detector._LOG_EPS) == (1024, 0.7, 0.0)
+
     def test_rejects_bad_density(self) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DetectorParams(density_threshold=1.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -47,13 +60,18 @@ class TestDetectorParams:
         ["mag_threshold", "angle_tolerance", "density_threshold", "log_nfa_max", "angle_period"],
     )
     def test_rejects_non_finite(self, name: str, value: float) -> None:
-        # A NaN log_nfa_max used to switch the NFA test off.
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            DetectorParams(**{name: value})
+        # A NaN log_nfa_max once switched the NFA test off; no keyword
+        # reaches LSD's constants now.
+        if name in LSD_CONSTANTS:
+            with pytest.raises(TypeError):
+                DetectorParams(**{name: value})
+        else:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                DetectorParams(**{name: value})
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
     def test_rejects_non_integer_bins(self, value: object) -> None:
-        with pytest.raises(ValueError, match="n_bins must be an integer"):
+        with pytest.raises(TypeError):
             DetectorParams(n_bins=value)
 
 

@@ -15,7 +15,9 @@ fixed-size chunks, and reads log Gamma from a table of ``math.lgamma``
 values. None of that may change the output, so on any grid the two
 must return the same segments, coordinate for coordinate. The oracle
 also counts which branches a grid took, so the fixed scenes can show they
-covered the retry, shrink and NFA paths.
+covered the retry, shrink and NFA paths. It writes out LSD's constants
+(1024 seed-order bins, density 0.7, log10 epsilon 0) as literals rather
+than reading the module's, so it stays an independent reference.
 
 The NFA tail itself is held to scipy's within TAIL_RTOL, relative to
 max(1, |tail|), and exactly where k <= 0 (0) or k > n (-inf): libm's
@@ -201,10 +203,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
     flat_mag = mag.ravel()
     flat_usable = usable2d.ravel()
     usable_idx = np.flatnonzero(flat_usable)
-    bins = np.minimum(
-        (flat_mag[usable_idx] / max_mag * params.n_bins).astype(int),
-        params.n_bins - 1,
-    )
+    bins = np.minimum((flat_mag[usable_idx] / max_mag * 1024).astype(int), 1023)
     seed_order = usable_idx[np.lexsort((usable_idx, -bins))]
 
     ldir = ldir2d.ravel().tolist()
@@ -285,7 +284,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
         if len(region) < min_region_size:
             continue
         rect, xs, ys = fit(region, reg_angle)
-        ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
+        ok = rect is not None and len(region) / (rect.length * rect.width) >= 0.7
 
         if not ok and rect is not None:
             seen["retry"] += 1
@@ -295,7 +294,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
             if len(region) < min_region_size:
                 continue
             rect, xs, ys = fit(region, reg_angle)
-            ok = rect is not None and len(region) / (rect.length * rect.width) >= params.density_threshold
+            ok = rect is not None and len(region) / (rect.length * rect.width) >= 0.7
 
         if not ok and rect is not None:
             seen["shrink"] += 1
@@ -321,7 +320,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
                 if rect2 is None:
                     continue
                 rect = rect2
-                if len(region) / (rect.length * rect.width) >= params.density_threshold:
+                if len(region) / (rect.length * rect.width) >= 0.7:
                     ok = True
                     break
             if len(arr_region) < min_region_size:
@@ -334,7 +333,7 @@ def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=N
         if n_in == 0:
             continue
         log_nfa = log_nt + oracle_log10_tail(n_in, k_in, p_align)
-        if log_nfa > params.log_nfa_max:
+        if log_nfa > 0.0:
             seen["nfa_reject"] += 1
             continue
         seen["accepted"] += 1
@@ -403,15 +402,6 @@ def test_random_grids_match_oracle(h, w, kind, period, offset, threshold, seed):
     mag, ang = make_grid(kind, h, w, seed)
     params = DetectorParams(angle_period=period, mag_threshold=threshold)
     assert_matches_oracle(mag, ang, params, offset)
-
-
-@pytest.mark.parametrize("n_bins", [1 << 15, (1 << 15) + 1, 1 << 20])
-def test_wide_seed_keys_match_oracle(n_bins):
-    """Bin counts at and above the 16-bit key range."""
-    mag, ang = make_grid("bars", 40, 40, n_bins)
-    for period in (TWO_PI, math.pi):
-        params = DetectorParams(angle_period=period, n_bins=n_bins)
-        assert_matches_oracle(mag, ang, params, 1.0)
 
 
 def test_pseudo_gt_warps_match_oracle():
@@ -535,15 +525,16 @@ def test_fit_rect_matches_oracle(n, spread, log_w, period, offset, seed):
     length=st.floats(1e-12, 200.0),
     wmin=st.floats(-20.0, 0.0),
     width=st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 40.0),
-    threshold=st.sampled_from([0.7, 0.5, 1.0]),
 )
-@example(n=7, lmin=0.0, length=10.0, wmin=0.0, width=0.5, threshold=0.7)  # 7 / 10 is 0.7
-@example(n=6, lmin=-1.0, length=4.0, wmin=-1.0, width=3.0, threshold=0.5)  # 6 / 12 is 0.5
-def test_density_gate_matches_frozen_rectangle(n, lmin, length, wmin, width, threshold):
+@example(n=7, lmin=0.0, length=10.0, wmin=0.0, width=0.5)  # 7 / 10 is 0.7
+@example(n=14, lmin=-1.0, length=4.0, wmin=-1.0, width=5.0)  # 14 / 20 is 0.7
+@example(n=13, lmin=-1.0, length=4.0, wmin=-1.0, width=5.0)  # 13 / 20 is 0.65
+def test_density_gate_matches_frozen_rectangle(n, lmin, length, wmin, width):
+    """The gate at LSD's density 0.7, written out here."""
     rect = _Rect(3.0, 4.0, 0.5, lmin, lmin + length, wmin, wmin + width)
     assume(rect.length >= 1e-12)
-    want = n / (rect.length * rect.width) >= threshold
-    assert _dense(n, rows_of([rect])[0].tolist(), threshold) == want
+    want = n / (rect.length * rect.width) >= 0.7
+    assert _dense(n, rows_of([rect])[0].tolist()) == want
 
 
 # ------------------------------------------------------------ NFA counts
