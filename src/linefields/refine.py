@@ -9,8 +9,8 @@ a set are refined as one batch with per-line damping, VP and stopping
 state; per-line numbers come only from elementwise operations and row-wise
 reductions, so a line refines bit for bit the same alone as in any batch.
 That independence lets an iteration score every damping level of every
-line in one call and keep, per line, the first level that went downhill:
-the same step a level-by-level search takes.
+line, and a doubled least-damped step, in one call and keep, per line,
+the lowest-cost row that went downhill.
 Joint refinement alternates line refinement, vanishing point
 re-estimation, and re-association.
 """
@@ -45,7 +45,7 @@ __all__ = [
 # A line's 8 central-difference probes, in angle and lateral probe sizes.
 _PROBE_A = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _PROBE_T = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-_MAX_BOOSTS = 14  # damping levels tried per iteration: mu, 10 mu, ...
+_MAX_BOOSTS = 14  # damping levels mu, 10 mu, ... per iteration, after 2x the mu step
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,9 @@ def _refine_lines(
     holds one VanishingPoint or None per line; ``tables`` is
     _sampling_tables(fp), built here when not given. Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
-    on the trial steps of all _MAX_BOOSTS damping levels of every line
+    on the doubled step and all _MAX_BOOSTS damping levels of every line
     that probed inside the field (one _damping_ladder call). Each line
-    takes its first downhill level, so the rules are per line, as
+    takes its lowest-cost downhill row, so the rules are per line, as
     described in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(rows, vps)
@@ -218,9 +218,9 @@ def _refine_lines(
             t_th = theta[a, None] + d0
             t_mx = mx[a, None] + d1 * nx[:, None]
             t_my = my[a, None] + d1 * ny[:, None]
-            rows = np.repeat(a, _MAX_BOOSTS)
+            rows = np.repeat(a, delta.shape[1])
             cost = costs(rows, t_th.ravel(), t_mx.ravel(), t_my.ravel())
-            return cost.reshape(len(a), _MAX_BOOSTS), t_th, t_mx, t_my, d0, d1
+            return cost.reshape(delta.shape[:2]), t_th, t_mx, t_my, d0, d1
 
         stepped, mu_next, *moved, d0, d1 = _damping_ladder(
             hess, damp, g, mu[a], f0, _MAX_BOOSTS, trial
@@ -255,11 +255,12 @@ def refine_line(
     Two degrees of freedom: rotation about the midpoint and translation
     along the current normal. Damped Newton steps with central-difference
     derivatives (probe size fd_step, the angle probe scaled to move the
-    endpoints by the same amount), up to 14 damping levels per iteration;
-    uphill steps are rejected, so the final cost never exceeds the initial
-    one. Converged means the last step was below tol or gained under 1e-14
-    relative, or no damping level went downhill; a probe leaving the field
-    stops the line unconverged. A given vanishing point always adds its
+    endpoints by the same amount). Each iteration takes the lowest-cost
+    downhill step among 14 damping levels and the doubled least-damped
+    step (the kink case of _damping_ladder), so the cost never rises.
+    Converged means the last step was below tol or gained under 1e-14
+    relative, or no step went downhill; a probe leaving the field stops
+    the line unconverged. A given vanishing point always adds its
     term, however far it lies; association is the caller's choice, as in
     refine_joint. This runs the batched solver of refine_joint on one line,
     with bitwise the same result.

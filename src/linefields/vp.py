@@ -36,7 +36,7 @@ __all__ = [
 VpAssignment = list  # list[int | None]
 
 _SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
-_VP_LEVELS = 12  # damping levels refine_vp tries per iteration: mu, 10 mu, ...
+_VP_LEVELS = 12  # refine_vp damping levels mu, 10 mu, ..., after 2x the mu step
 _VP_MAX_ITER = 100  # refine_vp iterations
 _VP_TOL = 1e-12  # refine_vp step size and relative gain convergence threshold
 
@@ -156,12 +156,16 @@ def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
     System k is damped at mu[k], 10 mu[k], ... (``levels`` of them, each
     the one before times 10, as raising mu level by level does): the
     (n, 2, 2) hess[k] + mu_level damp[k] are solved against -g[k] as one
-    _solve_2x2 stack. ``trial`` maps the (n, levels, 2) steps to their
-    (n, levels) costs followed by any per-step (n, levels, ...) arrays.
-    System k steps at its first level that solved, costs a finite amount
-    and goes below f0[k]; one with no such level has converged. Returns
-    the stepped mask and, for the systems that stepped, the next mu (that
-    level's mu / 3, at least 1e-12) and the entries of ``trial`` there.
+    _solve_2x2 stack; row 0, before them, doubles the mu[k] step. At
+    d << h from a kink J |x - k| of the cost, central differences of step
+    h give slope J d / h and curvature 2 J / h: the Newton step goes d / 2
+    and the doubled one lands on the kink (on a quadratic, on the mirror
+    point at cost f0[k]). ``trial`` maps the (n, levels + 1, 2) steps to
+    their costs followed by any per-step arrays. System k steps at its
+    lowest-cost row (the first on ties) among those that solved, cost a
+    finite amount and go below f0[k]; one with no such row has converged.
+    Returns the stepped mask and, for the systems that stepped, the next
+    mu (that row's mu / 3, at least 1e-12) and the entries of ``trial``.
     """
     n = len(g)
     mus = np.full((n, levels), 10.0)
@@ -169,11 +173,15 @@ def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
     mus = np.cumprod(mus, axis=1)
     lhs = hess[:, None] + mus[:, :, None, None] * damp[:, None]
     delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), np.repeat(-g, levels, axis=0))
-    cost, *steps = trial(delta.reshape(n, levels, 2))
-    down = solved.reshape(n, levels) & np.isfinite(cost) & (cost < f0[:, None])
+    rows = np.r_[0, :levels]  # row 0: the first level again, its step doubled
+    delta = delta.reshape(n, levels, 2)[:, rows]
+    delta[:, 0] *= 2.0
+    cost, *steps = trial(delta)
+    down = solved.reshape(n, levels)[:, rows] & np.isfinite(cost) & (cost < f0[:, None])
     stepped = down.any(axis=1)
-    r, lvl = np.flatnonzero(stepped), np.argmax(down[stepped], axis=1)  # first downhill level
-    return stepped, np.maximum(mus[r, lvl] / 3.0, 1e-12), cost[r, lvl], *(s[r, lvl] for s in steps)
+    r, row = np.flatnonzero(stepped), np.argmin(np.where(down, cost, np.inf)[stepped], axis=1)
+    mu_next = np.maximum(mus[r, rows[row]] / 3.0, 1e-12)
+    return stepped, mu_next, cost[r, row], *(s[r, row] for s in steps)
 
 
 def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output: bool = False):
@@ -183,9 +191,10 @@ def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output:
     central-difference Jacobian, uphill steps rejected. Residuals carry
     the side sign (squaring removes it from the cost) so the Jacobian
     stays meaningful where segments cross the joining line. Each iteration
-    scores its _VP_LEVELS damping levels in one _damping_ladder call.
-    Converged means the gradient vanished, the step or its relative gain
-    fell below _VP_TOL, or no level went downhill. Returns the best
+    scores the doubled step and _VP_LEVELS damping levels in one
+    _damping_ladder call and takes the lowest-cost downhill row. Converged
+    means the gradient vanished, the step or its relative gain fell below
+    _VP_TOL, or no row went downhill. Returns the best
     iterate; with ``full_output=True`` returns (vp, cost, converged).
 
     Raises:

@@ -28,7 +28,9 @@ def test_equal_files_exit_0(tmp_path, capsys) -> None:
     a = write(tmp_path / "a.json", 7, DIGESTS)
     b = write(tmp_path / "b.json", 7, DIGESTS)
     assert pool_digests.main(["--compare", str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "0 of 4 digests differ\n"
+    assert capsys.readouterr().out == (
+        "pseudo_gt: 0 of 3 differ\ntwo_view: 0 of 1 differ\n0 of 4 digests differ\n"
+    )
 
 
 def test_one_changed_digest_exits_1_and_names_its_output(tmp_path, capsys) -> None:
@@ -36,7 +38,8 @@ def test_one_changed_digest_exits_1_and_names_its_output(tmp_path, capsys) -> No
     b = write(tmp_path / "b.json", 7, {**DIGESTS, "pseudo_gt/scene01/lines.csv": "ee"})
     assert pool_digests.main(["--compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out == (
-        "pseudo_gt  lines.csv: differs in 1 of 2 scenes\n1 of 4 digests differ\n"
+        "pseudo_gt  lines.csv: differs in 1 of 2 scenes\n"
+        "pseudo_gt: 1 of 3 differ\ntwo_view: 0 of 1 differ\n1 of 4 digests differ\n"
     )
 
 

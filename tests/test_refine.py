@@ -160,6 +160,22 @@ class TestRefineLine:
         assert math.isclose(out.length, pert.length, abs_tol=1e-9)
         assert cost <= line_cost(pert, fp)
 
+    @pytest.mark.parametrize(
+        "shift, turn, max_iter",
+        [(0.02, 0.0, 6), (0.0, 0.002, 16)],
+        ids=["lateral_0.02px", "rotated_0.002rad"],
+    )
+    def test_lands_on_the_df_kink_in_few_iterations(self, shift, turn, max_iter) -> None:
+        # Near the line DF is V-shaped and central differences see half its
+        # slope, so plain Newton steps would only halve the distance.
+        c, s = 30.0 * math.cos(turn), 30.0 * math.sin(turn)
+        seg = LineSegment((50.5 - c, 30.5 + shift - s), (50.5 + c, 30.5 + shift + s))
+        params = RefineParams(max_iter=max_iter)
+        out, _, converged = refine_line(seg, make_fp(), params=params, full_output=True)
+        assert converged
+        if turn == 0.0:
+            assert abs(out.p1.y - 30.5) <= 1e-6 and abs(out.p2.y - 30.5) <= 1e-6
+
     def test_cost_never_increases(self) -> None:
         fp = make_fp()
         rng = np.random.default_rng(52)

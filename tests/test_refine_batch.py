@@ -131,9 +131,9 @@ def test_singular_line_boosts_once_while_the_others_step(monkeypatch: pytest.Mon
     first = recording_solve(monkeypatch, lambda lhs, rhs: False)
     refine_rows([CHOSEN])
     rhs0 = first["single"][0][1]
-    # The system of the chosen line's first accepted step: the lowest
-    # damping level tried with its first gradient whose failure changes the
-    # line's path. Lower levels were rejected anyway, higher ones unused.
+    # The system of the chosen line's first accepted step: the damping
+    # level, with its first gradient, whose failure changes the line's path.
+    # Its row had the lowest downhill cost; failing any other level is moot.
     for lhs1 in [lhs for lhs, rhs in first["single"] if np.array_equal(rhs, rhs0)]:
 
         def poisoned(lhs, rhs, lhs1=lhs1):

@@ -12,10 +12,12 @@ itself is checked for distinct in-range rows, for blocks that continue
 one stream, and for seeded reruns; no module of the package may call
 numpy's ``choice``.
 
-``oracle_refine_vp`` is refine_vp before it shared the damping ladder of
-line refinement: per iteration one solve, one trial vector and one cost
-per damping level, tried in order. refine_vp scores all levels as one
-stack, and must return the same VP bits, cost bits and convergence flag.
+``oracle_refine_vp`` is refine_vp without the damping ladder it shares
+with line refinement: per iteration one solve per damping level, in
+order, and one trial vector and cost per row (the doubled level-0 step,
+then each level), keeping the lowest cost below the start seen so far,
+the first on ties. refine_vp scores all rows as one stack, and must
+return the same VP bits, cost bits and convergence flag.
 """
 
 from __future__ import annotations
@@ -322,9 +324,10 @@ def test_tangent_basis_matches_np_cross(axis, ideal, mags, signs, small) -> None
 
 
 def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
-    """refine_vp before the shared damping ladder: per iteration, one
-    np.linalg.solve, one trial vector and one cost per damping level, tried
-    in order until one goes downhill. Returns (vector, cost, converged)."""
+    """refine_vp without the shared damping ladder: per iteration, one
+    np.linalg.solve per damping level and one trial vector and cost per
+    row, the doubled level-0 step first; the lowest-cost downhill row is
+    taken. Returns (vector, cost, converged)."""
     mids = np.array([[seg.midpoint.x, seg.midpoint.y] for seg in inliers])
     e1p = np.array([[seg.p1.x, seg.p1.y] for seg in inliers])
     e2p = np.array([[seg.p2.x, seg.p2.y] for seg in inliers])
@@ -365,36 +368,38 @@ def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
             break
         jtj = jac.T @ jac
         damp_scale = np.maximum(np.diag(jtj), 1e-12)
-        stepped = False
+        # The doubled level-0 step first, then every level; keep the
+        # lowest cost below the start seen so far (the first on ties).
+        best = None
+        best_cost = cost
+        level_mu = mu
         for level in range(12):
             try:
-                delta = np.linalg.solve(jtj + mu * np.diag(damp_scale), -g)
+                delta = np.linalg.solve(jtj + level_mu * np.diag(damp_scale), -g)
             except np.linalg.LinAlgError:
                 seen["singular"] += 1
-                mu *= 10.0
+                level_mu *= 10.0
                 continue
-            trial = at(float(delta[0]), float(delta[1]))
-            trial_res = residuals(trial)
-            trial_cost = float(trial_res @ trial_res)
-            if math.isfinite(trial_cost) and trial_cost < cost:
-                seen[f"level_{level}"] += 1
-                step = float(np.linalg.norm(delta))
-                cur = trial
-                res = trial_res
-                improvement = cost - trial_cost
-                cost = trial_cost
-                mu = max(mu / 3.0, 1e-12)
-                stepped = True
-                if step < tol or improvement < tol * max(cost, 1.0):
-                    seen["small_step"] += 1
-                    converged = True
-                break
-            mu *= 10.0
-        if not stepped:
+            for name, d in (("doubled", 2.0 * delta), (f"level_{level}", delta))[level > 0:]:
+                trial = at(float(d[0]), float(d[1]))
+                trial_res = residuals(trial)
+                trial_cost = float(trial_res @ trial_res)
+                if math.isfinite(trial_cost) and trial_cost < best_cost:
+                    best = (name, d, trial, trial_res, level_mu)
+                    best_cost = trial_cost
+            level_mu *= 10.0
+        if best is None:
             seen["no_downhill"] += 1
             converged = True
             break
-        if converged:
+        name, delta, cur, res, level_mu = best
+        seen[name] += 1
+        improvement = cost - best_cost
+        cost = best_cost
+        mu = max(level_mu / 3.0, 1e-12)
+        if float(np.linalg.norm(delta)) < tol or improvement < tol * max(cost, 1.0):
+            seen["small_step"] += 1
+            converged = True
             break
     return cur, cost, converged
 
@@ -441,7 +446,7 @@ VP_KINDS = {
     jitter=st.sampled_from([0.0, 1e-4, 1e-2]),
 )
 @example(seed=0, kind="ideal", n=2, noise=0.0, outliers=0, jitter=1e-2)
-@example(seed=6, kind="finite_near", n=10, noise=0.0, outliers=1, jitter=1e-2)  # hits max_iter
+@example(seed=50, kind="finite_near", n=10, noise=0.3, outliers=1, jitter=1e-2)  # hits max_iter
 def test_refine_vp_matches_level_by_level_loop(seed, kind, n, noise, outliers, jitter) -> None:
     start, lines = pencil_with_outliers(seed, VP_KINDS[kind], n, noise, outliers, jitter)
     assert_same_refine(start, lines)
@@ -449,7 +454,7 @@ def test_refine_vp_matches_level_by_level_loop(seed, kind, n, noise, outliers, j
 
 def test_refine_vp_no_downhill_level() -> None:
     # Noisy lines settle where no damping level improves the cost.
-    start, lines = pencil_with_outliers(1, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2)
+    start, lines = pencil_with_outliers(51, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2)
     seen = assert_same_refine(start, lines)
     assert seen["no_downhill"] == 1
 
@@ -477,7 +482,7 @@ def test_refine_vp_with_a_singular_level(monkeypatch: pytest.MonkeyPatch) -> Non
         m.setattr(np.linalg, "solve", record)
         seen = Counter()
         oracle_refine_vp(start, lines, seen, max_iter=1)
-    assert seen["level_0"] == 1 and len(first_ladder) == 1
+    assert seen["level_0"] == 1 and len(first_ladder) == 12  # every level is solved
     clean = refine_vp(start, lines)
 
     def solve(lhs, rhs):

@@ -11,8 +11,9 @@ one sha256 per output file and per command's stdout as JSON. ``--src``
 names the source tree whose ``linefields`` runs (default: this checkout's
 ``src``), so one checkout can digest another's program on the same scenes.
 ``--compare`` lists, per workload, the outputs whose digests differ and in
-how many scenes; it exits 1 when any differs, and 2 when the two files
-digest different seeds. Nothing under ``perfbench/`` is changed.
+how many scenes, then one ``workload: d of n differ`` total per workload
+digested; it exits 1 when any differs, and 2 when the two files digest
+different seeds. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ def compare(a_path: Path, b_path: Path) -> int:
     only = sorted(a.keys() ^ b.keys())
     for k in only:
         print(f"only in {a_path if k in a else b_path}: {k}")
+    digested = Counter(k.split("/")[0] for k in a.keys() | b.keys())
+    differing = Counter(k.split("/")[0] for k in differ)
+    for workload, n in sorted(digested.items()):
+        print(f"{workload}: {differing[workload]} of {n} differ")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} digests differ")
     return 1 if differ else 0
 
