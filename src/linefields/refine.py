@@ -4,13 +4,13 @@ A line is scored by sampling the fields along it: an angular agreement
 term, a mean distance term, and optionally the distance to an associated
 vanishing point. Each line is optimized over two degrees of freedom
 (rotation about its midpoint and lateral translation, length fixed) with a
-damped Newton scheme that only ever accepts downhill steps. All lines of
-a set are refined as one batch with per-line damping, VP and stopping
-state; per-line numbers come only from elementwise operations and row-wise
-reductions, so a line refines bit for bit the same alone as in any batch.
-That independence lets an iteration score every damping level of every
-line, and a doubled least-damped step, in one call and keep, per line,
-the lowest-cost row that went downhill.
+Newton scheme, damped in endpoint pixels, that only ever accepts downhill
+steps. All lines of a set are refined as one batch with per-line damping,
+VP and stopping state; per-line numbers come only from elementwise
+operations and row-wise reductions, so a line refines bit for bit the
+same alone as in any batch. That independence lets an iteration score
+every damping level of every line, and a doubled least-damped step, in
+one call and keep, per line, the lowest-cost row that went downhill.
 Joint refinement alternates line refinement, vanishing point
 re-estimation, and re-association.
 """
@@ -45,7 +45,9 @@ __all__ = [
 # A line's 8 central-difference probes, in angle and lateral probe sizes.
 _PROBE_A = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _PROBE_T = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-_MAX_BOOSTS = 14  # damping levels mu, 10 mu, ... per iteration, after 2x the mu step
+# Damping levels mu, 10 mu, ..., 1e5 mu per iteration, after 2x the mu step;
+# in endpoint pixels, levels above 1e5 mu hardly ever decide a step.
+_MAX_BOOSTS = 6
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,11 @@ def _refine_lines(
     _sampling_tables(fp), built here when not given. Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
     on the doubled step and all _MAX_BOOSTS damping levels of every line
-    that probed inside the field (one _damping_ladder call). Each line
-    takes its lowest-cost downhill row, so the rules are per line, as
-    described in refine_line.
+    that probed inside the field (one _damping_ladder call). Lines are
+    damped by diag(max(half length, 1)^2, 1), in endpoint pixels as the step
+    test measures: damping by |H| sees H_tt ~ 0 on the flat DF off a line,
+    drives mu up there and then crawls at the kink. Each line takes its
+    lowest-cost downhill row, so the rules are per line, as in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(rows, vps)
     if tables is None:
@@ -183,6 +187,8 @@ def _refine_lines(
     evaluable = np.flatnonzero(np.isfinite(f))
     h_t = params.fd_step
     h_a = params.fd_step / np.maximum(half_len, params.fd_step)
+    scale = np.maximum(half_len, 1.0)  # endpoint pixels per radian
+    metric = np.stack([scale * scale, np.ones_like(scale)], axis=1)[:, :, None] * np.eye(2)
     mu = np.full(len(rows), 1e-3)
     converged = np.zeros(len(rows), dtype=bool)
     active = evaluable
@@ -207,9 +213,6 @@ def _refine_lines(
         htt = (ft_p - 2.0 * f0 + ft_m) / (h_t * h_t)
         hat = (fpp - fpm - fmp + fmm) / (4.0 * ha * h_t)
         hess = np.stack([haa, hat, hat, htt], axis=1).reshape(-1, 2, 2)
-        damp = np.zeros_like(hess)
-        damp[:, 0, 0] = np.maximum(np.abs(haa), 1e-8)
-        damp[:, 1, 1] = np.maximum(np.abs(htt), 1e-8)
 
         def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
             d0, d1 = delta.transpose(2, 0, 1)
@@ -223,13 +226,13 @@ def _refine_lines(
             return cost.reshape(delta.shape[:2]), t_th, t_mx, t_my, d0, d1
 
         stepped, mu_next, *moved, d0, d1 = _damping_ladder(
-            hess, damp, g, mu[a], f0, _MAX_BOOSTS, trial
+            hess, metric[a], g, mu[a], f0, _MAX_BOOSTS, trial
         )
         j = a[stepped]
         improvement = f0[stepped] - moved[0]
         f[j], theta[j], mx[j], my[j] = moved
         mu[j] = mu_next
-        step = np.hypot(d0 * np.maximum(half_len[j], 1.0), d1)
+        step = np.hypot(d0 * scale[j], d1)
         converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]
@@ -256,8 +259,8 @@ def refine_line(
     along the current normal. Damped Newton steps with central-difference
     derivatives (probe size fd_step, the angle probe scaled to move the
     endpoints by the same amount). Each iteration takes the lowest-cost
-    downhill step among 14 damping levels and the doubled least-damped
-    step (the kink case of _damping_ladder), so the cost never rises.
+    downhill step among 6 damping levels, in endpoint pixels, and the doubled
+    least-damped step (the kink case of _damping_ladder), so the cost never rises.
     Converged means the last step was below tol or gained under 1e-14
     relative, or no step went downhill; a probe leaving the field stops
     the line unconverged. A given vanishing point always adds its

@@ -312,10 +312,10 @@ def fit_vps(
     """Greedy sequential multi-model vanishing point fitting.
 
     Each round draws ransac_iters 2-line candidates from the unassigned
-    lines (_draws) and scores them by the total length of lines with
-    d_vp below t_vp. Candidates with fewer than min_support inliers are
-    never acceptable, so they cannot outrank a valid model; the best
-    acceptable one is refined and its inliers leave the pool.
+    lines (_draws) and scores each distinct pair once by the total length
+    of lines with d_vp below t_vp. Candidates with fewer than min_support
+    inliers are never acceptable, so they cannot outrank a valid model;
+    the best acceptable one is refined and its inliers leave the pool.
     Deterministic given params.seed. Every assigned line satisfies
     d_vp < t_vp against its model.
     """
@@ -336,11 +336,17 @@ def fit_vps(
         # Candidates are drawn, crossed and scored in chunks of at most
         # _SCORE_ELEMENTS d_vp entries, in stream order, so memory does not
         # grow with ransac_iters.
-        best, best_len = None, 0.0
+        best, best_len, seen = None, 0.0, np.empty(0, dtype=np.intp)
         rows = max(1, _SCORE_ELEMENTS // len(remaining))
         for start in range(0, params.ransac_iters, rows):
             count = min(rows, params.ransac_iters - start)
-            pairs = remaining[_draws(rng, len(remaining), 2, count)]
+            draws = _draws(rng, len(remaining), 2, count)
+            # A pair drawn again, in either order, has the same d_vp bits: it cannot win.
+            code = draws.min(axis=1) * len(remaining) + draws.max(axis=1)
+            first = np.unique(code, return_index=True)[1]
+            first = np.sort(first[~np.isin(code[first], seen)])
+            seen = np.union1d(seen, code[first])
+            pairs = remaining[draws[first]]
             k, best_len = _best_candidate(
                 np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params, best_len
             )

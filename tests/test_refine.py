@@ -7,6 +7,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linefields import (
     LineSegment,
@@ -175,6 +177,24 @@ class TestRefineLine:
         assert converged
         if turn == 0.0:
             assert abs(out.p1.y - 30.5) <= 1e-6 and abs(out.p2.y - 30.5) <= 1e-6
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shift=st.floats(-3.5, 3.5),
+        turn=st.floats(-0.05, 0.05),
+        slide=st.floats(-5.0, 5.0),
+    )
+    @example(shift=2.5, turn=0.05, slide=0.0)
+    @example(shift=1.5, turn=0.02, slide=0.0)
+    def test_converges_onto_the_line_from_nearby_poses(self, shift, turn, slide) -> None:
+        # Off the line DF is flat (H_tt ~ 0) up to the kink: damping must not
+        # grow there until the line stops short of the kink as converged.
+        c, s = 30.0 * math.cos(turn), 30.0 * math.sin(turn)
+        mx, my = 50.5 + slide * math.cos(turn), 30.5 + shift + slide * math.sin(turn)
+        seg = LineSegment((mx - c, my - s), (mx + c, my + s))
+        out, _, converged = refine_line(seg, make_fp(), full_output=True)
+        assert converged
+        assert abs(out.p1.y - 30.5) <= 1e-6 and abs(out.p2.y - 30.5) <= 1e-6
 
     def test_cost_never_increases(self) -> None:
         fp = make_fp()

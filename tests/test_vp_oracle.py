@@ -6,7 +6,9 @@ scores a round's candidates as one matrix but draws from the RNG in the
 same order, so on any input the two must agree bit for bit: the same
 models, in the same order, and the same assignment. The reference draws
 one pair per iteration through ``_draws(rng, m, 2, 1)``; fit_vps draws a
-chunk of pairs per call. The reference also counts which branches a scene
+chunk of pairs per call and scores only a pair's first draw in a round
+(a repeat, in either order, has the same d_vp bits and cannot win a
+strict comparison). The reference also counts which branches a scene
 took, so each test can show it covered the case it names. The sampler
 itself is checked for distinct in-range rows, for blocks that continue
 one stream, and for seeded reruns; no module of the package may call
@@ -172,6 +174,20 @@ def test_matches_reference_when_scored_in_many_chunks(monkeypatch: pytest.Monkey
     # About two candidates per chunk: chunk edges must not change the winner.
     monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", 2 * len(lines))
     assert_same_fit(lines, VpParams(seed=6, ransac_iters=100))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 40])
+def test_matches_reference_when_most_draws_repeat(monkeypatch, chunk_rows) -> None:
+    # 8 lines have 28 pairs, so almost all of 5000 draws repeat one; with
+    # 40 rows per chunk, repeats span chunks and later chunks hold none new.
+    rng = np.random.default_rng(14)
+    lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 6, noise=0.3)
+    lines += [LineSegment((10.0, 200.0), (40.0, 240.0)), LineSegment((200.0, 20.0), (150.0, 60.0))]
+    if chunk_rows:
+        monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", chunk_rows * len(lines))
+    draws = _draws(np.random.default_rng(1), len(lines), 2, 5000)
+    assert len(np.unique(np.sort(draws, axis=1), axis=0)) == 28
+    assert_same_fit(lines, VpParams(seed=1, ransac_iters=5000))
 
 
 def test_matches_reference_when_the_last_round_has_two_lines() -> None:
