@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorParams, FilterParams, detect
+from .detector import detect
 from .evaluate import (
     EvalParams,
     corner_error,
@@ -39,7 +39,7 @@ from .io import (
     write_lines,
     write_vp_file,
 )
-from .pseudo_gt import HomographySamplerParams, generate_pseudo_gt
+from .pseudo_gt import generate_pseudo_gt
 # refine_line stays a name of this module: perfbench's tracer hooks it here.
 from .refine import RefineParams, _refine_lines, refine_joint, refine_line  # noqa: F401
 from .vp import VpParams, fit_vps
@@ -58,14 +58,7 @@ def _cmd_gen_fields(args: argparse.Namespace) -> int:
 def _cmd_gen_gt(args: argparse.Namespace) -> int:
     _stored_r(args.r)
     image = read_pgm(args.image).astype(np.float64)
-    fields = generate_pseudo_gt(
-        image,
-        args.num_homographies,
-        DetectorParams(),
-        HomographySamplerParams(),
-        r=args.r,
-        seed=args.seed,
-    )
+    fields = generate_pseudo_gt(image, args.num_homographies, r=args.r, seed=args.seed)
     write_field_file(args.out, fields)
     return 0
 
@@ -76,11 +69,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     fields = None if args.fields is None else read_field_file(args.fields)
     image = None if args.image is None else read_pgm(args.image).astype(np.float64)
     if fields is None:
-        lines = detect(image, DetectorParams())
+        lines = detect(image)
     else:
-        lines = detect(
-            fields, DetectorParams(), FilterParams(), image=image, apply_filter=not args.no_filter
-        )
+        lines = detect(fields, image=image, apply_filter=not args.no_filter)
     write_lines(args.out, lines)
     return 0
 

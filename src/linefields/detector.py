@@ -30,17 +30,16 @@ Two input flavors are supported: classical image gradients, and surrogate
 magnitude/angle grids derived from attraction fields. Both feed the same
 extractor; only the grid placement differs (a 2x2 gradient estimate sits
 at the block center, a field value at the pixel center) and so does the
-magnitude threshold. Field mode uses ``mag_threshold``; image mode uses
-LSD's rho = q / sin(tau) with q = 2, the gradient error that 8-bit
-quantization can cause, so pixels whose angle that error could swing by
-more than the tolerance neither seed nor join a region.
+magnitude threshold. Field mode seeds at 3.0 on the surrogate magnitude;
+image mode at LSD's rho = q / sin(tau) with q = 2, the gradient error that
+8-bit quantization can cause, so pixels whose angle that error could swing
+by more than the tolerance neither seed nor join a region.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +57,6 @@ from .geometry import (
     _angles,
     _circular,
     _clip_segments,
-    _require_finite,
     _rows,
     _segments,
     _signed_circular,
@@ -66,8 +64,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "DetectorParams",
-    "FilterParams",
     "image_gradient",
     "lsd_extract",
     "filter_lines",
@@ -76,55 +72,23 @@ __all__ = [
 
 _NFA_ELEMENTS = 1 << 13  # candidate pixels the NFA count tests at once
 _LONELY_ELEMENTS = 1 << 13  # usable pixels the lonely-seed test takes at once
-# LSD's bound on the gradient error of 8-bit quantization (von Gioi et al.,
-# IPOL 2012); image mode's threshold is rho = _LSD_Q / sin(angle_tolerance).
-_LSD_Q = 2.0
-# LSD's fixed seed-order bins, rectangle density and log10 epsilon (ibid.).
+# LSD's fixed seed-order bins, rectangle density, log10 epsilon and angle
+# tolerance tau, 22.5 deg (von Gioi et al., IPOL 2012).
 _N_BINS = 1024
 _DENSITY = 0.7
 _LOG_EPS = 0.0
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Knobs of the region-growing extractor. LSD's fixed constants are
-    module constants: _N_BINS, _DENSITY and _LOG_EPS."""
-
-    # Field mode: surrogate magnitudes below this never seed or join. Image
-    # mode ignores it and uses LSD's rho = 2 / sin(angle_tolerance) instead.
-    mag_threshold: float = 3.0
-    angle_tolerance: float = math.pi / 8.0  # 22.5 deg growing tolerance
-    angle_period: float = TWO_PI  # 2*pi oriented angles, pi unoriented
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.mag_threshold < 0.0:
-            raise ValueError("mag_threshold must be non-negative")
-        if not (0.0 < self.angle_tolerance < 0.5 * math.pi):
-            raise ValueError("angle_tolerance must lie in (0, pi/2)")
-        if self.angle_period <= 0.0:
-            raise ValueError("angle_period must be positive")
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Acceptance test of detections against a reference field pair."""
-
-    n_samples: int = 50  # points checked along each candidate
-    eta_df: float = 1.5  # max distance-field value at an agreeing sample
-    eta_theta: float = math.pi / 9.0  # max angular deviation, 20 deg
-    min_inlier_frac: float = 0.5  # keep when this fraction of samples agrees
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
-        if self.eta_df <= 0.0:
-            raise ValueError("eta_df must be positive")
-        if not (0.0 < self.eta_theta <= 0.5 * math.pi):
-            raise ValueError("eta_theta must lie in (0, pi/2]")
-        if not (0.0 < self.min_inlier_frac <= 1.0):
-            raise ValueError("min_inlier_frac must lie in (0, 1]")
+_TAU = math.pi / 8.0
+# LSD's bound on the gradient error of 8-bit quantization (ibid.), and
+# image mode's threshold rho = q / sin(tau), 5.23.
+_LSD_Q = 2.0
+_RHO = _LSD_Q / math.sin(_TAU)
+# filter_lines samples each candidate at _FILTER_SAMPLES points; a sample
+# agrees when the DF stays below _ETA_DF and the AF within _ETA_THETA
+# (20 deg) of the line, and a line is kept when _MIN_INLIER_FRAC agree.
+_FILTER_SAMPLES = 50
+_ETA_DF = 1.5
+_ETA_THETA = math.pi / 9.0
+_MIN_INLIER_FRAC = 0.5
 
 
 def image_gradient(image: np.ndarray) -> tuple[ScalarField, ScalarField]:
@@ -359,39 +323,42 @@ def _lonely(
 def lsd_extract(
     magnitude: ScalarField,
     angle: ScalarField,
-    params: DetectorParams | None = None,
     *,
+    threshold: float = 3.0,
+    period: float = TWO_PI,
     grid_offset: float = 0.5,
 ) -> list[LineSegment]:
     """Extract line segments from a magnitude/angle grid.
 
-    ``angle`` uses the gradient convention: the local line direction is the
-    given angle plus pi/2. Comparisons are circular with period
-    ``params.angle_period`` (2*pi keeps orientation, pi ignores it).
-    ``grid_offset`` places grid entry (ix, iy) at image point
-    (ix + offset, iy + offset); emitted segments are in image coordinates.
-    Output is deterministic: no randomness is involved.
+    Pixels whose magnitude is below ``threshold`` neither seed nor join a
+    region. ``angle`` uses the gradient convention: the local line
+    direction is the given angle plus pi/2. Comparisons are circular with
+    period ``period`` (2*pi keeps orientation, pi ignores it), which must
+    exceed twice the tolerance tau. ``grid_offset`` places grid entry
+    (ix, iy) at image point (ix + offset, iy + offset); emitted segments
+    are in image coordinates. Output is deterministic: no randomness is
+    involved.
     """
-    params = params or DetectorParams()
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold!r}")
+    if not (math.isfinite(period) and period > 2.0 * _TAU):
+        raise ValueError(f"period must be finite and above 2 tau (pi/4), got {period!r}")
     if magnitude.data.shape != angle.data.shape:
         raise ValueError("magnitude and angle grids must share a shape")
     h, w = magnitude.data.shape
-    period = params.angle_period
-    tol = params.angle_tolerance
+    tol = _TAU
     half = 0.5 * period
     # Circular angle statistics need unit vectors of k*angle where k wraps
     # the native period onto the full circle.
     k = TWO_PI / period
 
     mag = magnitude.data
-    usable_idx = np.flatnonzero(mag >= params.mag_threshold)
+    usable_idx = np.flatnonzero(mag >= threshold)
     max_mag = float(mag.max(initial=0.0))
     if max_mag <= 0.0 or len(usable_idx) == 0:
         return []
 
     p_align = 2.0 * tol / period
-    if p_align >= 1.0:
-        raise ValueError("angle tolerance too wide for the angle period")
     log_nt = 2.5 * math.log10(float(w) * float(h))
     min_region_size = max(int(-log_nt / math.log10(p_align)), 2)
 
@@ -542,30 +509,26 @@ def lsd_extract(
     return _segments(ends)
 
 
-def filter_lines(
-    lines: Sequence[LineSegment],
-    fp: FieldPair,
-    params: FilterParams | None = None,
-) -> list[LineSegment]:
+def filter_lines(lines: Sequence[LineSegment], fp: FieldPair) -> list[LineSegment]:
     """Keep lines that a field pair supports.
 
-    Each candidate is sampled at n equally spaced points (endpoints
-    included, after clipping to the sampleable area); a sample agrees when
-    the interpolated distance stays below eta_df and the interpolated angle
-    stays within eta_theta of the line orientation. Deterministic and
-    idempotent.
+    Each candidate is sampled at _FILTER_SAMPLES equally spaced points
+    (endpoints included, after clipping to the sampleable area); a sample
+    agrees when the interpolated distance stays below _ETA_DF and the
+    interpolated angle stays within _ETA_THETA of the line orientation,
+    and the line is kept when at least _MIN_INLIER_FRAC of its samples
+    agree. Deterministic and idempotent.
     """
-    params = params or FilterParams()
     h, head_w = fp.height, fp.width
     xmin, ymin = 0.5, 0.5
     xmax, ymax = head_w - 0.5, h - 0.5
-    ts = np.linspace(0.0, 1.0, params.n_samples)
+    ts = np.linspace(0.0, 1.0, _FILTER_SAMPLES)
     ends = _rows(lines)
     rows, kept = _clip_segments(ends, xmin, ymin, xmax, ymax)
     inside = np.flatnonzero(kept)
     if len(inside) == 0:
         return []
-    # All survivors are sampled in one (lines, n_samples) pass.
+    # All survivors are sampled in one (lines, _FILTER_SAMPLES) pass.
     x1, y1, x2, y2 = (col[:, None] for col in rows[inside].T)
     angle = _angles(ends[inside])[:, None]
     xs = x1 + ts * (x2 - x1)
@@ -573,15 +536,13 @@ def filter_lines(
     df_s = _bilinear_many(fp.df.data, xs - 0.5, ys - 0.5, circular=False)
     af_s = _bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
     circ = _circular(np.abs(af_s - angle), math.pi)
-    agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
-    keep = agrees.mean(axis=1) >= params.min_inlier_frac
+    agrees = (df_s < _ETA_DF) & (circ < _ETA_THETA)
+    keep = agrees.mean(axis=1) >= _MIN_INLIER_FRAC
     return [lines[i] for i in inside[keep].tolist()]
 
 
 def detect(
     source: FieldPair | np.ndarray,
-    params: DetectorParams | None = None,
-    filter_params: FilterParams | None = None,
     *,
     image: np.ndarray | None = None,
     apply_filter: bool = True,
@@ -589,33 +550,33 @@ def detect(
     """Detect line segments in an image or an attraction field pair.
 
     Field mode (``source`` is a FieldPair) converts the fields into a
-    surrogate magnitude/angle grid; when a companion ``image`` of the same
-    size is given, its gradient directions orient the angles and the full
-    2*pi period applies, otherwise matching falls back to period pi.
-    Detections are then checked against the fields unless
-    ``apply_filter=False``. Image mode runs the classical gradient path
-    with LSD's own gradient threshold, rho = 2 / sin(angle_tolerance)
-    (5.23 at the default 22.5 deg), in place of ``mag_threshold``.
+    surrogate magnitude/angle grid and seeds at magnitude 3.0; when a
+    companion ``image`` of the same size is given, its gradient directions
+    orient the angles and the full 2*pi period applies, otherwise matching
+    falls back to period pi. Detections are then checked against the
+    fields unless ``apply_filter=False``. Image mode runs the classical
+    gradient path with LSD's own gradient threshold, rho = 2 / sin(tau),
+    5.23 at tau = 22.5 deg, and period 2*pi; it takes no companion image.
     """
-    params = params or DetectorParams()
     if isinstance(source, FieldPair):
         mag, theta = surrogate_gradient(source)
+        period = math.pi
         if image is not None:
             img = np.asarray(image, dtype=float)
             if img.shape != mag.data.shape:
                 raise ValueError("companion image must match the field size")
             _, grad_angle = image_gradient(img)
             theta = orient_angles(theta, grad_angle)
-        else:
-            params = replace(params, angle_period=math.pi)
-        lines = lsd_extract(mag, theta, params, grid_offset=0.5)
+            period = TWO_PI
+        lines = lsd_extract(mag, theta, threshold=3.0, period=period, grid_offset=0.5)
         if apply_filter:
-            lines = filter_lines(lines, source, filter_params)
+            lines = filter_lines(lines, source)
         return lines
 
+    if image is not None:
+        raise ValueError("image mode takes no companion image")
     img = np.asarray(source, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be a 2-D grayscale array")
     mag, ang = image_gradient(img)
-    rho = _LSD_Q / math.sin(params.angle_tolerance)
-    return lsd_extract(mag, ang, replace(params, mag_threshold=rho), grid_offset=1.0)
+    return lsd_extract(mag, ang, threshold=_RHO, period=TWO_PI, grid_offset=1.0)

@@ -24,6 +24,7 @@ from .geometry import (
     _line_arrays,
     _orthogonal_many,
     _require_finite,
+    _require_int,
     _rows,
     _stored_homographies,
     _warp_segments,
@@ -445,8 +446,10 @@ def corner_error(
     """Mean displacement of the four image corners between two warps.
 
     Raises:
-        ValueError: when the frame size is not positive.
+        ValueError: when the frame size is not a positive integer.
     """
+    _require_int("width", width)
+    _require_int("height", height)
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be positive")
     corners = [(0.0, 0.0), (float(width), 0.0), (float(width), float(height)), (0.0, float(height))]

@@ -258,11 +258,14 @@ def df_normalize(value, r: float, direction: Literal["forward", "inverse"] = "fo
     forward: x -> -log(x / r), defined for 0 < x <= r.
     inverse: y -> r * exp(-y), defined for y >= 0.
 
-    Accepts scalars or arrays and returns the matching kind.
+    Accepts scalars or arrays and returns the matching kind. NaN, which
+    lies in neither domain, raises ValueError.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError("band radius r must be positive and finite")
     arr = np.asarray(value, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("normalization needs values that are not NaN")
     if direction == "forward":
         if np.any(arr <= 0.0) or np.any(arr > r):
             raise ValueError("forward normalization needs values in (0, r]")

@@ -10,12 +10,11 @@ are voted away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorParams, detect
+from .detector import detect
 from .fields import FieldPair, ScalarField, _bilinear_many, render_fields
 from .geometry import (
     Homography,
@@ -23,7 +22,6 @@ from .geometry import (
     _circular,
     _clip_segments,
     _lengths,
-    _require_finite,
     _require_int,
     _rows,
     _segments,
@@ -31,7 +29,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "HomographySamplerParams",
     "sample_homography",
     "warp_image",
     "warp_lines",
@@ -44,35 +41,16 @@ MIN_WARPED_LENGTH = 5.0
 
 _AGG_ELEMENTS = 1 << 16  # stacked angle samples the circular median scores at once
 
-
-@dataclass(frozen=True)
-class HomographySamplerParams:
-    """Ranges of the random warp generator."""
-
-    max_rotation: float = math.radians(30.0)  # absolute rotation bound
-    scale_range: tuple[float, float] = (0.7, 1.4)
-    max_translation_frac: float = 0.1  # fraction of each image dimension
-    max_perspective: float = 0.1  # bound before the 2/dimension scaling
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("scale_range must be positive and ordered")
-        if not (0.0 <= self.max_translation_frac < 0.5):
-            raise ValueError("max_translation_frac must lie in [0, 0.5)")
-        if not (0.0 <= self.max_perspective < 0.5):
-            raise ValueError("max_perspective must lie in [0, 0.5)")
-        if self.max_rotation < 0.0:
-            raise ValueError("max_rotation must be non-negative")
+# Ranges of the random warp: rotation bound, isotropic scale range,
+# translation as a fraction of each image dimension, and perspective bound
+# before the 2 / dimension scaling.
+_MAX_ROTATION = math.radians(30.0)
+_SCALE_RANGE = (0.7, 1.4)
+_MAX_TRANSLATION_FRAC = 0.1
+_MAX_PERSPECTIVE = 0.1
 
 
-def sample_homography(
-    params: HomographySamplerParams,
-    width: int,
-    height: int,
-    rng: np.random.Generator,
-) -> Homography:
+def sample_homography(width: int, height: int, rng: np.random.Generator) -> Homography:
     """Draw a random warp composed about the image center.
 
     The factors (translation, rotation, isotropic scale, perspective) are
@@ -83,12 +61,12 @@ def sample_homography(
         raise ValueError("image dimensions must be positive")
     cx = 0.5 * width
     cy = 0.5 * height
-    rot = rng.uniform(-params.max_rotation, params.max_rotation)
-    scale = rng.uniform(params.scale_range[0], params.scale_range[1])
-    tx = rng.uniform(-1.0, 1.0) * params.max_translation_frac * width
-    ty = rng.uniform(-1.0, 1.0) * params.max_translation_frac * height
-    px = rng.uniform(-1.0, 1.0) * params.max_perspective * 2.0 / width
-    py = rng.uniform(-1.0, 1.0) * params.max_perspective * 2.0 / height
+    rot = rng.uniform(-_MAX_ROTATION, _MAX_ROTATION)
+    scale = rng.uniform(_SCALE_RANGE[0], _SCALE_RANGE[1])
+    tx = rng.uniform(-1.0, 1.0) * _MAX_TRANSLATION_FRAC * width
+    ty = rng.uniform(-1.0, 1.0) * _MAX_TRANSLATION_FRAC * height
+    px = rng.uniform(-1.0, 1.0) * _MAX_PERSPECTIVE * 2.0 / width
+    py = rng.uniform(-1.0, 1.0) * _MAX_PERSPECTIVE * 2.0 / height
 
     persp = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [px, py, 1.0]])
     center = Homography.translation(cx, cy)
@@ -198,8 +176,6 @@ def aggregate_median(pairs: Sequence[FieldPair]) -> FieldPair:
 def generate_pseudo_gt(
     image: np.ndarray,
     n_homographies: int,
-    detector_params: DetectorParams | None = None,
-    sampler_params: HomographySamplerParams | None = None,
     *,
     r: float = 5.0,
     seed: int = 0,
@@ -213,25 +189,22 @@ def generate_pseudo_gt(
         ValueError: when more than half of the warps yield no segments.
     """
     _require_int("seed", seed, minimum=0)
-    if n_homographies < 1:
-        raise ValueError("need at least one homography")
+    _require_int("n_homographies", n_homographies, minimum=1)
     img = np.asarray(image, dtype=float)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
         raise ValueError("image must be a 2-D array of at least 2x2 pixels")
-    detector_params = detector_params or DetectorParams()
-    sampler_params = sampler_params or HomographySamplerParams()
     hh, ww = img.shape
     rng = np.random.default_rng(seed)
 
     homographies = [Homography.identity()]
     for _ in range(n_homographies - 1):
-        homographies.append(sample_homography(sampler_params, ww, hh, rng))
+        homographies.append(sample_homography(ww, hh, rng))
 
     rendered: list[FieldPair] = []
     empty = 0
     for h in homographies:
         warped = warp_image(img, h)
-        detections = detect(warped, detector_params)
+        detections = detect(warped)
         back = warp_lines(detections, h.inverse(), ww, hh)
         if len(back) == 0:
             empty += 1

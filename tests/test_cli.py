@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from linefields import (
-    DetectorParams,
-    HomographySamplerParams,
     LineSegment,
     VanishingPoint,
     generate_pseudo_gt,
@@ -90,20 +88,14 @@ class TestGenGt:
             ]
         )
         assert rc == 0
-        direct = generate_pseudo_gt(
-            img.astype(np.float64),
-            3,
-            DetectorParams(),
-            HomographySamplerParams(),
-            seed=7,
-        )
+        direct = generate_pseudo_gt(img.astype(np.float64), 3, seed=7)
         expected = tmp_path / "direct.dlsf"
         write_field_file(expected, direct)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_step_below_rho_is_insufficient_signal(self, tmp_path, capsys) -> None:
         """A step of 4 grey levels has a 2x2 gradient of at most 4: above
-        mag_threshold (3.0) but below LSD's rho (5.23), so no warp has a
+        field mode's threshold (3.0) but below LSD's rho (5.23), so no warp has a
         detection. Seeding at 3.0 found the step in the identity warp."""
         img = np.full((64, 64), 100.0)
         img[:, 32:] = 104.0

@@ -2,98 +2,31 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from linefields import (
-    DetectorParams,
-    FilterParams,
     LineSegment,
+    ScalarField,
     detect,
     filter_lines,
     image_gradient,
     lsd_extract,
+    orient_angles,
     orthogonal_distance,
     render_fields,
     surrogate_gradient,
 )
 from linefields import detector
+from linefields.geometry import TWO_PI
 
 from util_synth import dense_field_pair, random_segments, square_image, stripe_scene, traced_peak
 
-LSD_CONSTANTS = ("n_bins", "density_threshold", "log_nfa_max")
-
-
-class TestDetectorParams:
-    def test_defaults_valid(self) -> None:
-        p = DetectorParams()
-        assert p.mag_threshold == 3.0
-        assert p.angle_tolerance == pytest.approx(math.pi / 8)
-
-    def test_rejects_bad_tolerance(self) -> None:
-        with pytest.raises(ValueError):
-            DetectorParams(angle_tolerance=0.0)
-        with pytest.raises(ValueError):
-            DetectorParams(angle_tolerance=math.pi)
-
-    def test_lsd_constants_are_not_fields(self) -> None:
-        # LSD fixes its seed-order bins, density and log10 epsilon; they are
-        # module constants, so no keyword can change them.
-        assert [f.name for f in fields(DetectorParams)] == [
-            "mag_threshold",
-            "angle_tolerance",
-            "angle_period",
-        ]
-        assert (detector._N_BINS, detector._DENSITY, detector._LOG_EPS) == (1024, 0.7, 0.0)
-
-    def test_rejects_bad_density(self) -> None:
-        with pytest.raises(TypeError):
-            DetectorParams(density_threshold=1.5)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name",
-        ["mag_threshold", "angle_tolerance", "density_threshold", "log_nfa_max", "angle_period"],
-    )
-    def test_rejects_non_finite(self, name: str, value: float) -> None:
-        # A NaN log_nfa_max once switched the NFA test off; no keyword
-        # reaches LSD's constants now.
-        if name in LSD_CONSTANTS:
-            with pytest.raises(TypeError):
-                DetectorParams(**{name: value})
-        else:
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                DetectorParams(**{name: value})
-
-    @pytest.mark.parametrize("value", [2.5, True, "3"])
-    def test_rejects_non_integer_bins(self, value: object) -> None:
-        with pytest.raises(TypeError):
-            DetectorParams(n_bins=value)
-
-
-class TestFilterParams:
-    def test_rejects_too_few_samples(self) -> None:
-        with pytest.raises(ValueError):
-            FilterParams(n_samples=1)
-
-    def test_rejects_bad_fraction(self) -> None:
-        with pytest.raises(ValueError):
-            FilterParams(min_inlier_frac=0.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["eta_df", "eta_theta", "min_inlier_frac"])
-    def test_rejects_non_finite(self, name: str, value: float) -> None:
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            FilterParams(**{name: value})
-
-    @pytest.mark.parametrize("value", [2.5, True, "3"])
-    def test_rejects_non_integer_samples(self, value: object) -> None:
-        with pytest.raises(ValueError, match="n_samples must be an integer"):
-            FilterParams(n_samples=value)
+RHO = 2.0 / math.sin(math.pi / 8.0)  # LSD's threshold at tau = 22.5 deg
 
 
 class TestImageGradient:
@@ -157,8 +90,6 @@ class TestLsdExtract:
     def test_zero_magnitude_empty(self) -> None:
         fp = render_fields([LineSegment((0.0, 0.0), (10.0, 0.0))], 32, 32)
         mag, theta = surrogate_gradient(fp)
-        from linefields import ScalarField
-
         zero = ScalarField(np.zeros((32, 32)))
         assert lsd_extract(zero, theta) == []
 
@@ -166,7 +97,7 @@ class TestLsdExtract:
         gt = LineSegment((40.0, 40.0), (200.0, 60.0))
         fp = render_fields([gt], 256, 256, r=5.0)
         mag, theta = surrogate_gradient(fp)
-        lines = lsd_extract(mag, theta, DetectorParams(angle_period=math.pi))
+        lines = lsd_extract(mag, theta, period=math.pi)
         assert len(lines) == 1
         assert orthogonal_distance(lines[0], gt) < 1.0
 
@@ -176,15 +107,46 @@ class TestLsdExtract:
                                max_length=60, min_separation=15, margin=8)
         fp = render_fields(segs, 128, 128)
         mag, theta = surrogate_gradient(fp)
-        first = lsd_extract(mag, theta, DetectorParams(angle_period=math.pi))
-        second = lsd_extract(mag, theta, DetectorParams(angle_period=math.pi))
+        first = lsd_extract(mag, theta, period=math.pi)
+        second = lsd_extract(mag, theta, period=math.pi)
         assert first == second
 
     def test_shape_mismatch(self) -> None:
-        from linefields import ScalarField
-
         with pytest.raises(ValueError):
             lsd_extract(ScalarField(np.zeros((4, 4))), ScalarField(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_threshold(self, value: float) -> None:
+        """A NaN threshold would make every pixel unusable without a word."""
+        mag, theta = ScalarField(np.full((8, 8), 10.0)), ScalarField(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            lsd_extract(mag, theta, threshold=value)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 0.0, -math.pi, math.pi / 4.0]
+    )
+    def test_rejects_bad_period(self, value: float) -> None:
+        """The period must exceed 2 tau, or every angle would count as aligned."""
+        mag, theta = ScalarField(np.full((8, 8), 10.0)), ScalarField(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="period must be finite and above 2 tau"):
+            lsd_extract(mag, theta, period=value)
+
+    def test_keyword_defaults(self) -> None:
+        # The defaults of the two keywords detect sets per mode: LSD's field
+        # mode threshold 3.0 over the full 2 pi period, at pixel centres.
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(lsd_extract).parameters.items()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        assert defaults == {"threshold": 3.0, "period": TWO_PI, "grid_offset": 0.5}
+
+    def test_lsd_constants(self) -> None:
+        # LSD fixes its seed-order bins, density, log10 epsilon and
+        # tolerance tau for every image; image mode seeds at rho.
+        assert (detector._N_BINS, detector._DENSITY, detector._LOG_EPS) == (1024, 0.7, 0.0)
+        assert detector._TAU == math.pi / 8.0
+        assert detector._RHO == RHO
 
     def test_field_mode_memory_budget(self) -> None:
         """Each padded grid is held once, in the buffer region growing reads:
@@ -193,8 +155,7 @@ class TestLsdExtract:
         segs, fp = dense_field_pair()
         grid = 256 * 256 * 8
         mag, theta = surrogate_gradient(fp)
-        params = DetectorParams(angle_period=math.pi)
-        lines, lsd_peak = traced_peak(lsd_extract, mag, theta, params, grid_offset=0.5)
+        lines, lsd_peak = traced_peak(lsd_extract, mag, theta, period=math.pi, grid_offset=0.5)
         assert len(lines) >= len(segs)
         assert lsd_peak <= 7 * grid
         _, detect_peak = traced_peak(detect, fp)
@@ -212,30 +173,29 @@ class TestLsdExtract:
         df = render_fields(segs, 256, 256).df.data
         image = np.where(df <= 2.0, 200.0, 40.0) + rng.normal(0.0, 8.0, df.shape)
         mag, ang = image_gradient(image)
-        lines, peak = traced_peak(lsd_extract, mag, ang, DetectorParams(), grid_offset=1.0)
+        lines, peak = traced_peak(lsd_extract, mag, ang, grid_offset=1.0)
         assert len(lines) >= len(segs)
         assert peak <= 12 * 256 * 256 * 8
 
 
 class TestMagnitudeThresholds:
-    """Image mode seeds at LSD's rho = 2 / sin(tau); field mode at mag_threshold."""
+    """detect's per-mode choices, as explicit lsd_extract calls: image mode
+    at LSD's rho = 2 / sin(tau) with period 2 pi, field mode at 3.0 with
+    period pi, or 2 pi when a companion image orients the angles."""
 
-    @pytest.mark.parametrize("tau", [math.pi / 8.0, math.pi / 10.0])
-    def test_image_mode_equals_lsd_extract_at_rho(self, tau: float) -> None:
+    def test_image_mode_equals_lsd_extract_at_rho(self) -> None:
         img = square_image(96) + np.random.default_rng(23).normal(0.0, 8.0, (96, 96))
-        params = DetectorParams(angle_tolerance=tau)
         mag, ang = image_gradient(img)
-        rho = replace(params, mag_threshold=2.0 / math.sin(tau))
-        at_rho = lsd_extract(mag, ang, rho, grid_offset=1.0)
-        assert detect(img, params) == at_rho
-        assert at_rho != lsd_extract(mag, ang, params, grid_offset=1.0)
+        at_rho = lsd_extract(mag, ang, threshold=RHO, period=TWO_PI, grid_offset=1.0)
+        assert detect(img) == at_rho
+        assert at_rho != lsd_extract(mag, ang, threshold=3.0, period=TWO_PI, grid_offset=1.0)
 
     def test_step_between_threshold_and_rho_finds_nothing(self) -> None:
         img = np.full((64, 64), 100.0)
         img[:, 32:] = 104.0
         mag, ang = image_gradient(img)
         assert mag.data.max() == 4.0
-        assert len(lsd_extract(mag, ang, DetectorParams(), grid_offset=1.0)) == 1
+        assert len(lsd_extract(mag, ang, threshold=3.0, grid_offset=1.0)) == 1
         assert detect(img) == []
 
     def test_field_mode_seeds_at_mag_threshold(self) -> None:
@@ -244,12 +204,19 @@ class TestMagnitudeThresholds:
         gt = LineSegment((40.0, 40.0), (200.0, 60.0))
         fp = render_fields([gt], 256, 256, r=5.0)
         mag, theta = surrogate_gradient(fp)
-        params = DetectorParams(angle_period=math.pi)
         raw = detect(fp, apply_filter=False)
         assert len(raw) == 1
-        assert raw == lsd_extract(mag, theta, params, grid_offset=0.5)
-        rho = replace(params, mag_threshold=2.0 / math.sin(params.angle_tolerance))
-        assert lsd_extract(mag, theta, rho, grid_offset=0.5) == []
+        assert raw == lsd_extract(mag, theta, threshold=3.0, period=math.pi, grid_offset=0.5)
+        assert lsd_extract(mag, theta, threshold=RHO, period=math.pi, grid_offset=0.5) == []
+
+    def test_companion_image_sets_full_period(self) -> None:
+        edges, image = stripe_scene()
+        fp = render_fields(edges, 100, 100, r=5.0)
+        mag, theta = surrogate_gradient(fp)
+        oriented = orient_angles(theta, image_gradient(image)[1])
+        want = lsd_extract(mag, oriented, threshold=3.0, period=TWO_PI, grid_offset=0.5)
+        assert detect(fp, image=image, apply_filter=False) == want
+        assert want != lsd_extract(mag, oriented, threshold=3.0, period=math.pi, grid_offset=0.5)
 
 
 class TestFilterLines:
@@ -264,14 +231,15 @@ class TestFilterLines:
         far = LineSegment((20.0, 90.0), (100.0, 90.0))
         assert filter_lines([far], fp) == []
 
-    def test_partial_overlap_depends_on_fraction(self) -> None:
+    def test_partial_overlap_depends_on_fraction(self, monkeypatch) -> None:
         """A candidate covering the reference for ~60% of its length sits
-        between the 0.5 and 0.7 acceptance fractions (32 of 50 samples)."""
+        between the 0.5 acceptance fraction and 0.7 (32 of 50 samples)."""
         gt = LineSegment((5.0, 50.0), (72.0, 50.0))
         fp = render_fields([gt], 120, 100, r=5.0)
         cand = LineSegment((10.0, 50.0), (110.0, 50.0))
-        assert filter_lines([cand], fp, FilterParams(min_inlier_frac=0.5)) == [cand]
-        assert filter_lines([cand], fp, FilterParams(min_inlier_frac=0.7)) == []
+        assert filter_lines([cand], fp) == [cand]
+        monkeypatch.setattr(detector, "_MIN_INLIER_FRAC", 0.7)
+        assert filter_lines([cand], fp) == []
 
     def test_wrong_angle_removed(self) -> None:
         gt = LineSegment((10.0, 50.0), (90.0, 50.0))
@@ -311,10 +279,11 @@ class TestDetect:
         assert len(lines) == 1
         assert orthogonal_distance(lines[0], gt) < 1.0
 
-    def test_field_mode_strict_filter_empties(self) -> None:
+    def test_field_mode_strict_filter_empties(self, monkeypatch) -> None:
         gt = LineSegment((40.0, 40.0), (200.0, 60.0))
         fp = render_fields([gt], 256, 256, r=5.0)
-        assert detect(fp, filter_params=FilterParams(eta_df=1e-6)) == []
+        monkeypatch.setattr(detector, "_ETA_DF", 1e-6)
+        assert detect(fp) == []
 
     def test_field_mode_no_filter_keeps_raw(self) -> None:
         gt = LineSegment((40.0, 40.0), (200.0, 60.0))
@@ -363,3 +332,8 @@ class TestDetect:
     def test_image_mode_rejects_bad_rank(self) -> None:
         with pytest.raises(ValueError):
             detect(np.zeros((4, 4, 3)))
+
+    def test_image_mode_rejects_companion_image(self) -> None:
+        img = square_image().astype(float)
+        with pytest.raises(ValueError, match="image mode takes no companion image"):
+            detect(img, image=img)

@@ -490,6 +490,14 @@ class TestCornerError:
         with pytest.raises(ValueError, match="image dimensions must be positive"):
             corner_error(H_GT, H_GT, width, height)
 
+    @pytest.mark.parametrize(
+        "width, height", [(math.nan, 10), (10, math.nan), (64.0, 64), (True, 10)]
+    )
+    def test_rejects_non_integer_frame(self, width: object, height: object) -> None:
+        """A NaN width once slipped past the positivity test and gave nan."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            corner_error(H_GT, H_GT, width, height)
+
 
 class TestVpConsistency:
     def make_clusters(self):

@@ -132,6 +132,13 @@ class TestDfNormalize:
         with pytest.raises(ValueError):
             df_normalize(-0.1, 5.0, "inverse")
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_rejects_nan(self, direction: str) -> None:
+        """NaN lies in neither domain; it once passed through both."""
+        for value in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="not NaN"):
+                df_normalize(value, 5.0, direction)
+
     def test_scalar_in_scalar_out(self) -> None:
         assert isinstance(df_normalize(2.0, 5.0), float)
 

@@ -8,7 +8,9 @@ then samples every surviving line in one (lines, n_samples)
 pass and takes each line's agree fraction row by row. The per-sample
 arithmetic is the same, so on any input the two must keep the same
 candidates, in the same order: lines inside the field, lines clipped at
-its border, and lines that lie wholly outside it.
+its border, and lines that lie wholly outside it. The oracle writes out the
+filter's constants (50 samples, eta_df 1.5, eta_theta 20 deg, inlier
+fraction 0.5) as literals rather than reading the module's.
 """
 
 from __future__ import annotations
@@ -20,20 +22,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefields import FilterParams, LineSegment, filter_lines, render_fields
+from linefields import LineSegment, filter_lines, render_fields
 
 from test_refine_oracle import oracle_bilinear_many
 from test_warp_clip_oracle import oracle_clip_segment_to_rect
 from util_synth import random_segments
 
 
-def oracle_filter_lines(lines, fp, params=None, seen=None):
+def oracle_filter_lines(lines, fp, seen=None):
     seen = Counter() if seen is None else seen
-    params = params or FilterParams()
     h, head_w = fp.height, fp.width
     xmin, ymin = 0.5, 0.5
     xmax, ymax = head_w - 0.5, h - 0.5
-    ts = np.linspace(0.0, 1.0, params.n_samples)
+    ts = np.linspace(0.0, 1.0, 50)
     kept = []
     for seg in lines:
         clipped = oracle_clip_segment_to_rect(seg, xmin, ymin, xmax, ymax)
@@ -48,8 +49,8 @@ def oracle_filter_lines(lines, fp, params=None, seen=None):
         af_s = oracle_bilinear_many(fp.af.data, xs - 0.5, ys - 0.5, circular=True)
         diff = np.mod(np.abs(af_s - seg.angle), math.pi)
         circ = np.minimum(diff, math.pi - diff)
-        agrees = (df_s < params.eta_df) & (circ < params.eta_theta)
-        if float(agrees.mean()) >= params.min_inlier_frac:
+        agrees = (df_s < 1.5) & (circ < math.pi / 9.0)
+        if float(agrees.mean()) >= 0.5:
             seen["kept"] += 1
             kept.append(seg)
         else:
@@ -93,24 +94,18 @@ def candidates(rng, gt, n):
     field=st.integers(0, len(FIELDS) - 1),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 40),
-    n_samples=st.integers(2, 80),
-    eta_df=st.floats(0.1, 5.0),
-    eta_theta=st.floats(0.01, 0.5 * math.pi),
-    frac=st.floats(0.01, 1.0),
 )
-def test_kept_lines_match_oracle(field, seed, n, n_samples, eta_df, eta_theta, frac):
+def test_kept_lines_match_oracle(field, seed, n):
     gt, fp = FIELDS[field]
     lines = candidates(np.random.default_rng(seed), gt, n) + list(gt)
-    params = FilterParams(n_samples=n_samples, eta_df=eta_df, eta_theta=eta_theta,
-                          min_inlier_frac=frac)
-    got = filter_lines(lines, fp, params)
-    want = oracle_filter_lines(lines, fp, params)
+    got = filter_lines(lines, fp)
+    want = oracle_filter_lines(lines, fp)
     assert [id(s) for s in got] == [id(s) for s in want]
 
 
 def test_fixed_scenes_cover_every_branch():
-    """Inside, clipped and outside lines, kept and dropped, on the default
-    parameters and on a grid one pixel wide."""
+    """Inside, clipped and outside lines, kept and dropped, on fields of
+    random segments and on a grid one pixel wide."""
     seen = Counter()
     for i, (gt, fp) in enumerate(FIELDS):
         lines = candidates(np.random.default_rng(100 + i), gt, 300)

@@ -16,8 +16,9 @@ values. None of that may change the output, so on any grid the two
 must return the same segments, coordinate for coordinate. The oracle
 also counts which branches a grid took, so the fixed scenes can show they
 covered the retry, shrink and NFA paths. It writes out LSD's constants
-(1024 seed-order bins, density 0.7, log10 epsilon 0) as literals rather
-than reading the module's, so it stays an independent reference.
+(1024 seed-order bins, density 0.7, log10 epsilon 0, tolerance pi/8) as
+literals rather than reading the module's, so it stays an independent
+reference.
 
 The NFA tail itself is held to scipy's within TAIL_RTOL, relative to
 max(1, |tail|), and exactly where k <= 0 (0) or k > n (-inf): libm's
@@ -37,8 +38,6 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from linefields import (
-    DetectorParams,
-    HomographySamplerParams,
     ScalarField,
     image_gradient,
     lsd_extract,
@@ -61,6 +60,8 @@ from linefields.detector import (
 from linefields.geometry import TWO_PI, LineSegment, Point2, circular_distance
 
 from util_synth import dense_field_pair, random_segments
+
+TAU = math.pi / 8.0  # LSD's angle tolerance
 
 
 class _Rect:
@@ -180,18 +181,18 @@ def oracle_count_in_rect(rect, ldir, usable, tol, period, offset):
     return n, int(aligned.sum())
 
 
-def oracle_lsd_extract(magnitude, angle, params=None, *, grid_offset=0.5, seen=None):
+def oracle_lsd_extract(
+    magnitude, angle, *, threshold=3.0, period=TWO_PI, grid_offset=0.5, seen=None
+):
     seen = Counter() if seen is None else seen
-    params = params or DetectorParams()
     h, w = magnitude.data.shape
-    period = params.angle_period
-    tol = params.angle_tolerance
+    tol = TAU
     half = 0.5 * period
     k = TWO_PI / period
 
     mag = magnitude.data
     ldir2d = np.mod(angle.data + 0.5 * math.pi, period)
-    usable2d = mag >= params.mag_threshold
+    usable2d = mag >= threshold
     max_mag = float(mag.max(initial=0.0))
     if max_mag <= 0.0 or not usable2d.any():
         return []
@@ -350,10 +351,12 @@ def bits(lines):
     return [tuple(v.hex() for v in (s.p1.x, s.p1.y, s.p2.x, s.p2.y)) for s in lines]
 
 
-def assert_matches_oracle(mag, ang, params, offset, seen=None):
+def assert_matches_oracle(mag, ang, offset, seen=None, *, threshold=3.0, period=TWO_PI):
     m, a = ScalarField(mag), ScalarField(ang)
-    got = lsd_extract(m, a, params, grid_offset=offset)
-    want = oracle_lsd_extract(m, a, params, grid_offset=offset, seen=seen)
+    got = lsd_extract(m, a, threshold=threshold, period=period, grid_offset=offset)
+    want = oracle_lsd_extract(
+        m, a, threshold=threshold, period=period, grid_offset=offset, seen=seen
+    )
     assert bits(got) == bits(want)
     return got
 
@@ -400,8 +403,7 @@ sides = st.integers(1, 48)
 @example(h=2, w=40, kind="bars", period=math.pi, offset=1.0, threshold=3.0, seed=3)
 def test_random_grids_match_oracle(h, w, kind, period, offset, threshold, seed):
     mag, ang = make_grid(kind, h, w, seed)
-    params = DetectorParams(angle_period=period, mag_threshold=threshold)
-    assert_matches_oracle(mag, ang, params, offset)
+    assert_matches_oracle(mag, ang, offset, threshold=threshold, period=period)
 
 
 def test_pseudo_gt_warps_match_oracle():
@@ -419,11 +421,10 @@ def test_pseudo_gt_warps_match_oracle():
     seen = Counter()
     total = 0
     for _ in range(3):
-        warp = sample_homography(HomographySamplerParams(), w, h, rng)
+        warp = sample_homography(w, h, rng)
         mag, ang = image_gradient(warp_image(img, warp))
         for period in (TWO_PI, math.pi):
-            params = DetectorParams(angle_period=period)
-            total += len(assert_matches_oracle(mag.data, ang.data, params, 1.0, seen))
+            total += len(assert_matches_oracle(mag.data, ang.data, 1.0, seen, period=period))
     assert total > 0
     for branch in ("region_of_one", "retry", "shrink", "nfa_reject", "accepted"):
         assert seen[branch] > 0, branch
@@ -435,7 +436,7 @@ def rendered_pair_matches_oracle():
     mag, theta = surrogate_gradient(render_fields(segs, 128, 128, 5.0))
     seen = Counter()
     lines = assert_matches_oracle(
-        mag.data, theta.data, DetectorParams(angle_period=math.pi), 0.5, seen
+        mag.data, theta.data, 0.5, seen, period=math.pi
     )
     assert len(lines) >= len(segs)
     assert seen["accepted"] > 0
@@ -458,11 +459,11 @@ def test_dense_field_pair_matches_oracle():
     towards the lines, so each line's two flanks point apart."""
     segs, fp = dense_field_pair()
     mag, theta = surrogate_gradient(fp)
-    lines = assert_matches_oracle(mag.data, theta.data, DetectorParams(angle_period=math.pi), 0.5)
+    lines = assert_matches_oracle(mag.data, theta.data, 0.5, period=math.pi)
     assert len(lines) >= len(segs)
     _, grad_angle = image_gradient(np.maximum(40.0, 200.0 - 30.0 * fp.df.data))
     oriented = orient_angles(theta, grad_angle)
-    lines = assert_matches_oracle(mag.data, oriented.data, DetectorParams(), 0.5)
+    lines = assert_matches_oracle(mag.data, oriented.data, 0.5)
     assert len(lines) >= len(segs)
 
 
@@ -582,7 +583,7 @@ def test_chunked_counts_match_scalar_count(scene, chunk, period, offset):
     ldir = rng.uniform(0.0, period, (h, w))
     usable = rng.random((h, w)) < 0.7
     with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
-        assert_counts_match(rects, ldir, usable, math.pi / 8.0, period, offset)
+        assert_counts_match(rects, ldir, usable, TAU, period, offset)
 
 
 @settings(max_examples=150, deadline=None)
@@ -613,7 +614,7 @@ def test_fitted_rectangles_count_their_own_pixels(h, w, seed, chunk, period, off
     ldir = rng.uniform(0.0, period, (h, w))
     usable = rng.random((h, w)) < 0.8
     with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
-        (n_in, _), = assert_counts_match([rect], ldir, usable, math.pi / 8.0, period, offset)
+        (n_in, _), = assert_counts_match([rect], ldir, usable, TAU, period, offset)
     assert n_in >= len(region)
 
 
@@ -633,7 +634,7 @@ def test_rectangles_larger_than_a_chunk(chunk):
         _Rect(100.0, 100.0, 0.25, -90.0, 90.0, -40.0, 40.0),
     ]
     with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
-        want = assert_counts_match(rects, ldir, usable, math.pi / 8.0, math.pi, 0.5)
+        want = assert_counts_match(rects, ldir, usable, TAU, math.pi, 0.5)
     assert want[0][0] > detector._NFA_ELEMENTS
     assert want[1] == (0, 0) and want[2] == (0, 0)
     assert 0 < want[4][1] < want[4][0]
@@ -642,27 +643,27 @@ def test_rectangles_larger_than_a_chunk(chunk):
 # --------------------------------------------------------- lonely seeds
 
 
-def lonely_mask(mag, ang, params):
+def lonely_mask(mag, ang, *, threshold=3.0, period=TWO_PI):
     """The lonely flag of every pixel as a grid (False where unusable)."""
-    ldir = np.mod(ang + 0.5 * math.pi, params.angle_period)
-    return lonely_of(ldir, mag >= params.mag_threshold, params)
+    ldir = np.mod(ang + 0.5 * math.pi, period)
+    return lonely_of(ldir, mag >= threshold, period)
 
 
-def lonely_of(ldir, usable, params):
+def lonely_of(ldir, usable, period):
     usable_idx = np.flatnonzero(usable)
     wp, pidx, pusable = _padded(ldir.shape, usable_idx)
     pldir = np.zeros(len(pusable))
     pldir[pidx] = ldir.ravel()[usable_idx]
-    alone = _lonely(wp, pidx, pldir, pusable, params.angle_tolerance, params.angle_period)
+    alone = _lonely(wp, pidx, pldir, pusable, TAU, period)
     out = np.zeros(ldir.shape, dtype=bool)
     out.ravel()[usable_idx] = alone
     return out
 
 
-def scalar_lonely(ldir, usable, params):
+def scalar_lonely(ldir, usable, period):
     """grow()'s first step from every usable seed, neighbour by neighbour."""
     h, w = ldir.shape
-    period, tol = params.angle_period, params.angle_tolerance
+    tol = TAU
     out = np.zeros((h, w), dtype=bool)
     for y in range(h):
         for x in range(w):
@@ -694,8 +695,7 @@ def test_lonely_mask_matches_scalar_rule(h, w, period, seed, chunk):
     tolerances apart, where a rounding slip would flip the test; the
     usable pixels in one chunk or in several."""
     rng = np.random.default_rng(seed)
-    params = DetectorParams(angle_period=period)
-    tol = params.angle_tolerance
+    tol = TAU
     pool = np.array([0.0, period, np.nextafter(period, 0.0), tol, 2 * tol, period - tol, 1e-17])
     ldir = np.where(
         rng.random((h, w)) < 0.5,
@@ -704,8 +704,8 @@ def test_lonely_mask_matches_scalar_rule(h, w, period, seed, chunk):
     )
     usable = rng.random((h, w)) < 0.8
     with mock.patch.object(detector, "_LONELY_ELEMENTS", chunk):
-        lonely = lonely_of(ldir, usable, params)
-    assert np.array_equal(lonely, scalar_lonely(ldir, usable, params))
+        lonely = lonely_of(ldir, usable, period)
+    assert np.array_equal(lonely, scalar_lonely(ldir, usable, period))
 
 
 def grid_of(ldirs, mags):
@@ -719,35 +719,33 @@ def test_sub_threshold_neighbour_does_not_count():
     ang_ldir = [[up, 0.0, up], [up, 0.0, up], [up, up, up]]
     mags = [[10.0, 1.0, 10.0], [10.0, 10.0, 10.0], [10.0, 10.0, 10.0]]
     mag, ang = grid_of(ang_ldir, mags)
-    params = DetectorParams()
-    assert lonely_mask(mag, ang, params)[1, 1]
+    assert lonely_mask(mag, ang)[1, 1]
     # Once the neighbour is usable it is a compatible neighbour.
-    assert not lonely_mask(mag, ang, DetectorParams(mag_threshold=0.0))[1, 1]
-    assert_matches_oracle(mag, ang, params, 0.5)
+    assert not lonely_mask(mag, ang, threshold=0.0)[1, 1]
+    assert_matches_oracle(mag, ang, 0.5)
 
 
 def test_neighbours_across_the_border_never_count():
     # (0, 2) and (1, 0) are consecutive in the unpadded flat order, and
     # each also sits next to the padding, whose direction reads 0.0.
     mag, ang = grid_of(np.zeros((2, 3)), [[0.0, 0.0, 10.0], [10.0, 0.0, 0.0]])
-    params = DetectorParams()
-    mask = lonely_mask(mag, ang, params)
+    mask = lonely_mask(mag, ang)
     assert mask[0, 2] and mask[1, 0]
-    assert_matches_oracle(mag, ang, params, 0.5)
+    assert_matches_oracle(mag, ang, 0.5)
     # A lone pixel in each corner, and in the middle of a 1-row grid.
     for shape in [(4, 4), (1, 5), (5, 1)]:
         for y, x in {(0, 0), (0, shape[1] - 1), (shape[0] - 1, 0), (shape[0] - 1, shape[1] - 1)}:
             mags = np.zeros(shape)
             mags[y, x] = 10.0
             mag, ang = grid_of(np.zeros(shape), mags)
-            assert lonely_mask(mag, ang, params)[y, x]
+            assert lonely_mask(mag, ang)[y, x]
 
 
 @pytest.mark.parametrize(
     "a, b",
     [
         (0.01, math.pi - 0.01),  # 0.02 apart across the wrap of period pi
-        (-0.19, -0.19 + math.pi / 8.0),  # exactly the tolerance apart
+        (-0.19, -0.19 + TAU),  # exactly the tolerance apart
     ],
 )
 def test_compatible_pair_is_not_lonely(a, b):
@@ -756,12 +754,11 @@ def test_compatible_pair_is_not_lonely(a, b):
     mags = np.zeros((5, 20))
     mags[2] = 10.0
     mag, ang = grid_of(ldirs, mags)
-    params = DetectorParams(angle_period=math.pi)
     ldir = np.mod(ang[2, :2] + 0.5 * math.pi, math.pi).tolist()
     for d in ((ldir[1] - ldir[0]) % math.pi, (ldir[0] - ldir[1]) % math.pi):
-        assert min(d, math.pi - d) <= params.angle_tolerance
-    assert not lonely_mask(mag, ang, params)[2].any()
-    lines = assert_matches_oracle(mag, ang, params, 0.5)
+        assert min(d, math.pi - d) <= TAU
+    assert not lonely_mask(mag, ang, period=math.pi)[2].any()
+    lines = assert_matches_oracle(mag, ang, 0.5, period=math.pi)
     assert len(lines) == 1
 
 
@@ -779,10 +776,9 @@ def test_lonely_pixel_is_still_absorbed_by_a_drifted_region():
     mags[1, 10] = 9.0
     mags[1, 11] = 5.0
     mag, ang = grid_of(ldirs, mags)
-    params = DetectorParams()
-    mask = lonely_mask(mag, ang, params)
+    mask = lonely_mask(mag, ang)
     assert mask[1, 11] and not mask[1, 10]
-    lines = assert_matches_oracle(mag, ang, params, 0.5)
+    lines = assert_matches_oracle(mag, ang, 0.5)
     assert len(lines) == 1
     # The segment reaches P's center.
     assert max(lines[0].p1.x, lines[0].p2.x) == pytest.approx(11.5)

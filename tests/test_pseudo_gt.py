@@ -10,7 +10,6 @@ import pytest
 from linefields import (
     FieldPair,
     Homography,
-    HomographySamplerParams,
     LineSegment,
     ScalarField,
     aggregate_median,
@@ -23,63 +22,42 @@ from linefields import (
     warp_lines,
 )
 
+from linefields import pseudo_gt
+
 from util_synth import band_scores, bar_image, square_image
 
 
-class TestHomographySamplerParams:
-    def test_defaults(self) -> None:
-        p = HomographySamplerParams()
-        assert p.scale_range == (0.7, 1.4)
-        assert p.max_rotation == pytest.approx(math.radians(30.0))
-
-    def test_rejects_bad_scale(self) -> None:
-        with pytest.raises(ValueError):
-            HomographySamplerParams(scale_range=(1.4, 0.7))
-        with pytest.raises(ValueError):
-            HomographySamplerParams(scale_range=(0.0, 1.0))
-
-    def test_rejects_bad_fractions(self) -> None:
-        with pytest.raises(ValueError):
-            HomographySamplerParams(max_translation_frac=0.5)
-        with pytest.raises(ValueError):
-            HomographySamplerParams(max_perspective=-0.1)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name", ["max_rotation", "max_translation_frac", "max_perspective"]
-    )
-    def test_rejects_non_finite(self, name: str, value: float) -> None:
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            HomographySamplerParams(**{name: value})
-
-
 class TestSampleHomography:
-    def test_degenerate_ranges_give_identity(self) -> None:
-        p = HomographySamplerParams(
-            max_rotation=0.0,
-            scale_range=(1.0, 1.0),
-            max_translation_frac=0.0,
-            max_perspective=0.0,
-        )
-        h = sample_homography(p, 64, 64, np.random.default_rng(0))
+    def test_sampler_ranges(self) -> None:
+        assert pseudo_gt._MAX_ROTATION == math.radians(30.0)
+        assert pseudo_gt._SCALE_RANGE == (0.7, 1.4)
+        assert (pseudo_gt._MAX_TRANSLATION_FRAC, pseudo_gt._MAX_PERSPECTIVE) == (0.1, 0.1)
+
+    def test_degenerate_ranges_give_identity(self, monkeypatch) -> None:
+        for name, value in [
+            ("_MAX_ROTATION", 0.0),
+            ("_SCALE_RANGE", (1.0, 1.0)),
+            ("_MAX_TRANSLATION_FRAC", 0.0),
+            ("_MAX_PERSPECTIVE", 0.0),
+        ]:
+            monkeypatch.setattr(pseudo_gt, name, value)
+        h = sample_homography(64, 64, np.random.default_rng(0))
         assert np.allclose(h.m, np.eye(3), atol=1e-12)
 
     def test_deterministic_given_seed(self) -> None:
-        p = HomographySamplerParams()
-        a = sample_homography(p, 64, 48, np.random.default_rng(7))
-        b = sample_homography(p, 64, 48, np.random.default_rng(7))
+        a = sample_homography(64, 48, np.random.default_rng(7))
+        b = sample_homography(64, 48, np.random.default_rng(7))
         assert np.array_equal(a.m, b.m)
 
     def test_always_invertible(self) -> None:
-        p = HomographySamplerParams()
         rng = np.random.default_rng(8)
         for _ in range(10_000):
-            h = sample_homography(p, 128, 96, rng)
+            h = sample_homography(128, 96, rng)
             assert abs(np.linalg.det(h.m)) > 1e-12
 
     def test_rejects_bad_dimensions(self) -> None:
         with pytest.raises(ValueError):
-            sample_homography(HomographySamplerParams(), 0, 10, np.random.default_rng(0))
+            sample_homography(0, 10, np.random.default_rng(0))
 
 
 class TestWarpImage:
@@ -239,6 +217,19 @@ class TestGeneratePseudoGt:
     def test_needs_positive_count(self) -> None:
         with pytest.raises(ValueError):
             generate_pseudo_gt(square_image().astype(float), 0)
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (True, "n_homographies must be an integer"),
+            (2.5, "n_homographies must be an integer"),
+            (-1, "n_homographies must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_count(self, count: object, message: str) -> None:
+        """True once ran one warp, and 2.5 raised TypeError from range."""
+        with pytest.raises(ValueError, match=message):
+            generate_pseudo_gt(square_image().astype(float), count)
 
     @pytest.mark.parametrize(
         "seed, message", [(-1, "seed must be at least 0"), (1.5, "seed must be an integer")]
