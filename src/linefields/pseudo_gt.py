@@ -57,8 +57,8 @@ def sample_homography(width: int, height: int, rng: np.random.Generator) -> Homo
     each invertible, so the composition always is. Deterministic given the
     generator state.
     """
-    if width < 1 or height < 1:
-        raise ValueError("image dimensions must be positive")
+    _require_int("width", width, minimum=1)
+    _require_int("height", height, minimum=1)
     cx = 0.5 * width
     cy = 0.5 * height
     rot = rng.uniform(-_MAX_ROTATION, _MAX_ROTATION)

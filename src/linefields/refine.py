@@ -34,7 +34,8 @@ from .geometry import (
     _segments,
     _signed_circular,
 )
-from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, fit_vps, refine_vp
+from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, _refine_vps, fit_vps
+from .vp import refine_vp  # noqa: F401  (a name of this module: perfbench's tracer hooks it here)
 
 __all__ = [
     "RefineParams",
@@ -48,6 +49,8 @@ _PROBE_T = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 # Damping levels mu, 10 mu, ..., 1e5 mu per iteration, after 2x the mu step;
 # in endpoint pixels, levels above 1e5 mu hardly ever decide a step.
 _MAX_BOOSTS = 6
+# A line stops on a relative gain below the float32 resolution of its fields.
+_GAIN_GATE = float(np.finfo(np.float32).eps)
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,8 @@ def _refine_lines(
     that probed inside the field (one _damping_ladder call). Lines are
     damped by diag(max(half length, 1)^2, 1), in endpoint pixels as the step
     test measures: damping by |H| sees H_tt ~ 0 on the flat DF off a line,
-    drives mu up there and then crawls at the kink. Each line takes its
-    lowest-cost downhill row, so the rules are per line, as in refine_line.
+    drives mu up there and then crawls at the kink. Each line takes its lowest-cost
+    downhill row and stops below _GAIN_GATE relative gain, per line as in refine_line.
     """
     theta, mx, my, half_len, v_vec, use_v = _line_state(rows, vps)
     if tables is None:
@@ -233,7 +236,7 @@ def _refine_lines(
         f[j], theta[j], mx[j], my[j] = moved
         mu[j] = mu_next
         step = np.hypot(d0 * scale[j], d1)
-        converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
+        converged[j] = (step < params.tol) | (improvement < _GAIN_GATE * np.maximum(f[j], 1.0))
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]
 
@@ -261,10 +264,10 @@ def refine_line(
     endpoints by the same amount). Each iteration takes the lowest-cost
     downhill step among 6 damping levels, in endpoint pixels, and the doubled
     least-damped step (the kink case of _damping_ladder), so the cost never rises.
-    Converged means the last step was below tol or gained under 1e-14
-    relative, or no step went downhill; a probe leaving the field stops
-    the line unconverged. A given vanishing point always adds its
-    term, however far it lies; association is the caller's choice, as in
+    Converged means the last step was below tol or gained under float32
+    epsilon (_GAIN_GATE) relative, or no step went downhill; a probe leaving
+    the field stops the line unconverged. A given vanishing point always adds
+    its term, however far it lies; association is the caller's choice, as in
     refine_joint. This runs the batched solver of refine_joint on one line,
     with bitwise the same result.
 
@@ -287,10 +290,10 @@ def refine_joint(
 
     Vanishing points are fitted once up front, then k_alternations rounds
     run: all lines are refined in one batch (a line's VP term active while
-    it is assigned), each VP is re-estimated from its currently assigned
-    lines, and lines are re-assigned to their closest VP when its d_vp is
-    below vp_params.t_vp, the gate fit_vps assigns with. Deterministic given
-    the VP seed.
+    it is assigned), the VPs are re-estimated from their assigned lines in
+    one batch, and lines are re-assigned to their closest VP when its d_vp
+    is below vp_params.t_vp, the gate fit_vps assigns with. Deterministic
+    given the VP seed.
     """
     params = params or RefineParams()
     vp_params = vp_params or VpParams()
@@ -305,11 +308,10 @@ def refine_joint(
         line_vps = [vps[j] if j is not None else None for j in assignment]
         rows, _, _ = _refine_lines(rows, fp, line_vps, params, tables)
         if vps:
-            for j in range(len(vps)):
-                members = [i for i in range(n) if assignment[i] == j]
-                if len(members) >= 2:
-                    vps[j] = refine_vp(vps[j], _segments(rows[members]))
-            mids, e1, e2, _ = _line_arrays(rows)
+            arrays = mids, e1, e2, _ = _line_arrays(rows)
+            members = [[i for i in range(n) if assignment[i] == j] for j in range(len(vps))]
+            vecs = _refine_vps(np.array([v.v for v in vps]), arrays, members)[0]
+            vps = [VanishingPoint(v) for v in vecs]
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)  # the first closest VP
             close = dists[closest, np.arange(n)] < vp_params.t_vp

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,9 @@ _SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
 _VP_LEVELS = 12  # refine_vp damping levels mu, 10 mu, ..., after 2x the mu step
 _VP_MAX_ITER = 100  # refine_vp iterations
 _VP_TOL = 1e-12  # refine_vp step size and relative gain convergence threshold
+_VP_H = 1e-7  # refine_vp central-difference step on the tangent chart
+_VP_PROBES = _VP_H * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # (a, b) rows
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -112,22 +116,24 @@ def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
     return VanishingPoint(v)
 
 
-def _cross(a, b) -> np.ndarray:
-    """np.cross of two 3-vectors, bit for bit: the same products and
-    differences, without its axis handling (which dominates at this size)."""
+def _cross(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """np.cross of two 3-vectors in Python floats, bit for bit (numpy's overhead dominates here)."""
     a0, a1, a2 = a
     b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _unit(w: np.ndarray) -> np.ndarray:
+    # vecdot runs the dot kernel of np.linalg.norm and r @ r: unstrided stacks round as each alone.
+    return w / np.sqrt(np.vecdot(w, w))[..., None]
 
 
 def _tangent_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = [0.0, 0.0, 0.0]
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    a = v.tolist()
-    e1 = _cross(a, axis)
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(a, e1.tolist())
-    e2 /= np.linalg.norm(e2)
+    """Unit tangents e1, e2 of the sphere at each (m, 3) row v: e1 = v x its least |axis|."""
+    rows = v.tolist()
+    axes = [_AXES[min(range(3), key=lambda i: abs(a[i]))] for a in rows]  # first on ties
+    e1 = _unit(np.array([_cross(a, b) for a, b in zip(rows, axes)]))
+    e2 = _unit(np.array([_cross(a, b) for a, b in zip(rows, e1.tolist())]))
     return e1, e2
 
 
@@ -172,16 +178,90 @@ def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
     mus[:, 0] = mu
     mus = np.cumprod(mus, axis=1)
     lhs = hess[:, None] + mus[:, :, None, None] * damp[:, None]
-    delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), np.repeat(-g, levels, axis=0))
-    rows = np.r_[0, :levels]  # row 0: the first level again, its step doubled
+    delta, solved = _solve_2x2(lhs.reshape(-1, 2, 2), (-g).repeat(levels, axis=0))
+    rows = np.maximum(np.arange(-1, levels), 0)  # row 0: the first level again, its step doubled
     delta = delta.reshape(n, levels, 2)[:, rows]
     delta[:, 0] *= 2.0
     cost, *steps = trial(delta)
     down = solved.reshape(n, levels)[:, rows] & np.isfinite(cost) & (cost < f0[:, None])
     stepped = down.any(axis=1)
-    r, row = np.flatnonzero(stepped), np.argmin(np.where(down, cost, np.inf)[stepped], axis=1)
+    r, row = stepped.nonzero()[0], np.where(down, cost, np.inf)[stepped].argmin(axis=1)
     mu_next = np.maximum(mus[r, rows[row]] / 3.0, 1e-12)
     return stepped, mu_next, cost[r, row], *(s[r, row] for s in steps)
+
+
+def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequence[Sequence[int]]):
+    """Refine the (m, 3) VPs ``vecs`` at once, VP j against rows members[j] of ``lines``
+    (_line_arrays); returns the vectors, costs and converged flags. Each runs refine_vp's
+    iteration with its own mu, basis, cost and stopping rules; bases, probes and residuals
+    are stacked and one _damping_ladder call scores all, while every reduction (costs,
+    J^T r, J^T J, norms) runs on one model's own contiguous lines: each refines as alone."""
+
+    def group(models):  # the lines of ``models``, each line's index into them, each one's slice
+        sizes = [len(members[j]) for j in models]
+        li = np.fromiter((i for j in models for i in members[j]), np.intp)
+        m, a, b, lengths = (x[li] for x in lines)
+        parts = [slice(e - n, e) for e, n in zip(accumulate(sizes), sizes)]
+        return (m, a, b, np.sqrt(lengths)), np.arange(len(sizes)).repeat(sizes), parts
+
+    def residuals(w: np.ndarray) -> np.ndarray:  # (rows, lines), C order (take: see _unit)
+        (m, a, b, weight), rep, _ = sub
+        return weight * _d_vp_many(m, a, b, w.swapaxes(0, 1).take(rep, axis=1), signed=True)
+
+    cur = np.array(vecs, dtype=float).reshape(-1, 3)
+    sub = group(range(len(cur)))
+    cost = np.array([r[s] @ r[s] for r in residuals(cur[:, None]) for s in sub[2]], dtype=float)
+    mu, converged = np.full(len(cur), 1e-3), np.zeros(len(cur), dtype=bool)
+    # A model with under 2 lines, or whose cost cannot be evaluated, stays where it is.
+    k = (np.isfinite(cost) & np.array([len(m) >= 2 for m in members], dtype=bool)).nonzero()[0]
+    for _ in range(_VP_MAX_ITER):
+        if not k.size:
+            break
+        if len(k) < len(sub[2]):
+            sub = group(k)
+        c = cur[k][:, None]
+        b1, b2 = (e[:, None] for e in _tangent_basis(c[:, 0]))
+
+        def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return _unit(c + a[..., None] * b1 + b[..., None] * b2)
+
+        r = residuals(np.concatenate([c, at(*_VP_PROBES)], axis=1))  # the point, then its probes
+        jac = np.ascontiguousarray(((r[1::2] - r[2::2]) / (2.0 * _VP_H)).T)
+        lad = []  # position, J^T J and gradient of each model that goes on to the ladder
+        for p, (model, s) in enumerate(zip(k.tolist(), sub[2])):
+            jk = jac[s]
+            if np.isfinite(jk).all():  # else it stops where it is, not converged
+                gk = jk.T @ r[0, s]
+                converged[model] = math.sqrt(gk @ gk) < 1e-14  # sqrt of the dot kernel, as norm
+                if not converged[model]:
+                    lad.append((p, jk.T @ jk, gk))
+        if not lad:
+            break
+        lad, hess, g = map(list, zip(*lad))
+        if len(lad) < len(k):
+            c, b1, b2, k = c[lad], b1[lad], b2[lad], k[lad]
+            sub = group(k)
+        hess = np.array(hess)
+        damp = np.maximum(hess.diagonal(axis1=1, axis2=2), 1e-12)[:, :, None] * np.eye(2)
+
+        def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
+            w = at(delta[..., 0], delta[..., 1])
+            r = residuals(w)
+            return np.array([np.vecdot(r[:, s], r[:, s]) for s in sub[2]]), w, delta
+
+        stepped, mu_next, new_cost, new_w, delta = _damping_ladder(
+            hess, damp, np.array(g), mu[k], cost[k], _VP_LEVELS, trial
+        )
+        size = np.sqrt(np.vecdot(delta, delta))  # as np.linalg.norm
+        taken = zip(mu_next.tolist(), new_cost.tolist(), new_w, size.tolist())
+        for model, moved in zip(k.tolist(), stepped.tolist()):
+            converged[model] = True  # no downhill step at any damping: local minimum
+            if moved:
+                mu[model], f, cur[model], step = next(taken)
+                improvement, cost[model] = cost[model] - f, f
+                converged[model] = step < _VP_TOL or improvement < _VP_TOL * max(f, 1.0)
+        k = k[~converged[k]]
+    return cur, cost, converged
 
 
 def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output: bool = False):
@@ -194,69 +274,17 @@ def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output:
     scores the doubled step and _VP_LEVELS damping levels in one
     _damping_ladder call and takes the lowest-cost downhill row. Converged
     means the gradient vanished, the step or its relative gain fell below
-    _VP_TOL, or no row went downhill. Returns the best
-    iterate; with ``full_output=True`` returns (vp, cost, converged).
+    _VP_TOL, or no row went downhill (one model of _refine_vps). Returns the
+    best iterate; with ``full_output=True`` returns (vp, cost, converged).
 
     Raises:
         ValueError: with fewer than 2 inlier lines.
     """
     if len(inliers) < 2:
         raise ValueError("vanishing point refinement needs at least 2 lines")
-    mids, e1p, e2p, lengths = _line_arrays(_rows(inliers))
-    sqw = np.sqrt(lengths)
-
-    def residuals(vec: np.ndarray) -> np.ndarray:
-        return sqw * _d_vp_many(mids, e1p, e2p, vec, signed=True)
-
-    cur = np.array(v.v, dtype=float)
-    res = residuals(cur)
-    cost = float(res @ res)
-    mu = np.array([1e-3])
-    converged = False
-    h = 1e-7
-    # A cost that cannot be evaluated leaves the point where it is.
-    for _ in range(_VP_MAX_ITER if math.isfinite(cost) else 0):
-        b1, b2 = _tangent_basis(cur)
-
-        def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            # vecdot runs the dot kernel of np.linalg.norm and of r @ r, so
-            # stacked vectors and costs round as each one alone.
-            w = cur + a[..., None] * b1 + b[..., None] * b2
-            return w / np.sqrt(np.vecdot(w, w))[..., None]
-
-        r = residuals(at(np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))[:, None])
-        jac = np.stack([(r[0] - r[1]) / (2.0 * h), (r[2] - r[3]) / (2.0 * h)], axis=1)
-        if not np.all(np.isfinite(jac)):
-            break
-        g = jac.T @ res
-        if float(np.linalg.norm(g)) < 1e-14:
-            converged = True
-            break
-        jtj = jac.T @ jac
-
-        def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
-            w = at(delta[..., 0], delta[..., 1])
-            w_res = residuals(w[..., None, :])
-            return np.vecdot(w_res, w_res), w, w_res, delta
-
-        damp = np.diag(np.maximum(np.diag(jtj), 1e-12))
-        stepped, *moved = _damping_ladder(
-            jtj[None], damp[None], g[None], mu, np.array([cost]), _VP_LEVELS, trial
-        )
-        if not stepped[0]:
-            converged = True  # no downhill step at any damping: local minimum
-            break
-        mu, (trial_cost,), (cur,), (res,), (delta,) = moved
-        improvement = cost - trial_cost
-        cost = float(trial_cost)
-        if float(np.linalg.norm(delta)) < _VP_TOL or improvement < _VP_TOL * max(cost, 1.0):
-            converged = True
-            break
-
-    out = VanishingPoint(cur)
-    if full_output:
-        return out, cost, converged
-    return out
+    cur, cost, converged = _refine_vps(v.v, _line_arrays(_rows(inliers)), [range(len(inliers))])
+    out = VanishingPoint(cur[0])
+    return (out, float(cost[0]), bool(converged[0])) if full_output else out
 
 
 def _draws(rng: np.random.Generator, m: int, k: int, iters: int) -> np.ndarray:

@@ -59,6 +59,18 @@ class TestSampleHomography:
         with pytest.raises(ValueError):
             sample_homography(0, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("width, height", [(True, 10), (2.5, 10), (math.nan, 10), (10, 2.0), (10, "8")])
+    def test_rejects_sizes_that_are_not_integers(self, width, height) -> None:
+        # A bool or a fractional size used to yield a warp for a frame no
+        # image has; NaN failed later, as a non-finite homography.
+        name = "width" if width != 10 else "height"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_homography(width, height, np.random.default_rng(0))
+
+    def test_accepts_numpy_integer_sizes(self) -> None:
+        a = sample_homography(np.int64(64), np.int32(48), np.random.default_rng(7))
+        assert np.array_equal(a.m, sample_homography(64, 48, np.random.default_rng(7)).m)
+
 
 class TestWarpImage:
     def test_identity_exact(self) -> None:

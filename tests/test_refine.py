@@ -196,6 +196,23 @@ class TestRefineLine:
         assert converged
         assert abs(out.p1.y - 30.5) <= 1e-6 and abs(out.p2.y - 30.5) <= 1e-6
 
+    def test_vp_coupled_line_stops_at_the_float32_resolution(self, monkeypatch) -> None:
+        # The VP term pulls this line along the DF kink of GT_SEG: after 7
+        # iterations it gains under float32 epsilon per step. With a 1e-14
+        # gate it crept 32 more iterations and 3e-7 more cost.
+        seg = LineSegment((22.9155, 31.2604), (82.9149, 30.9904))
+        v = VanishingPoint(np.array([1713.3, 152.77, 1.0]))
+        short = RefineParams(max_iter=7)
+        _, cost, converged = refine_line(seg, make_fp(), v, short, full_output=True)
+        assert converged
+        _, long_cost, _ = refine_line(seg, make_fp(), v, full_output=True)
+        assert long_cost == cost
+        monkeypatch.setattr("linefields.refine._GAIN_GATE", 1e-14)
+        _, ungated_cost, ungated = refine_line(seg, make_fp(), v, short, full_output=True)
+        assert not ungated and ungated_cost == cost
+        _, crept_cost, _ = refine_line(seg, make_fp(), v, full_output=True)
+        assert 0.0 < cost - crept_cost < 1e-6 * cost
+
     def test_cost_never_increases(self) -> None:
         fp = make_fp()
         rng = np.random.default_rng(52)

@@ -196,7 +196,8 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
         theta[j], mx[j], my[j], d0, d1, m = new[stepped].T
         mu[j] = np.maximum(m / 3.0, 1e-12)
         step = np.hypot(d0 * np.maximum(half_len[j], 1.0), d1)
-        converged[j] = (step < params.tol) | (improvement < 1e-14 * np.maximum(f[j], 1.0))
+        gate = np.finfo(np.float32).eps * np.maximum(f[j], 1.0)
+        converged[j] = (step < params.tol) | (improvement < gate)
         seen["no_level"] += int((~stepped).sum())
         converged[a[~stepped]] = True
         active = a[~converged[a]]

@@ -20,6 +20,11 @@ order, and one trial vector and cost per row (the doubled level-0 step,
 then each level), keeping the lowest cost below the start seen so far,
 the first on ties. refine_vp scores all rows as one stack, and must
 return the same VP bits, cost bits and convergence flag.
+
+``_refine_vps`` refines many models in one batch (refine_vp is its
+one-model call): each model of a ragged batch must come out as
+``oracle_refine_vp`` on it alone, and refine_joint, which runs the batch
+once per round, as a frozen loop of one refine_vp call per model.
 """
 
 from __future__ import annotations
@@ -32,11 +37,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linefields import LineSegment, VanishingPoint, VpParams, fit_vps, refine_vp, vp_from_two_lines
-from linefields.geometry import _d_vp_many
-from linefields.vp import _draws, _tangent_basis
+from linefields import (
+    LineSegment,
+    RefineParams,
+    VanishingPoint,
+    VpParams,
+    fit_vps,
+    refine_joint,
+    refine_vp,
+    render_fields,
+    vp_from_two_lines,
+)
+from linefields.geometry import _d_vp_many, _line_arrays, _rows, _segments
+from linefields.refine import _refine_lines
+from linefields.vp import _draws, _refine_vps, _tangent_basis
 
-from util_synth import concurrent_lines
+from util_synth import concurrent_lines, pencil_segments, perturb_segment
 
 
 def scalar_fit_vps(lines, params, seen: Counter):
@@ -335,7 +351,7 @@ def test_tangent_basis_matches_np_cross(axis, ideal, mags, signs, small) -> None
     if ideal:
         v[2] = 0.0
     for vec in (v, VanishingPoint(v).v):
-        got, want = _tangent_basis(vec), oracle_tangent_basis(vec)
+        got, want = [e[0] for e in _tangent_basis(vec[None])], oracle_tangent_basis(vec)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
@@ -512,3 +528,145 @@ def test_refine_vp_with_a_singular_level(monkeypatch: pytest.MonkeyPatch) -> Non
     seen = assert_same_refine(start, lines)
     assert seen["singular"] == 1 and seen["level_1"] >= 1
     assert not np.array_equal(refine_vp(start, lines).v, clean.v)  # the failure changed its path
+
+
+# ------------------------------------------------------------ _refine_vps
+
+# Models with a fixed path, for the batches below: a start on a midpoint
+# (cost +inf, never iterates), noisy lines that end where no damping level
+# goes downhill, and an exact pencil whose gradient vanishes at once.
+SPECIAL_MODELS = {
+    "nonfinite_start": lambda: (
+        VanishingPoint(np.array([0.0, 0.0, 1.0])),
+        [LineSegment((-1.0, -1.0), (1.0, 1.0)), LineSegment((5.0, 0.0), (9.0, 3.0))],
+    ),
+    "no_downhill": lambda: pencil_with_outliers(51, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2),
+    "first_iteration": lambda: pencil_with_outliers(0, VP_KINDS["finite_far"], 2, 0.0, 0, 0.0),
+}
+
+
+def assert_batch_matches_alone(models) -> Counter:
+    """_refine_vps on all models at once gives each one the VP bits, cost
+    bits and flag of oracle_refine_vp run on that model alone."""
+    starts = np.array([start.v for start, _ in models])
+    lines = [seg for _, group in models for seg in group]
+    ends = np.cumsum([len(group) for _, group in models]).tolist()
+    members = [range(e - len(group), e) for e, (_, group) in zip(ends, models)]
+    got_v, got_cost, got_conv = _refine_vps(starts, _line_arrays(_rows(lines)), members)
+    seen: Counter = Counter()
+    for k, (start, group) in enumerate(models):
+        want_v, want_cost, want_conv = oracle_refine_vp(start, group, seen)
+        assert got_v[k].tobytes() == want_v.tobytes()
+        assert float(got_cost[k]).hex() == float(want_cost).hex()
+        assert bool(got_conv[k]) == want_conv
+    return seen
+
+
+def test_special_models_take_their_paths() -> None:
+    seen = assert_batch_matches_alone([SPECIAL_MODELS[name]() for name in sorted(SPECIAL_MODELS)])
+    assert seen["nonfinite_start"] == 1 and seen["no_downhill"] == 1 and seen["zero_gradient"] == 1
+    _, lines = SPECIAL_MODELS["first_iteration"]()
+    assert len(lines) == 2
+    calls = Counter()
+    oracle_refine_vp(*SPECIAL_MODELS["first_iteration"](), calls, max_iter=1)
+    assert calls == Counter(zero_gradient=1)  # it stops in its first iteration
+
+
+random_model = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(VP_KINDS)),
+    st.integers(2, 36),
+    st.sampled_from([0.0, 0.3, 1.5]),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 1e-4, 1e-2]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(SPECIAL_MODELS)) | random_model, min_size=1, max_size=8))
+@example([(50, "finite_near", 10, 0.3, 1, 1e-2)])  # hits max_iter
+@example(["first_iteration", (7, "ideal", 30, 1.5, 4, 1e-2), "nonfinite_start", "no_downhill",
+          (8, "finite_far", 2, 0.3, 0, 1e-4), (9, "finite_near", 36, 0.0, 4, 0.0)])
+def test_batch_matches_each_model_alone(specs) -> None:
+    """Ragged groups of 2-40 lines: zero padding or a shared reduction
+    would change some model's bits."""
+    models = [
+        SPECIAL_MODELS[s]() if isinstance(s, str) else pencil_with_outliers(s[0], VP_KINDS[s[1]], *s[2:])
+        for s in specs
+    ]
+    assert_batch_matches_alone(models)
+
+
+def test_batch_of_no_models() -> None:
+    vecs, costs, converged = _refine_vps(np.empty((0, 3)), _line_arrays(np.empty((0, 4))), [])
+    assert vecs.shape == (0, 3) and costs.shape == (0,) and converged.shape == (0,)
+
+
+def test_models_with_under_two_lines_stay_where_they_are() -> None:
+    start, lines = pencil_with_outliers(3, VP_KINDS["finite_near"], 12, 0.3, 1, 1e-2)
+    lonely = VanishingPoint(np.array([0.3, 1.0, 0.0]))
+    vecs, _, converged = _refine_vps(
+        np.array([lonely.v, start.v, lonely.v]), _line_arrays(_rows(lines)), [[0], range(len(lines)), []]
+    )
+    assert vecs[0].tobytes() == vecs[2].tobytes() == lonely.v.tobytes()
+    assert not converged[0] and not converged[2]
+    want_v, _, want_conv = oracle_refine_vp(start, lines, Counter())
+    assert vecs[1].tobytes() == want_v.tobytes() and converged[1] == want_conv
+
+
+def frozen_refine_joint(lines, fp, params, vp_params, seen: Counter):
+    """refine_joint as one refine_vp call per model, on LineSegments of its
+    assigned lines; line refinement is the library's, so both use one gate."""
+    n = len(lines)
+    vps, assignment = fit_vps(lines, vp_params)
+    rows = _rows(lines)
+    for _ in range(params.k_alternations):
+        line_vps = [vps[j] if j is not None else None for j in assignment]
+        rows, _, _ = _refine_lines(rows, fp, line_vps, params)
+        if vps:
+            for j in range(len(vps)):
+                members = [i for i in range(n) if assignment[i] == j]
+                if len(members) >= 2:
+                    vps[j] = refine_vp(vps[j], _segments(rows[members]))
+                else:
+                    seen["vp_left_alone"] += 1
+            mids, e1, e2, _ = _line_arrays(rows)
+            dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
+            closest = np.argmin(dists, axis=0)
+            close = dists[closest, np.arange(n)] < vp_params.t_vp
+            seen["unassigned"] += int((~close).sum())
+            assignment = [int(j) if c else None for j, c in zip(closest, close)]
+    return _segments(rows), vps, assignment
+
+
+def pencils_scene(seed: int):
+    """Three perturbed pencils of 8 lines (two finite VPs, one far) and 6 clutter lines."""
+    rng = np.random.default_rng(seed)
+    gt = []
+    for vp_xy in ((1800.0, 128.0), (-900.0, 50.0), (128.0, 3000.0)):
+        gt += pencil_segments(rng, vp_xy=vp_xy, size=160, n=8, half_range=(6.0, 10.0))
+    for _ in range(6):
+        m = rng.uniform(30.0, 130.0, 2)
+        a = rng.uniform(0.0, math.pi)
+        d = rng.uniform(5.0, 12.0) * np.array([math.cos(a), math.sin(a)])
+        gt.append(LineSegment(m - d, m + d))
+    fp = render_fields(gt, 160, 160)
+    return [perturb_segment(s, rng) for s in gt], fp
+
+
+@pytest.mark.parametrize("seed, vp_params", [
+    (61, VpParams()),
+    (62, VpParams(seed=3)),
+    (61, VpParams(t_vp=0.1, min_support=2)),  # 8 models, some left with under 2 lines
+])
+def test_refine_joint_matches_a_per_model_loop(seed, vp_params) -> None:
+    lines, fp = pencils_scene(seed)
+    params = RefineParams(k_alternations=3)
+    seen: Counter = Counter()
+    want = frozen_refine_joint(lines, fp, params, vp_params, seen)
+    got = refine_joint(lines, fp, params, vp_params)
+    assert _rows(got[0]).tobytes() == _rows(want[0]).tobytes()
+    assert [v.v.tobytes() for v in got[1]] == [v.v.tobytes() for v in want[1]]
+    assert got[2] == want[2]
+    assert len(want[1]) >= 2 and seen["unassigned"] > 0
+    assert (seen["vp_left_alone"] > 0) == (vp_params.t_vp < 1.0)
