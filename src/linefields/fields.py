@@ -319,22 +319,25 @@ def _bilinear_corners(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Flat indices of the four grid corners around each (xs, ys), stacked
     as (y0 x0, y0 x1, y1 x0, y1 x1) on a new first axis, and the two-sided
-    weights (1 - wx, wx, 1 - wy, wy) that _blend takes."""
+    weights (1 - wx, wx, 1 - wy, wy) that _blend takes. x0 is at most
+    max(w - 2, 0), so x1 = min(x0 + 1, w - 1) is x0 + min(1, w - 1) (and
+    likewise in y): the corners are y0 x0 plus four fixed offsets."""
     h, w = shape
-    x0 = np.clip(np.floor(xs).astype(int), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(ys).astype(int), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), max(w - 2, 0))
+    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), max(h - 2, 0))
+    dx, dy = min(1, w - 1), w * min(1, h - 1)
+    corners = np.add.outer(np.array([0, dx, dy, dx + dy]), y0 * w + x0)
     wx = xs - x0
     wy = ys - y0
-    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
     return corners, (1.0 - wx, wx, 1.0 - wy, wy)
 
 
 def _blend(values: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
     """Bilinear blend of corner values (stacked as _bilinear_corners orders
-    them). Two-sided weights are exact at wx/wy of 0 and 1, which clipped
-    border coordinates hit, so sampling on the grid reproduces stored values."""
+    them on the first axis; any further leading axes of a value, such as one
+    per table, broadcast against the weights). Two-sided weights are exact at
+    wx/wy of 0 and 1, which clipped border coordinates hit, so sampling on
+    the grid reproduces stored values."""
     v00, v01, v10, v11 = values
     ax, wx, ay, wy = weights
     return ay * (ax * v00 + wx * v01) + wy * (ax * v10 + wx * v11)

@@ -376,13 +376,21 @@ def _d_vp_many(
     the absolute form has a kink at zero that wrecks finite-difference
     Jacobians.
     """
+    return _d_vp_columns(
+        mids[:, 0], mids[:, 1], e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], v, signed
+    )
+
+
+def _d_vp_columns(mx, my, x1, y1, x2, y2, v: np.ndarray, signed: bool = False) -> np.ndarray:
+    """_d_vp_many on coordinate columns: each segment's midpoint (mx, my)
+    and endpoints (x1, y1), (x2, y2), against the (..., 3) ``v``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        la = mids[:, 1] * v[..., 2] - v[..., 1]
-        lb = v[..., 0] - mids[:, 0] * v[..., 2]
-        lc = mids[:, 0] * v[..., 1] - mids[:, 1] * v[..., 0]
+        la = my * v[..., 2] - v[..., 1]
+        lb = v[..., 0] - mx * v[..., 2]
+        lc = mx * v[..., 1] - my * v[..., 0]
         norm = np.hypot(la, lb)
-        d1 = la * e1[:, 0] + lb * e1[:, 1] + lc
-        d2 = la * e2[:, 0] + lb * e2[:, 1] + lc
+        d1 = la * x1 + lb * y1 + lc
+        d2 = la * x2 + lb * y2 + lc
         d = 0.5 * ((d1 - d2) if signed else (np.abs(d1) + np.abs(d2))) / norm
     return np.where((norm >= _DEGENERATE_EPS) & np.isfinite(d), d, np.inf)
 

@@ -17,6 +17,7 @@ re-estimation, and re-association.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,6 +27,7 @@ import numpy as np
 from .fields import FieldPair, _bilinear_corners, _blend, _half_angle
 from .geometry import (
     LineSegment,
+    _d_vp_columns,
     _d_vp_many,
     _line_arrays,
     _oriented_angles,
@@ -79,18 +81,28 @@ class RefineParams:
             raise ValueError("iteration counts must be positive")
 
 
-def _sampling_tables(fp: FieldPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grids _batch_costs samples: DF, cos(2 AF) and sin(2 AF).
+def _sampling_tables(fp: FieldPair) -> np.ndarray:
+    """The (3, h, w) grids _batch_costs samples: DF, cos(2 AF) and sin(2 AF).
 
     Angles mod pi interpolate on the doubled circle; tabulating it once
     gives each sample the values _bilinear_many computes at its corners.
+    One array lets a single gather read all three; unpacking it gives the
+    three grids.
     """
     af2 = 2.0 * fp.af.data
-    return fp.df.data, np.cos(af2), np.sin(af2)
+    return np.stack([fp.df.data, np.cos(af2), np.sin(af2)])
+
+
+@functools.cache
+def _sample_ts(n_opt: int) -> np.ndarray:
+    """The n_opt sample positions along a line, 0 and 1 included."""
+    ts = np.linspace(0.0, 1.0, n_opt)
+    ts.setflags(write=False)
+    return ts
 
 
 def _batch_costs(
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tables: np.ndarray,
     thetas: np.ndarray,
     mxs: np.ndarray,
     mys: np.ndarray,
@@ -104,9 +116,12 @@ def _batch_costs(
     ``tables`` comes from _sampling_tables. Row k adds the vanishing point
     term of ``v_vec[k]`` where ``use_v[k]`` is set; ``v_vec`` is None when
     no row has one. Configurations whose endpoints leave the sampleable
-    area get +inf.
+    area get +inf. Most calls hold a few rows, so the fixed cost per call
+    is what counts: one gather reads the four corners of every sample from
+    all three tables, the means are np.add.reduce over n_opt (np.mean's
+    bits) and the VP term reads the coordinate columns as they are.
     """
-    h, w = tables[0].shape
+    _, h, w = tables.shape
     ux = np.cos(thetas)
     uy = np.sin(thetas)
     x1 = mxs - half_len * ux
@@ -119,26 +134,23 @@ def _batch_costs(
         & (np.minimum(y1, y2) >= 0.5)
         & (np.maximum(y1, y2) <= h - 0.5)
     )
-    ts = np.linspace(0.0, 1.0, params.n_opt)
-    xs = x1[:, None] + ts[None, :] * (x2 - x1)[:, None]
-    ys = y1[:, None] + ts[None, :] * (y2 - y1)[:, None]
+    n = params.n_opt
+    ts = _sample_ts(n)
+    xs = x1[:, None] + ts * (x2 - x1)[:, None]
+    ys = y1[:, None] + ts * (y2 - y1)[:, None]
     # Clip so out-of-bounds rows stay evaluable; their cost is overridden.
-    gx = np.clip(xs - 0.5, 0.0, w - 1.0)
-    gy = np.clip(ys - 0.5, 0.0, h - 1.0)
+    gx = np.minimum(np.maximum(xs - 0.5, 0.0), w - 1.0)
+    gy = np.minimum(np.maximum(ys - 0.5, 0.0), h - 1.0)
     corners, weights = _bilinear_corners((h, w), gx, gy)
-    df_s, cos_s, sin_s = (_blend(t.ravel().take(corners), weights) for t in tables)
-    af_s = _half_angle(sin_s, cos_s)
-
-    delta = _signed_circular(af_s - thetas[:, None], math.pi)
-    c_af = np.mean(1.0 - np.cos(delta), axis=1)
-    c_df = np.mean(df_s, axis=1)
+    values = tables.reshape(3, -1).take(corners, axis=1).swapaxes(0, 1)
+    df_s, cos_s, sin_s = _blend(values, weights)
+    delta = _signed_circular(_half_angle(sin_s, cos_s) - thetas[:, None], math.pi)
+    c_af = np.add.reduce(1.0 - np.cos(delta), axis=1) / n
+    c_df = np.add.reduce(df_s, axis=1) / n
     cost = params.lambda_af * c_af + params.lambda_df * c_df
     if v_vec is not None:
-        mids = np.stack([mxs, mys], axis=1)
-        e1 = np.stack([x1, y1], axis=1)
-        e2 = np.stack([x2, y2], axis=1)
-        with_vp = cost + params.lambda_vp * _d_vp_many(mids, e1, e2, v_vec)
-        cost = np.where(use_v, with_vp, cost)
+        d_vp = _d_vp_columns(mxs, mys, x1, y1, x2, y2, v_vec)
+        cost = np.where(use_v, cost + params.lambda_vp * d_vp, cost)
     return np.where(ok, cost, np.inf)
 
 
@@ -163,7 +175,7 @@ def _refine_lines(
     fp: FieldPair,
     vps: Sequence[VanishingPoint | None],
     params: RefineParams,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tables: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine (n, 4) endpoint rows at once; returns (rows, costs, converged).
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    _DEGENERATE_EPS,
     LineSegment,
     _d_vp_many,
     _homogeneous_lines,
@@ -43,6 +44,7 @@ _VP_TOL = 1e-12  # refine_vp step size and relative gain convergence threshold
 _VP_H = 1e-7  # refine_vp central-difference step on the tangent chart
 _VP_PROBES = _VP_H * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # (a, b) rows
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -305,8 +307,73 @@ def _draws(rng: np.random.Generator, m: int, k: int, iters: int) -> np.ndarray:
     return out
 
 
+def _score_columns(sub: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
+    """The (3, 4n) columns whose product with a VP row v gives d1, d2, la
+    and lb of _d_vp_many for the n lines of ``sub`` (_line_arrays): d1 is
+    v . (y1 - my, mx - x1, my x1 - mx y1), d2 likewise, la is v . (0, -1, my)
+    and lb is v . (1, 0, -mx). Also the largest
+    C = (1 + |mx| + |my|)(1 + |x1| + |y1| + |x2| + |y2|) over the lines,
+    the scale of _best_candidate's rounding bound."""
+    (mx, my), (x1, y1), (x2, y2) = (a.T for a in sub[:3])
+    zeros, ones = np.zeros_like(mx), np.ones_like(mx)
+    cols = np.array([
+        [y1 - my, y2 - my, zeros, ones],
+        [mx - x1, mx - x2, -ones, zeros],
+        [my * x1 - mx * y1, my * x2 - mx * y2, my, -mx],
+    ])
+    scale = (1.0 + np.abs(mx) + np.abs(my)) * (1.0 + np.abs(sub[1]).sum(axis=1) + np.abs(sub[2]).sum(axis=1))
+    return cols.reshape(3, -1), float(scale.max())
+
+
+def _inlier_matrix(
+    vecs: np.ndarray, sub: tuple[np.ndarray, ...], columns: tuple[np.ndarray, float], t: float
+) -> np.ndarray:
+    """The (k, n) bits of ``_d_vp_many(mids, e1, e2, vecs[:, None]) < t`` for
+    the (k, 3) unit rows ``vecs`` and the lines of ``sub``, without
+    evaluating d_vp on every entry.
+
+    ``columns`` (_score_columns) gives d1, d2, la and lb of every entry as
+    one product, and an entry is in when P = (|d1| + |d2|)^2 is below
+    T = 4 t^2 (la^2 + lb^2), which needs no hypot. That product and
+    _d_vp_many's own arithmetic both put each of d1, d2, la and lb within
+    E = 16 u max|v| max C of its exact value (u = 2^-53; each is a sum of
+    three products of at most |v| C, through under 8 roundings in any
+    order; Higham, ch. 3). Both decisions then equal the exact one, and so
+    each other, when |T - P| > 4 (2 + 3t) E sqrt(Z) + 40 u Z, Z = max(P, T).
+    With sqrt(Z) <= (Z / 2t + 2t) / 2 that is implied, with a factor of 2
+    to spare, by |T - P| > alpha Z + beta; beta is also large enough that
+    an entry passing the test has hypot(la, lb) well above _d_vp_many's
+    degenerate limit. The entries that fail it, NaN and inf included
+    (every comparison with them is false), are re-scored with _d_vp_many.
+    """
+    mids, e1, e2, _ = sub
+    cols, scale = columns
+    n = len(mids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = vecs @ cols
+        s = np.abs(prod[:, : 2 * n])
+        s = s[:, :n] + s[:, n:]
+        q = np.square(prod[:, 2 * n :])
+        big_t = (4.0 * t * t) * (q[:, :n] + q[:, n:])
+        big_p = s * s
+        inl = big_p < big_t
+        err = 16.0 * _U * float(np.abs(vecs).max(initial=0.0)) * scale
+        k1 = (2.0 + 3.0 * t) * err
+        alpha = 2.0 * k1 / t + 64.0 * _U
+        beta = max(8.0 * k1 * t, 8.0 * t * t * (2.0 * _DEGENERATE_EPS + 3.0 * err) ** 2)
+        near = ~(np.abs(big_t - big_p) > alpha * np.maximum(big_p, big_t) + beta)
+    k, j = near.nonzero()
+    if k.size:
+        inl[k, j] = _d_vp_many(mids[j], e1[j], e2[j], vecs[k]) < t
+    return inl
+
+
 def _best_candidate(
-    v: np.ndarray, sub: tuple[np.ndarray, ...], params: VpParams, best_len: float
+    v: np.ndarray,
+    sub: tuple[np.ndarray, ...],
+    columns: tuple[np.ndarray, float],
+    params: VpParams,
+    best_len: float,
 ) -> tuple[int | None, float]:
     """The row of ``v`` (cross products of candidate line pairs) whose VP
     wins against the lines of ``sub`` (_line_arrays), and its inlier length.
@@ -315,8 +382,13 @@ def _best_candidate(
     those with at least min_support inliers and more than ``best_len``, as
     a one-at-a-time scan with a strict ``>`` finds it; pairs on one
     supporting line are skipped. Returns (None, best_len) when no row wins.
+    Inliers come from _inlier_matrix (``columns`` is the round's
+    _score_columns). Support sums come from one matrix product, within
+    4 n u sum(lengths) of the exact sums (u = 2^-53); only the candidates
+    that can still reach the largest of them and beat ``best_len`` run the
+    exact ``lengths[inliers].sum()`` scan.
     """
-    mids, e1, e2, lengths = sub
+    lengths = sub[3]
     # vecdot runs the dot kernel of np.linalg.norm, so the skip test and
     # the unit scaling match vp_from_two_lines bit for bit. Its sign flip
     # is left out: negating v leaves every d_vp bit unchanged.
@@ -324,9 +396,17 @@ def _best_candidate(
     index = np.flatnonzero(norm[:, 0] >= 1e-12)
     v, norm = v[index], norm[index]
     vecs = np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
+    inl = _inlier_matrix(vecs, sub, columns, params.t_vp)
+    cand = np.flatnonzero(np.count_nonzero(inl, axis=1) >= params.min_support)
+    if not cand.size:
+        return None, best_len
+    approx = inl[cand] @ lengths
+    slack = 4.0 * len(lengths) * _U * float(lengths.sum())
+    if math.isfinite(slack):
+        reach = approx + slack
+        cand = cand[(reach > best_len) & (reach >= approx.max() - slack)]
     best = None
-    inl = _d_vp_many(mids, e1, e2, vecs[:, None, :]) < params.t_vp
-    for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
+    for k in cand.tolist():
         support_len = float(lengths[inl[k]].sum())
         if support_len > best_len:
             best, best_len = int(index[k]), support_len
@@ -361,6 +441,7 @@ def fit_vps(
 
     while len(models) < params.max_models and len(remaining) >= params.min_support:
         sub_m, sub_e1, sub_e2, _ = sub = tuple(x[remaining] for x in arrays)
+        columns = _score_columns(sub)
         # Candidates are drawn, crossed and scored in chunks of at most
         # _SCORE_ELEMENTS d_vp entries, in stream order, so memory does not
         # grow with ransac_iters.
@@ -376,7 +457,7 @@ def fit_vps(
             seen = np.union1d(seen, code[first])
             pairs = remaining[draws[first]]
             k, best_len = _best_candidate(
-                np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, params, best_len
+                np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, columns, params, best_len
             )
             if k is not None:
                 best = pairs[k]

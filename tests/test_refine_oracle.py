@@ -368,6 +368,10 @@ def test_batch_costs_match_per_sample_sampling() -> None:
         assert np.isfinite(got).any() and np.isinf(got).any()
 
 
+# 1 x 1, 1 x n and n x 1 grids take the one-pixel corner offsets.
+GRID_SHAPES = [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (3, 5), (9, 4), (64, 48), (48, 64)]
+
+
 @st.composite
 def grid_samples(draw):
     """A grid (1 x N, N x 1, 2 x 2 or larger) and coordinates on it: a
@@ -375,7 +379,7 @@ def grid_samples(draw):
     clipped back as callers clip. Fractions are squared: rng.random() gives
     multiples of 2**-53, for which 1 - x is exact, so a weight off by one
     ulp would not show; squares have bits below that, finest in cell 0."""
-    h, w = draw(st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (3, 5), (9, 4)]))
+    h, w = draw(st.sampled_from(GRID_SHAPES))
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(seed)
@@ -406,3 +410,78 @@ def test_bilinear_many_matches_frozen_lookup(sample, circular, shape_2d) -> None
     want = oracle_bilinear_many(data, xs, ys, circular)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cost_rows(draw):
+    """A random field pair on a grid of GRID_SHAPES and _batch_costs rows on
+    it: inside the sampleable area, anywhere (often outside: +inf), edge to
+    edge along x or y in either direction (samples clipped exactly to 0 and
+    w - 1 or h - 1), or one point at a pixel center (the only finite rows of
+    a 1 x 1 grid). VPs: none, or on some or all rows, finite, ideal, or on
+    the row's own midpoint (a degenerate joining line: d_vp +inf)."""
+    h, w = draw(st.sampled_from(GRID_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    vp_rows = draw(st.sampled_from(["none", "some", "all"]))
+    fp = FieldPair(
+        ScalarField(rng.uniform(0.0, 6.0, (h, w))), ScalarField(rng.uniform(0.0, math.pi, (h, w))), 5.0
+    )
+    kind = rng.choice(4, n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    half = rng.uniform(0.0, 0.5 * max(h, w), n)
+    mx, my = rng.uniform(0.5, w - 0.5, n), rng.uniform(0.5, h - 0.5, n)
+    out = kind == 1
+    mx[out], my[out] = rng.uniform(-3.0, w + 3.0, out.sum()), rng.uniform(-3.0, h + 3.0, out.sum())
+    edge = kind == 2
+    theta[edge] = rng.choice([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi], edge.sum())
+    along_y = np.abs(np.abs(theta) - 0.5 * math.pi) < 1e-9
+    mx[edge & ~along_y], half[edge & ~along_y] = 0.5 * w, 0.5 * (w - 1)
+    my[edge & along_y], half[edge & along_y] = 0.5 * h, 0.5 * (h - 1)
+    point = kind == 3
+    half[point] = 0.0
+    mx[point] = rng.integers(0, w, point.sum()) + 0.5
+    my[point] = rng.integers(0, h, point.sum()) + 0.5
+    v_vec, use_v = None, np.zeros(n, dtype=bool)
+    if vp_rows != "none":
+        use_v = np.ones(n, dtype=bool) if vp_rows == "all" else rng.random(n) < 0.5
+        a = rng.uniform(0.0, 2.0 * math.pi, n)
+        far = rng.uniform(2.0, 500.0, n)
+        v_vec = np.column_stack([mx + far * np.cos(a), my + far * np.sin(a), np.ones(n)])
+        vp_kind = rng.choice(3, n)
+        v_vec[vp_kind == 1] = np.column_stack([np.cos(a), np.sin(a), np.zeros(n)])[vp_kind == 1]
+        v_vec[vp_kind == 2] = np.column_stack([mx, my, np.ones(n)])[vp_kind == 2]
+    return fp, (theta, mx, my, half, v_vec, use_v, RefineParams())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cost_rows())
+def test_batch_costs_match_the_frozen_oracle_on_any_grid(case) -> None:
+    fp, args = case
+    got = _batch_costs(_sampling_tables(fp), *args)
+    want = oracle_batch_costs(fp, *args)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_cost_rows_cover_their_cases() -> None:
+    """The cases cost_rows names are reached: clipped samples on both
+    borders, +inf rows, finite 1 x 1 rows and +inf VP terms."""
+    rng = np.random.default_rng(3)
+    fp = FieldPair(ScalarField(rng.uniform(0.0, 6.0, (5, 8))), ScalarField(rng.uniform(0.0, 3.0, (5, 8))), 5.0)
+    theta = np.array([0.0, math.pi, 0.5 * math.pi, 0.3, 0.0])
+    mx, my = np.array([4.0, 4.0, 2.5, 40.0, 3.5]), np.array([2.5, 1.5, 2.5, 2.0, 0.5])
+    half = np.array([3.5, 3.5, 2.0, 2.0, 0.0])
+    v_vec = np.array([[4.0, 2.5, 1.0], [1.0, 0.0, 0.0], [100.0, 9.0, 1.0], [0.0, 0.0, 1.0], [3.5, 0.5, 1.0]])
+    args = (theta, mx, my, half, v_vec, np.array([True, True, False, True, True]), RefineParams())
+    got = _batch_costs(_sampling_tables(fp), *args)
+    assert got.tobytes() == oracle_batch_costs(fp, *args).tobytes()
+    # Row 0 spans x from 0.5 to 7.5 and row 1 runs back along it; rows 0
+    # and 4 (a point on the border) have their midpoints as VPs, and row 3
+    # lies outside.
+    assert np.isinf(got[[0, 3, 4]]).all() and np.isfinite(got[[1, 2]]).all()
+    x1, x2 = mx - half * np.cos(theta), mx + half * np.cos(theta)
+    assert (x1[0], x2[0], x1[1], x2[1]) == (0.5, 7.5, 7.5, 0.5)
+    one = FieldPair(ScalarField(np.array([[2.0]])), ScalarField(np.array([[1.0]])), 5.0)
+    point = (np.array([0.7]), np.array([0.5]), np.array([0.5]), np.zeros(1), None, np.zeros(1, bool), RefineParams())
+    cost = _batch_costs(_sampling_tables(one), *point)
+    assert cost.tobytes() == oracle_batch_costs(one, *point).tobytes() and np.isfinite(cost[0])

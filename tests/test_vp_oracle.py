@@ -48,9 +48,10 @@ from linefields import (
     render_fields,
     vp_from_two_lines,
 )
-from linefields.geometry import _d_vp_many, _line_arrays, _rows, _segments
+from linefields import vp as vp_module
+from linefields.geometry import _d_vp_many, _homogeneous_lines, _line_arrays, _rows, _segments
 from linefields.refine import _refine_lines
-from linefields.vp import _draws, _refine_vps, _tangent_basis
+from linefields.vp import _best_candidate, _draws, _inlier_matrix, _refine_vps, _score_columns, _tangent_basis
 
 from util_synth import concurrent_lines, pencil_segments, perturb_segment
 
@@ -304,6 +305,152 @@ def test_draws_repeat_for_the_same_seed() -> None:
     first, again = (_draws(np.random.default_rng(5), 1000, 4, 500) for _ in range(2))
     assert np.array_equal(first, again)
     assert not np.array_equal(first, _draws(np.random.default_rng(6), 1000, 4, 500))
+
+
+# ------------------------------------------------------------ candidate scoring
+
+
+def unit_crosses(lines):
+    """Every pair's cross product, scaled as _best_candidate scales it, and
+    the pairs on one supporting line left out."""
+    hom = _homogeneous_lines(_rows(lines))
+    i, j = np.triu_indices(len(lines), 1)
+    v = np.cross(hom[i], hom[j])
+    norm = np.sqrt(np.vecdot(v, v))[:, None]
+    keep = norm[:, 0] >= 1e-12
+    v, norm = v[keep], norm[keep]
+    return np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
+
+
+def frozen_best_candidate(v, sub, params, best_len):
+    """_best_candidate as one _d_vp_many matrix and a full strict-> scan."""
+    mids, e1, e2, lengths = sub
+    norm = np.sqrt(np.vecdot(v, v))[:, None]
+    index = np.flatnonzero(norm[:, 0] >= 1e-12)
+    vecs = np.where(np.abs(norm[index] - 1.0) > 1e-12, v[index] / norm[index], v[index])
+    inl = _d_vp_many(mids, e1, e2, vecs[:, None, :]) < params.t_vp
+    best = None
+    for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
+        support_len = float(lengths[inl[k]].sum())
+        if support_len > best_len:
+            best, best_len = int(index[k]), support_len
+    return best, best_len
+
+
+def gate_lines(rng, vec, t, count, center, tol):
+    """``count`` segments near ``center`` whose d_vp against the unit row
+    ``vec`` (finite or ideal) is within ``tol`` of t, a third of them below
+    it. Each try scans one segment's offset from its joining line over the
+    coordinates' own resolution and keeps the d_vp closest to t on the side
+    it wants."""
+    lines: list[LineSegment] = []
+    while len(lines) < count:
+        want_below = len(lines) % 3 == 0
+        m = center + rng.uniform(-60.0, 60.0, 2)
+        toward = vec[:2] - m * vec[2]  # from m to the VP, up to sign and scale
+        u = toward / np.hypot(*toward)
+        offsets = t + np.spacing(np.abs(m).max() + 60.0) * np.arange(-40.0, 41.0) / 4.0
+        half = rng.uniform(5.0, 30.0) * u + offsets[:, None] * np.array([-u[1], u[0]])
+        rows = np.concatenate([m - half, m + half], axis=1)
+        d = _d_vp_many(*_line_arrays(rows)[:3], vec)
+        side = np.flatnonzero((d < t) == want_below)
+        if side.size:
+            k = side[np.argmin(np.abs(d[side] - t))]
+            if abs(d[k] - t) <= tol:
+                lines.append(LineSegment(tuple(rows[k, :2]), tuple(rows[k, 2:])))
+    return lines
+
+
+def gate_scene(kind: str, seed: int, t: float = 1.5):
+    """Two anchor lines, whose crossing is a candidate; lines planted within
+    a few ulp of t_vp of it; a line centred on the crossing (its joining
+    line is degenerate: d_vp +inf); a copy of an anchor (a pair on one
+    supporting line) and clutter."""
+    rng = np.random.default_rng(seed)
+    center = np.array([1e6, 1e6]) if kind == "far" else np.array([128.0, 128.0])
+    if kind == "ideal":  # parallel anchors (one direction, in bits): their crossing is at infinity
+        anchors = [LineSegment(center + (-40.0, -50.0), center + (40.0, 10.0)),
+                   LineSegment(center + (-60.0, 20.0), center + (20.0, 80.0))]
+    else:
+        anchors = [LineSegment(center + (-50.0, -40.0), center + (60.0, 30.0)),
+                   LineSegment(center + (-40.0, 55.0), center + (45.0, -35.0))]
+    vec = unit_crosses(anchors)[0]
+    # At 128 px an ideal VP's d_vp moves in steps of 32 ulp; at 1e6 px
+    # coordinates are 1e-10 px apart.
+    tol = {"finite": 4.0 * np.spacing(t), "ideal": 64.0 * np.spacing(t), "far": 1e-8}[kind]
+    lines = anchors + gate_lines(rng, vec, t, 9, center, tol) + [anchors[0]]
+    if kind != "ideal":
+        crossing = vec[:2] / vec[2]
+        lines.append(LineSegment(tuple(crossing - (1.0, 0.5)), tuple(crossing + (1.0, 0.5))))
+    for _ in range(4):
+        m = center + rng.uniform(-80.0, 80.0, 2)
+        a = rng.uniform(0.0, math.pi)
+        d = rng.uniform(8.0, 30.0) * np.array([math.cos(a), math.sin(a)])
+        lines.append(LineSegment(tuple(m - d), tuple(m + d)))
+    return lines, vec
+
+
+GATE_KINDS = ["finite", "ideal", "far"]
+
+
+def counting_d_vp(monkeypatch) -> list[int]:
+    """Count the entries _d_vp_many re-scores for the vp module."""
+    entries: list[int] = []
+
+    def wrapper(mids, e1, e2, v, **kwargs):
+        entries.append(len(mids))
+        return _d_vp_many(mids, e1, e2, v, **kwargs)
+
+    monkeypatch.setattr(vp_module, "_d_vp_many", wrapper)
+    return entries
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inlier_matrix_matches_d_vp_at_the_gate(monkeypatch, kind, seed) -> None:
+    lines, vec = gate_scene(kind, seed)
+    sub = _line_arrays(_rows(lines))
+    vecs = unit_crosses(lines)
+    assert any(np.array_equal(v, vec) for v in vecs)
+    want = _d_vp_many(*sub[:3], vecs[:, None, :]) < 1.5
+    rescored = counting_d_vp(monkeypatch)
+    got = _inlier_matrix(vecs, sub, _score_columns(sub), 1.5)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert sum(rescored) >= 9  # the planted lines of the anchors' crossing at least
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+@pytest.mark.parametrize("best_len", [0.0, None])
+def test_best_candidate_matches_a_full_scan(kind, best_len) -> None:
+    lines, _ = gate_scene(kind, 3)
+    sub = _line_arrays(_rows(lines))
+    hom = _homogeneous_lines(_rows(lines))
+    i, j = np.triu_indices(len(lines), 1)
+    v = np.cross(hom[i], hom[j])
+    v = np.concatenate([v, v[::-1]])  # every candidate twice: ties go to the first
+    params = VpParams(min_support=3)
+    if best_len is None:  # a record just below the winner's: only it can beat it
+        best_len = np.nextafter(frozen_best_candidate(v, sub, params, 0.0)[1], 0.0)
+    want = frozen_best_candidate(v, sub, params, best_len)
+    assert want[0] is not None
+    assert _best_candidate(v, sub, _score_columns(sub), params, best_len) == want
+    assert _best_candidate(v, sub, _score_columns(sub), params, want[1]) == (None, want[1])
+
+
+def test_best_candidate_with_no_candidates() -> None:
+    lines, _ = gate_scene("finite", 4)
+    sub = _line_arrays(_rows(lines))
+    columns = _score_columns(sub)
+    params = VpParams()
+    assert _best_candidate(np.empty((0, 3)), sub, columns, params, 2.0) == (None, 2.0)
+    assert _best_candidate(np.zeros((3, 3)), sub, columns, params, 2.0) == (None, 2.0)
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_fit_vps_matches_reference_at_the_gate(monkeypatch, kind) -> None:
+    lines, _ = gate_scene(kind, 5)
+    monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", 3 * len(lines))  # chunks of 3 candidates
+    assert_same_fit(lines, VpParams(seed=7, min_support=4, ransac_iters=400))
 
 
 # ------------------------------------------------------------ refine_vp

@@ -3,6 +3,7 @@
     python3 tools/refine_scan.py --seeds 101-120
     python3 tools/refine_scan.py --seeds 101-120 --src ../parent/src
     python3 tools/refine_scan.py --seeds 101-110,8101-8103 --json scan.json
+    python3 tools/refine_scan.py --seeds 8101-8103 --time
 
 For each ``--seeds`` entry it builds that seed's ``vp_refine`` pool
 (``perfbench/scenes.py``, size from ``perfbench/run.py``), runs every
@@ -15,7 +16,12 @@ changes):
 - the summed final cost of each call (its finite costs), averaged per call;
 - VP damping ladders: ``_damping_ladder`` calls made from ``vp.py``
   (line refinement binds its own name) and the model-iterations they held;
-- failed CLI calls.
+- failed CLI calls;
+- wall time (``perf_counter``) inside ``_refine_lines``, ``_refine_vps``,
+  ``_best_candidate`` and ``fit_vps``. ``fit_vps`` holds its own
+  ``_best_candidate`` calls and, through ``refine_vp``, some of the
+  ``_refine_vps`` time; ``--time`` prints each as ms per scene, so one
+  layer can be compared between two trees without a tracer.
 
 ``--src`` names the source tree whose ``linefields`` runs (default: this
 checkout's ``src``), so one checkout can scan another's program on the
@@ -30,6 +36,7 @@ import contextlib
 import json
 import sys
 import tempfile
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,21 +55,38 @@ class Counts:
     vp_model_iterations: int = 0
     failed: int = 0
     attempted: int = 0
+    scenes: int = 0
+    refine_lines_s: float = 0.0
+    refine_vps_s: float = 0.0
+    best_candidate_s: float = 0.0
+    fit_vps_s: float = 0.0
 
     def add(self, other: Counts) -> None:
         for name, value in asdict(other).items():
             setattr(self, name, getattr(self, name) + value)
 
-    def row(self, label: str) -> str:
+    def row(self, label: str, time: bool = False) -> str:
         calls = max(self.line_calls, 1)
-        return (
+        row = (
             f"{label:>7} {self.line_calls:6d} {self.line_iterations / calls:9.2f} "
             f"{self.max_iter_calls:8d} {self.final_cost / calls:12.5f} {self.vp_ladders:8d} "
             f"{self.vp_model_iterations:9d} {self.failed:4d} of {self.attempted}"
         )
+        if time:
+            ms = 1e3 / max(self.scenes, 1)
+            row += "".join(f" {getattr(self, name) * ms:8.2f}" for name in TIMED.values())
+        return row
 
 
 HEADER = "   seed  calls  it/call max_iter  cost/call   vp_lad  vp_model failed"
+# Timed functions, by the Counts field that sums their seconds.
+TIMED = {
+    "_refine_lines": "refine_lines_s",
+    "_refine_vps": "refine_vps_s",
+    "_best_candidate": "best_candidate_s",
+    "fit_vps": "fit_vps_s",
+}
+TIME_HEADER = "".join(f" {name:>8}" for name in ("lines_ms", "vp_lm_ms", "best_ms", "fit_ms"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -76,9 +100,23 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def timed(name: str, fn, counts: Counts):
+    """``fn``, adding its wall time to the field TIMED[name] of ``counts``."""
+    field = TIMED[name]
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            setattr(counts, field, getattr(counts, field) + time.perf_counter() - start)
+
+    return wrapper
+
+
 @contextlib.contextmanager
 def counting(cli, refine, vp, counts: Counts):
-    """Count into ``counts`` while inside; restores every wrapped name."""
+    """Count and time into ``counts`` while inside; restores every wrapped name."""
     batch_costs, refine_lines, ladder = refine._batch_costs, refine._refine_lines, vp._damping_ladder
     cost_calls = [0]
 
@@ -101,8 +139,14 @@ def counting(cli, refine, vp, counts: Counts):
         counts.vp_model_iterations += len(g)
         return ladder(hess, damp, g, *args, **kwargs)
 
+    lines = timed("_refine_lines", lines, counts)
+    refine_vps = timed("_refine_vps", vp._refine_vps, counts)
+    fit = timed("fit_vps", vp.fit_vps, counts)
     saved = [(refine, "_batch_costs", costs), (refine, "_refine_lines", lines),
-             (cli, "_refine_lines", lines), (vp, "_damping_ladder", vp_ladder)]
+             (cli, "_refine_lines", lines), (vp, "_damping_ladder", vp_ladder),
+             (refine, "_refine_vps", refine_vps), (vp, "_refine_vps", refine_vps),
+             (vp, "_best_candidate", timed("_best_candidate", vp._best_candidate, counts)),
+             (refine, "fit_vps", fit), (cli, "fit_vps", fit)]
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in saved]
     try:
         for mod, name, wrapper in saved:
@@ -132,6 +176,7 @@ def scan(seeds: list[int], src: Path) -> dict[int, Counts]:
             with counting(cli, refine, vp, counts):
                 for scene in pool:
                     runner.scene(scene)
+            counts.scenes = len(pool)
             counts.failed, counts.attempted = runner.failed - failed, runner.attempted - attempted
             result[seed] = counts
     return result
@@ -142,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, help="pool seeds, e.g. 101-120 or 101,8101-8103")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to run")
     parser.add_argument("--json", type=Path, help="also write the rows here")
+    parser.add_argument("--time", action="store_true", help="also print ms per scene in each timed function")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -149,11 +195,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--seeds: {exc}")
     result = scan(seeds, args.src.resolve())
     total = Counts()
-    print(HEADER)
+    print(HEADER + (TIME_HEADER if args.time else ""))
     for seed, counts in result.items():
         total.add(counts)
-        print(counts.row(str(seed)))
-    print(total.row("total"))
+        print(counts.row(str(seed), args.time))
+    print(total.row("total", args.time))
     if args.json:
         record = {"src": str(args.src), "seeds": {s: asdict(c) for s, c in result.items()}}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
