@@ -41,8 +41,6 @@ _SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
 _VP_LEVELS = 12  # refine_vp damping levels mu, 10 mu, ..., after 2x the mu step
 _VP_MAX_ITER = 100  # refine_vp iterations
 _VP_TOL = 1e-12  # refine_vp step size and relative gain convergence threshold
-_VP_H = 1e-7  # refine_vp central-difference step on the tangent chart
-_VP_PROBES = _VP_H * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])  # (a, b) rows
 _AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -195,9 +193,13 @@ def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
 def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequence[Sequence[int]]):
     """Refine the (m, 3) VPs ``vecs`` at once, VP j against rows members[j] of ``lines``
     (_line_arrays); returns the vectors, costs and converged flags. Each runs refine_vp's
-    iteration with its own mu, basis, cost and stopping rules; bases, probes and residuals
-    are stacked and one _damping_ladder call scores all, while every reduction (costs,
-    J^T r, J^T J, norms) runs on one model's own contiguous lines: each refines as alone."""
+    iteration with its own mu, basis, cost and stopping rules; bases, residuals and
+    Jacobian rows are stacked and one _damping_ladder call scores all, while every
+    reduction (costs, J^T r, J^T J, norms) runs on one model's own contiguous lines:
+    each refines as alone. A line's residual is r = w (q . D) / (2 |q|), with
+    q = (la, lb) = P v linear in v and D = e1 - e2 (lc cancels), so
+    dr/dq = w (D - (q^ . D) q^) / (2 |q|), chained through P and the chart's
+    derivatives at 0, the tangents b1 and b2."""
 
     def group(models):  # the lines of ``models``, each line's index into them, each one's slice
         sizes = [len(members[j]) for j in models]
@@ -209,6 +211,22 @@ def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequen
     def residuals(w: np.ndarray) -> np.ndarray:  # (rows, lines), C order (take: see _unit)
         (m, a, b, weight), rep, _ = sub
         return weight * _d_vp_many(m, a, b, w.swapaxes(0, 1).take(rep, axis=1), signed=True)
+
+    def jacobian(c: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:  # (lines, 2)
+        (m, a, b, weight), rep, _ = sub
+        v, t1, t2 = (x[:, 0].take(rep, axis=0) for x in (c, b1, b2))
+        mx, my = m[:, 0], m[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            la, lb = my * v[:, 2] - v[:, 1], v[:, 0] - mx * v[:, 2]
+            norm = np.hypot(la, lb)
+            ux, uy = la / norm, lb / norm
+            dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
+            along = ux * dx + uy * dy
+            gx = 0.5 * weight * (dx - along * ux) / norm
+            gy = 0.5 * weight * (dy - along * uy) / norm
+            return np.stack(
+                [gx * (my * t[:, 2] - t[:, 1]) + gy * (t[:, 0] - mx * t[:, 2]) for t in (t1, t2)], axis=1
+            )
 
     cur = np.array(vecs, dtype=float).reshape(-1, 3)
     sub = group(range(len(cur)))
@@ -227,8 +245,7 @@ def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequen
         def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return _unit(c + a[..., None] * b1 + b[..., None] * b2)
 
-        r = residuals(np.concatenate([c, at(*_VP_PROBES)], axis=1))  # the point, then its probes
-        jac = np.ascontiguousarray(((r[1::2] - r[2::2]) / (2.0 * _VP_H)).T)
+        r, jac = residuals(c), jacobian(c, b1, b2)
         lad = []  # position, J^T J and gradient of each model that goes on to the ladder
         for p, (model, s) in enumerate(zip(k.tolist(), sub[2])):
             jk = jac[s]
@@ -269,8 +286,8 @@ def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequen
 def refine_vp(v: VanishingPoint, inliers: Sequence[LineSegment], *, full_output: bool = False):
     """Minimize the length-weighted squared d_vp over the unit sphere.
 
-    Levenberg-Marquardt on a 2-parameter tangent-plane chart, numeric
-    central-difference Jacobian, uphill steps rejected. Residuals carry
+    Levenberg-Marquardt on a 2-parameter tangent-plane chart, closed-form
+    Jacobian (see _refine_vps), uphill steps rejected. Residuals carry
     the side sign (squaring removes it from the cost) so the Jacobian
     stays meaningful where segments cross the joining line. Each iteration
     scores the doubled step and _VP_LEVELS damping levels in one

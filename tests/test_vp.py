@@ -20,6 +20,8 @@ from linefields import (
     vp_from_two_lines,
 )
 
+from linefields import vp as vp_module
+
 from util_synth import concurrent_lines, traced_peak
 
 
@@ -234,6 +236,29 @@ class TestRefineVp:
         assert math.isinf(cost)
         assert not converged
         assert np.array_equal(out.v, start.v)
+
+    def test_narrow_valley_converges_well_under_the_iteration_cap(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # A 5-line model of the vp_refine pool of seed 119: its JᵀJ had
+        # eigenvalues near 1e5 and 1e16, and with central-difference probes
+        # it zig-zagged for all 100 iterations, ending unconverged at a cost
+        # of 104.0003. The closed-form Jacobian reaches 90.47 in 14.
+        rows = [
+            (202.67313984985898, 15.596621158573425, 186.76004876272808, 33.656052223315555),
+            (78.16920881428878, 128.22459420260236, 111.74554869338665, 136.91866122273126),
+            (64.49933597598232, 207.1539012529506, 50.323185912977216, 240.16397541392072),
+            (210.1465157466627, 178.48343538944698, 241.48148970219242, 187.52130293918793),
+            (22.465509510808914, 65.51189017749675, 47.25402497940273, 86.10094985571254),
+        ]
+        lines = [LineSegment(r[:2], r[2:]) for r in rows]
+        start = VanishingPoint(np.array([0.5822762613001531, 0.8129678650740538, 0.006132363594134659]))
+        ladders = []
+        real = vp_module._damping_ladder
+        monkeypatch.setattr(vp_module, "_damping_ladder", lambda *a: ladders.append(1) or real(*a))
+        _, cost, converged = refine_vp(start, lines, full_output=True)
+        assert converged and len(ladders) <= vp_module._VP_MAX_ITER // 4
+        assert cost < 100.0
 
     def test_needs_two_inliers(self) -> None:
         with pytest.raises(ValueError):

@@ -18,8 +18,9 @@ numpy's ``choice``.
 with line refinement: per iteration one solve per damping level, in
 order, and one trial vector and cost per row (the doubled level-0 step,
 then each level), keeping the lowest cost below the start seen so far,
-the first on ties. refine_vp scores all rows as one stack, and must
-return the same VP bits, cost bits and convergence flag.
+the first on ties. Its Jacobian is written out from the joining line
+m x v with np.cross, per model. refine_vp scores all rows as one stack,
+and must return the same VP bits, cost bits and convergence flag.
 
 ``_refine_vps`` refines many models in one batch (refine_vp is its
 one-model call): each model of a ragged batch must come out as
@@ -524,7 +525,9 @@ def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
 
     mu = 1e-3
     converged = False
-    h = 1e-7
+    # Homogeneous midpoints: the joining line of midpoint m and v is m x v.
+    mh = np.column_stack([mids, np.ones(len(mids))])
+    span = e1p - e2p
     for _ in range(max_iter):
         b1, b2 = oracle_tangent_basis(cur)
 
@@ -532,11 +535,19 @@ def oracle_refine_vp(v, inliers, seen: Counter, max_iter=100, tol=1e-12):
             w = cur + a * b1 + b * b2
             return w / np.linalg.norm(w)
 
-        probes = np.stack([at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)])
-        r = residuals(probes[:, None, :])
-        jac = np.empty((len(inliers), 2))
-        jac[:, 0] = (r[0] - r[1]) / (2.0 * h)
-        jac[:, 1] = (r[2] - r[3]) / (2.0 * h)
+        # r = w (q . span) / (2 |q|) for q the first two entries of m x v:
+        # dr/dq = w (span - (q^ . span) q^) / (2 |q|), and moving v along a
+        # tangent t moves q by the first two entries of m x t.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.cross(mh, cur)[:, :2]
+            norm = np.hypot(q[:, 0], q[:, 1])
+            qhat = q / norm[:, None]
+            along = qhat[:, 0] * span[:, 0] + qhat[:, 1] * span[:, 1]
+            drdq = 0.5 * sqw[:, None] * (span - along[:, None] * qhat) / norm[:, None]
+            jac = np.empty((len(inliers), 2))
+            for col, tangent in enumerate((b1, b2)):
+                dq = np.cross(mh, tangent)[:, :2]
+                jac[:, col] = drdq[:, 0] * dq[:, 0] + drdq[:, 1] * dq[:, 1]
         if not np.all(np.isfinite(jac)):
             seen["nonfinite_jacobian"] += 1
             break
@@ -625,7 +636,7 @@ VP_KINDS = {
     jitter=st.sampled_from([0.0, 1e-4, 1e-2]),
 )
 @example(seed=0, kind="ideal", n=2, noise=0.0, outliers=0, jitter=1e-2)
-@example(seed=50, kind="finite_near", n=10, noise=0.3, outliers=1, jitter=1e-2)  # hits max_iter
+@example(seed=113, kind="ideal", n=10, noise=1.5, outliers=1, jitter=1e-2)  # hits max_iter
 def test_refine_vp_matches_level_by_level_loop(seed, kind, n, noise, outliers, jitter) -> None:
     start, lines = pencil_with_outliers(seed, VP_KINDS[kind], n, noise, outliers, jitter)
     assert_same_refine(start, lines)
@@ -633,7 +644,7 @@ def test_refine_vp_matches_level_by_level_loop(seed, kind, n, noise, outliers, j
 
 def test_refine_vp_no_downhill_level() -> None:
     # Noisy lines settle where no damping level improves the cost.
-    start, lines = pencil_with_outliers(51, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2)
+    start, lines = pencil_with_outliers(14, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2)
     seen = assert_same_refine(start, lines)
     assert seen["no_downhill"] == 1
 
@@ -687,7 +698,7 @@ SPECIAL_MODELS = {
         VanishingPoint(np.array([0.0, 0.0, 1.0])),
         [LineSegment((-1.0, -1.0), (1.0, 1.0)), LineSegment((5.0, 0.0), (9.0, 3.0))],
     ),
-    "no_downhill": lambda: pencil_with_outliers(51, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2),
+    "no_downhill": lambda: pencil_with_outliers(14, VP_KINDS["finite_near"], 10, 0.3, 1, 1e-2),
     "first_iteration": lambda: pencil_with_outliers(0, VP_KINDS["finite_far"], 2, 0.0, 0, 0.0),
 }
 
@@ -731,7 +742,7 @@ random_model = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from(sorted(SPECIAL_MODELS)) | random_model, min_size=1, max_size=8))
-@example([(50, "finite_near", 10, 0.3, 1, 1e-2)])  # hits max_iter
+@example([(113, "ideal", 10, 1.5, 1, 1e-2)])  # hits max_iter
 @example(["first_iteration", (7, "ideal", 30, 1.5, 4, 1e-2), "nonfinite_start", "no_downhill",
           (8, "finite_far", 2, 0.3, 0, 1e-4), (9, "finite_near", 36, 0.0, 4, 0.0)])
 def test_batch_matches_each_model_alone(specs) -> None:
