@@ -373,8 +373,7 @@ def _d_vp_many(
     endpoints instead, equal to d_vp in magnitude (the joining line passes
     through their midpoint, so they straddle it) and smooth where a segment
     crosses the line. Derivative-based refinement needs that smoothness;
-    the absolute form has a kink at zero that wrecks finite-difference
-    Jacobians.
+    the absolute form has a kink at zero.
     """
     return _d_vp_columns(
         mids[:, 0], mids[:, 1], e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], v, signed

@@ -93,7 +93,7 @@ def _sampling_tables(fp: FieldPair) -> np.ndarray:
     return np.stack([fp.df.data, np.cos(af2), np.sin(af2)])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4)
 def _sample_ts(n_opt: int) -> np.ndarray:
     """The n_opt sample positions along a line, 0 and 1 included."""
     ts = np.linspace(0.0, 1.0, n_opt)
