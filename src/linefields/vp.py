@@ -214,19 +214,16 @@ def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequen
 
     def jacobian(c: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:  # (lines, 2)
         (m, a, b, weight), rep, _ = sub
-        v, t1, t2 = (x[:, 0].take(rep, axis=0) for x in (c, b1, b2))
-        mx, my = m[:, 0], m[:, 1]
+        x = np.concatenate([c, b1, b2], axis=1).take(rep, axis=0)  # per line: v, b1, b2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            la, lb = my * v[:, 2] - v[:, 1], v[:, 0] - mx * v[:, 2]
-            norm = np.hypot(la, lb)
-            ux, uy = la / norm, lb / norm
-            dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
-            along = ux * dx + uy * dy
-            gx = 0.5 * weight * (dx - along * ux) / norm
-            gy = 0.5 * weight * (dy - along * uy) / norm
-            return np.stack(
-                [gx * (my * t[:, 2] - t[:, 1]) + gy * (t[:, 0] - mx * t[:, 2]) for t in (t1, t2)], axis=1
-            )
+            # (la, lb) of v, then their derivatives along b1 and b2: P applied to each row
+            p = np.stack([m[:, 1:] * x[..., 2] - x[..., 1], x[..., 0] - m[:, :1] * x[..., 2]], axis=2)
+            norm = np.hypot(p[:, 0, 0], p[:, 0, 1])[:, None]
+            unit, span = p[:, 0] / norm, a - b
+            along = unit * span
+            drdq = 0.5 * weight[:, None] * (span - (along[:, :1] + along[:, 1:]) * unit) / norm
+            jac = drdq[:, None] * p[:, 1:]
+            return jac[..., 0] + jac[..., 1]
 
     cur = np.array(vecs, dtype=float).reshape(-1, 3)
     sub = group(range(len(cur)))

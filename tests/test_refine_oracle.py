@@ -463,11 +463,13 @@ def test_batch_costs_match_the_frozen_oracle_on_any_grid(case) -> None:
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_cost_rows_cover_their_cases() -> None:
-    """The cases cost_rows names are reached: clipped samples on both
-    borders, +inf rows, finite 1 x 1 rows and +inf VP terms."""
+def test_batch_costs_on_clipped_and_degenerate_rows() -> None:
+    """Fixed rows of the cases cost_rows draws: samples clipped exactly to
+    both borders, a row outside, +inf VP terms and a finite 1 x 1 row."""
     rng = np.random.default_rng(3)
-    fp = FieldPair(ScalarField(rng.uniform(0.0, 6.0, (5, 8))), ScalarField(rng.uniform(0.0, 3.0, (5, 8))), 5.0)
+    fp = FieldPair(
+        ScalarField(rng.uniform(0.0, 6.0, (5, 8))), ScalarField(rng.uniform(0.0, 3.0, (5, 8))), 5.0
+    )
     theta = np.array([0.0, math.pi, 0.5 * math.pi, 0.3, 0.0])
     mx, my = np.array([4.0, 4.0, 2.5, 40.0, 3.5]), np.array([2.5, 1.5, 2.5, 2.0, 0.5])
     half = np.array([3.5, 3.5, 2.0, 2.0, 0.0])
@@ -482,6 +484,7 @@ def test_cost_rows_cover_their_cases() -> None:
     x1, x2 = mx - half * np.cos(theta), mx + half * np.cos(theta)
     assert (x1[0], x2[0], x1[1], x2[1]) == (0.5, 7.5, 7.5, 0.5)
     one = FieldPair(ScalarField(np.array([[2.0]])), ScalarField(np.array([[1.0]])), 5.0)
-    point = (np.array([0.7]), np.array([0.5]), np.array([0.5]), np.zeros(1), None, np.zeros(1, bool), RefineParams())
+    point = (np.array([0.7]), np.array([0.5]), np.array([0.5]), np.zeros(1), None, np.zeros(1, bool),
+             RefineParams())
     cost = _batch_costs(_sampling_tables(one), *point)
     assert cost.tobytes() == oracle_batch_costs(one, *point).tobytes() and np.isfinite(cost[0])

@@ -14,6 +14,13 @@ itself is checked for distinct in-range rows, for blocks that continue
 one stream, and for seeded reruns; no module of the package may call
 numpy's ``choice``.
 
+``_inlier_matrix`` scores candidates by one matrix product and re-scores
+only the entries near the gate; on lines planted within a few ulp of
+t_vp (finite, ideal and degenerate VPs, coordinates near 1e6) its masks
+must be the bits of the ``_d_vp_many < t_vp`` scan, with the re-scoring
+band entered, and ``_best_candidate`` must pick the winner of
+``frozen_best_candidate``, a full strict-> scan.
+
 ``oracle_refine_vp`` is refine_vp without the damping ladder it shares
 with line refinement: per iteration one solve per damping level, in
 order, and one trial vector and cost per row (the doubled level-0 step,

@@ -74,18 +74,14 @@ class Counts:
         )
         if time:
             ms = 1e3 / max(self.scenes, 1)
-            row += "".join(f" {getattr(self, name) * ms:8.2f}" for name in TIMED.values())
+            row += "".join(f" {getattr(self, name) * ms:8.2f}" for name in TIMED)
         return row
 
 
 HEADER = "   seed  calls  it/call max_iter  cost/call   vp_lad  vp_model failed"
-# Timed functions, by the Counts field that sums their seconds.
-TIMED = {
-    "_refine_lines": "refine_lines_s",
-    "_refine_vps": "refine_vps_s",
-    "_best_candidate": "best_candidate_s",
-    "fit_vps": "fit_vps_s",
-}
+# The Counts fields that sum the seconds spent in _refine_lines, _refine_vps,
+# _best_candidate and fit_vps.
+TIMED = ("refine_lines_s", "refine_vps_s", "best_candidate_s", "fit_vps_s")
 TIME_HEADER = "".join(f" {name:>8}" for name in ("lines_ms", "vp_lm_ms", "best_ms", "fit_ms"))
 
 
@@ -100,9 +96,8 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def timed(name: str, fn, counts: Counts):
-    """``fn``, adding its wall time to the field TIMED[name] of ``counts``."""
-    field = TIMED[name]
+def timed(field: str, fn, counts: Counts):
+    """``fn``, adding its wall time to ``field`` of ``counts``."""
 
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -139,13 +134,13 @@ def counting(cli, refine, vp, counts: Counts):
         counts.vp_model_iterations += len(g)
         return ladder(hess, damp, g, *args, **kwargs)
 
-    lines = timed("_refine_lines", lines, counts)
-    refine_vps = timed("_refine_vps", vp._refine_vps, counts)
-    fit = timed("fit_vps", vp.fit_vps, counts)
+    lines = timed("refine_lines_s", lines, counts)
+    refine_vps = timed("refine_vps_s", vp._refine_vps, counts)
+    fit = timed("fit_vps_s", vp.fit_vps, counts)
     saved = [(refine, "_batch_costs", costs), (refine, "_refine_lines", lines),
              (cli, "_refine_lines", lines), (vp, "_damping_ladder", vp_ladder),
              (refine, "_refine_vps", refine_vps), (vp, "_refine_vps", refine_vps),
-             (vp, "_best_candidate", timed("_best_candidate", vp._best_candidate, counts)),
+             (vp, "_best_candidate", timed("best_candidate_s", vp._best_candidate, counts)),
              (refine, "fit_vps", fit), (cli, "fit_vps", fit)]
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in saved]
     try:
