@@ -17,7 +17,6 @@ import numpy as np
 
 from .detector import detect
 from .evaluate import (
-    EvalParams,
     corner_error,
     estimate_homography,
     localization_error,
@@ -42,7 +41,7 @@ from .io import (
 from .pseudo_gt import generate_pseudo_gt
 # refine_line stays a name of this module: perfbench's tracer hooks it here.
 from .refine import RefineParams, _refine_lines, refine_joint, refine_line  # noqa: F401
-from .vp import VpParams, fit_vps
+from .vp import fit_vps
 
 __all__ = ["main", "build_parser"]
 
@@ -97,7 +96,7 @@ def _cmd_vps(args: argparse.Namespace) -> int:
     if args.width < 1 or args.height < 1:
         raise ValueError("image dimensions must be positive")
     lines = read_lines(args.lines)
-    vps, assignment = fit_vps(lines, VpParams(seed=args.seed))
+    vps, assignment = fit_vps(lines, seed=args.seed)
     write_vp_file(args.out, vps, assignment)
     return 0
 
@@ -111,32 +110,25 @@ def _matched_pairs(args: argparse.Namespace):
 
 def _cmd_eval_rep(args: argparse.Namespace) -> int:
     lines_a, lines_b, h_gt = _matched_pairs(args)
-    params = EvalParams(rep_threshold=args.threshold, distance_kind=args.distance)
-    matches = match_one_to_one(lines_a, lines_b, h_gt, params)
-    value = repeatability(matches, (len(lines_a), len(lines_b)), params)
+    matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
+    value = repeatability(matches, (len(lines_a), len(lines_b)), threshold=args.threshold)
     print(f"repeatability {value!r}")
     return 0
 
 
 def _cmd_eval_le(args: argparse.Namespace) -> int:
     lines_a, lines_b, h_gt = _matched_pairs(args)
-    params = EvalParams(le_top_k=args.top_k, distance_kind=args.distance)
-    matches = match_one_to_one(lines_a, lines_b, h_gt, params)
-    value = localization_error(matches, params)
+    matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
+    value = localization_error(matches, top_k=args.top_k)
     print(f"localization_error {value!r}")
     return 0
 
 
 def _cmd_eval_hest(args: argparse.Namespace) -> int:
     lines_a, lines_b, h_gt = _matched_pairs(args)
-    params = EvalParams(
-        distance_kind=args.distance,
-        hest_inlier_threshold=args.inlier_threshold,
-        seed=args.seed,
-    )
-    matches = match_one_to_one(lines_a, lines_b, h_gt, params)
+    matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
     pairs = [(lines_a[m.index_a], lines_b[m.index_b]) for m in matches]
-    h_est, inliers = estimate_homography(pairs, params)
+    h_est, inliers = estimate_homography(pairs, inlier_threshold=args.inlier_threshold, seed=args.seed)
     print(f"corner_error {corner_error(h_est, h_gt, args.width, args.height)!r}")
     print(f"num_inliers {int(inliers.sum())}")
     return 0

@@ -23,7 +23,6 @@ from .geometry import (
     _homogeneous_lines,
     _line_arrays,
     _orthogonal_many,
-    _require_finite,
     _require_int,
     _rows,
     _stored_homographies,
@@ -34,7 +33,6 @@ from .vp import VanishingPoint, _draws
 
 __all__ = [
     "LineMatch",
-    "EvalParams",
     "match_one_to_one",
     "repeatability",
     "localization_error",
@@ -53,27 +51,6 @@ class LineMatch:
     index_a: int
     index_b: int
     distance: float
-
-
-@dataclass(frozen=True)
-class EvalParams:
-    """Metric thresholds and estimator configuration."""
-
-    rep_threshold: float = 3.0  # a match below this counts as repeated
-    le_top_k: int = 50  # localization error averages the best k matches
-    distance_kind: Literal["structural", "orthogonal"] = "structural"
-    hest_iters: int = 1_000_000  # RANSAC iteration cap
-    hest_inlier_threshold: float = 3.0  # orthogonal distance gate, pixels
-    seed: int = 0  # reseeded per estimator call
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.rep_threshold <= 0.0 or self.hest_inlier_threshold <= 0.0:
-            raise ValueError("distance thresholds must be positive")
-        if self.le_top_k < 1 or self.hest_iters < 1:
-            raise ValueError("le_top_k and hest_iters must be positive")
-        if self.distance_kind not in ("structural", "orthogonal"):
-            raise ValueError("distance_kind must be structural or orthogonal")
 
 
 def _structural_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,16 +121,19 @@ def match_one_to_one(
     lines_a: Sequence[LineSegment],
     lines_b: Sequence[LineSegment],
     h_gt: Homography,
-    params: EvalParams | None = None,
+    *,
+    distance: Literal["structural", "orthogonal"] = "structural",
 ) -> list[LineMatch]:
     """Greedy one-to-one matching of two detections of the same scene.
 
     ``h_gt`` maps frame a to frame b; the b lines are warped back into
-    frame a before distances are computed. Pairs are claimed in order of
-    ascending distance (exact ties resolved by index order), so exactly
-    min(len_a, len_b) matches return, each index used once.
+    frame a before ``distance`` (structural or orthogonal) is computed.
+    Pairs are claimed in order of ascending distance (exact ties resolved
+    by index order), so exactly min(len_a, len_b) matches return, each
+    index used once.
     """
-    params = params or EvalParams()
+    if distance not in ("structural", "orthogonal"):
+        raise ValueError(f"distance must be structural or orthogonal, got {distance!r}")
     if len(lines_a) == 0 or len(lines_b) == 0:
         return []
     h_inv = h_gt.inverse()
@@ -161,7 +141,7 @@ def match_one_to_one(
     if not ok.all():
         apply_homography(h_inv, lines_b[int(np.argmin(ok))])  # raises the first failure
     a_rows = _rows(lines_a)
-    if params.distance_kind == "structural":
+    if distance == "structural":
         dist = _structural_matrix(a_rows, b_rows)
     else:
         a_lines, b_lines = _homogeneous_lines(a_rows), _homogeneous_lines(b_rows)
@@ -176,29 +156,31 @@ def match_one_to_one(
 def repeatability(
     matches: Sequence[LineMatch],
     counts: tuple[int, int],
-    params: EvalParams | None = None,
+    *,
+    threshold: float = 3.0,
 ) -> float:
-    """Fraction of the smaller detection set re-found within the threshold."""
-    params = params or EvalParams()
+    """Fraction of the smaller detection set re-found at a distance below
+    ``threshold``, positive and finite."""
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     n_a, n_b = counts
     if n_a < 1 or n_b < 1:
         raise ValueError("both detection counts must be positive")
-    good = sum(1 for m in matches if m.distance < params.rep_threshold)
+    good = sum(1 for m in matches if m.distance < threshold)
     return good / min(n_a, n_b)
 
 
-def localization_error(
-    matches: Sequence[LineMatch], params: EvalParams | None = None
-) -> float:
-    """Mean distance of the best (lowest-distance) matches, up to le_top_k.
-    A distance that is not finite is no localization and is left out."""
-    params = params or EvalParams()
+def localization_error(matches: Sequence[LineMatch], *, top_k: int = 50) -> float:
+    """Mean distance of the best (lowest-distance) matches, up to ``top_k``,
+    an integer of at least 1. A distance that is not finite is no
+    localization and is left out."""
+    _require_int("top_k", top_k, minimum=1)
     if len(matches) == 0:
         raise ValueError("localization error needs at least one match")
     dists = sorted(m.distance for m in matches if math.isfinite(m.distance))
     if not dists:
         raise ValueError("localization error needs a match at a finite distance")
-    top = dists[: params.le_top_k]
+    top = dists[:top_k]
     return float(sum(top) / len(top))
 
 
@@ -210,6 +192,7 @@ _DLT_ERRORS = (
     "degenerate configuration: singular line map",
 )
 _HEST_ELEMENTS = 1 << 16  # model-pair entries estimate_homography tests per array call
+_HEST_ITERS = 1_000_000  # RANSAC iteration cap
 
 
 def _normalization(pts: np.ndarray) -> np.ndarray:
@@ -355,16 +338,20 @@ def _inlier_masks(
 
 def estimate_homography(
     pairs: Sequence[tuple[LineSegment, LineSegment]],
-    params: EvalParams | None = None,
+    *,
+    inlier_threshold: float = 3.0,
+    seed: int = 0,
 ) -> tuple[Homography, np.ndarray]:
     """Robust homography from candidate line pairs.
 
     Locally optimized RANSAC: minimal 4-pair models, inliers gated by the
-    orthogonal distance between the warped a-line and the b-line, repeated
-    least-squares refits on the inlier set while it grows. A set whose a-
-    or b-lines all meet in one point fails at once. The internal
-    generator is reseeded from params.seed on every call, so the result
-    does not depend on input ordering beyond index identity.
+    orthogonal distance between the warped a-line and the b-line (below
+    ``inlier_threshold`` pixels, positive and finite), repeated
+    least-squares refits on the inlier set while it grows, at most
+    _HEST_ITERS samples. A set whose a- or b-lines all meet in one point
+    fails at once. The internal generator is reseeded from ``seed``, a
+    non-negative integer, on every call, so the result does not depend on
+    input ordering beyond index identity.
 
     Minimal samples are drawn by vp._draws in blocks that grow from one
     sample up to _HEST_ELEMENTS model-pair entries; a block is fitted by
@@ -379,19 +366,21 @@ def estimate_homography(
         ValueError: with fewer than 4 pairs or when no model reaches 4
             inliers.
     """
-    params = params or EvalParams()
+    if not (math.isfinite(inlier_threshold) and inlier_threshold > 0.0):
+        raise ValueError(f"inlier_threshold must be positive and finite, got {inlier_threshold!r}")
+    _require_int("seed", seed, minimum=0)
     n = len(pairs)
     if n < 4:
         raise ValueError("homography estimation needs at least 4 candidate pairs")
     a_rows, b_rows = _rows([p[0] for p in pairs]), _rows([p[1] for p in pairs])
     if not (_lines_span_plane(a_rows) and _lines_span_plane(b_rows)):
         raise ValueError("no homography model found consensus")
-    rng = np.random.default_rng(params.seed)
-    inlier_args = (a_rows, b_rows, _homogeneous_lines(b_rows), params.hest_inlier_threshold)
+    rng = np.random.default_rng(seed)
+    inlier_args = (a_rows, b_rows, _homogeneous_lines(b_rows), inlier_threshold)
     best_h: Homography | None = None
     best_mask: np.ndarray | None = None
     best_count = 0
-    max_iters = params.hest_iters
+    max_iters = _HEST_ITERS
     it, size, cap = 0, 1, max(1, _HEST_ELEMENTS // n)
     while it < max_iters:
         k = min(size, max_iters - it)

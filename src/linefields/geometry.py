@@ -8,7 +8,6 @@ angle is explicitly requested.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,19 +38,6 @@ class Point2(NamedTuple):
 
     x: float
     y: float
-
-
-def _require_finite(params: object) -> None:
-    """Raise ValueError unless every float field of a parameter dataclass is
-    finite and every int field holds an integer (a field named ``seed`` a
-    non-negative one). Range checks such as ``x <= 0.0`` are False for NaN,
-    so without this a NaN would pass them and reach the arithmetic."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if f.type in ("float", float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
-        if f.type in ("int", int):
-            _require_int(f.name, value, minimum=0 if f.name == "seed" else None)
 
 
 def _require_int(name: str, value: object, minimum: int | None = None) -> None:

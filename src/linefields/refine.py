@@ -17,7 +17,6 @@ re-estimation, and re-association.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,12 +30,12 @@ from .geometry import (
     _d_vp_many,
     _line_arrays,
     _oriented_angles,
-    _require_finite,
     _rows,
     _segments,
     _signed_circular,
 )
-from .vp import VanishingPoint, VpAssignment, VpParams, _damping_ladder, _refine_vps, fit_vps
+from . import vp as _vp
+from .vp import VanishingPoint, VpAssignment, _damping_ladder, _refine_vps, fit_vps
 from .vp import refine_vp  # noqa: F401  (a name of this module: perfbench's tracer hooks it here)
 
 __all__ = [
@@ -45,6 +44,16 @@ __all__ = [
     "refine_joint",
 ]
 
+_LAMBDA_DF = 1.0  # weight of the mean sampled distance
+_LAMBDA_AF = 1.0  # weight of the angular agreement term
+_N_OPT = 10  # samples along the line, endpoints included
+_K_ALTERNATIONS = 5  # joint refinement rounds
+_MAX_LATERAL_STEP = 5.0  # per-iteration translation clamp, pixels
+_FD_STEP = 0.05  # central-difference probe size, pixels
+_MAX_ITER = 50  # optimizer iterations per line
+_TOL = 1e-6  # step-size convergence threshold, endpoint pixels
+_TS = np.linspace(0.0, 1.0, _N_OPT)  # the sample positions along a line
+_TS.setflags(write=False)
 # A line's 8 central-difference probes, in angle and lateral probe sizes.
 _PROBE_A = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _PROBE_T = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -57,28 +66,14 @@ _GAIN_GATE = float(np.finfo(np.float32).eps)
 
 @dataclass(frozen=True)
 class RefineParams:
-    """Cost weights and optimizer configuration."""
+    """Weight of the vanishing point term; the other weights and the
+    optimizer settings are module constants."""
 
-    lambda_df: float = 1.0  # weight of the mean sampled distance
-    lambda_af: float = 1.0  # weight of the angular agreement term
     lambda_vp: float = 0.2  # weight of the vanishing point distance
-    n_opt: int = 10  # samples along the line, endpoints included
-    k_alternations: int = 5  # joint refinement rounds
-    max_lateral_step: float = 5.0  # per-iteration translation clamp, pixels
-    fd_step: float = 0.05  # central-difference probe size, pixels
-    max_iter: int = 50  # optimizer iterations per line
-    tol: float = 1e-6  # step-size convergence threshold
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.n_opt < 2:
-            raise ValueError("n_opt must be at least 2")
-        if min(self.lambda_df, self.lambda_af, self.lambda_vp) < 0.0:
-            raise ValueError("cost weights must be non-negative")
-        if self.max_lateral_step <= 0.0 or self.fd_step <= 0.0:
-            raise ValueError("max_lateral_step and fd_step must be positive")
-        if self.k_alternations < 1 or self.max_iter < 1:
-            raise ValueError("iteration counts must be positive")
+        if not (math.isfinite(self.lambda_vp) and self.lambda_vp >= 0.0):
+            raise ValueError(f"lambda_vp must be finite and non-negative, got {self.lambda_vp!r}")
 
 
 def _sampling_tables(fp: FieldPair) -> np.ndarray:
@@ -91,14 +86,6 @@ def _sampling_tables(fp: FieldPair) -> np.ndarray:
     """
     af2 = 2.0 * fp.af.data
     return np.stack([fp.df.data, np.cos(af2), np.sin(af2)])
-
-
-@functools.lru_cache(maxsize=4)
-def _sample_ts(n_opt: int) -> np.ndarray:
-    """The n_opt sample positions along a line, 0 and 1 included."""
-    ts = np.linspace(0.0, 1.0, n_opt)
-    ts.setflags(write=False)
-    return ts
 
 
 def _batch_costs(
@@ -118,7 +105,7 @@ def _batch_costs(
     no row has one. Configurations whose endpoints leave the sampleable
     area get +inf. Most calls hold a few rows, so the fixed cost per call
     is what counts: one gather reads the four corners of every sample from
-    all three tables, the means are np.add.reduce over n_opt (np.mean's
+    all three tables, the means are np.add.reduce over _N_OPT (np.mean's
     bits) and the VP term reads the coordinate columns as they are.
     """
     _, h, w = tables.shape
@@ -134,10 +121,8 @@ def _batch_costs(
         & (np.minimum(y1, y2) >= 0.5)
         & (np.maximum(y1, y2) <= h - 0.5)
     )
-    n = params.n_opt
-    ts = _sample_ts(n)
-    xs = x1[:, None] + ts * (x2 - x1)[:, None]
-    ys = y1[:, None] + ts * (y2 - y1)[:, None]
+    xs = x1[:, None] + _TS * (x2 - x1)[:, None]
+    ys = y1[:, None] + _TS * (y2 - y1)[:, None]
     # Clip so out-of-bounds rows stay evaluable; their cost is overridden.
     gx = np.minimum(np.maximum(xs - 0.5, 0.0), w - 1.0)
     gy = np.minimum(np.maximum(ys - 0.5, 0.0), h - 1.0)
@@ -145,9 +130,9 @@ def _batch_costs(
     values = tables.reshape(3, -1).take(corners, axis=1).swapaxes(0, 1)
     df_s, cos_s, sin_s = _blend(values, weights)
     delta = _signed_circular(_half_angle(sin_s, cos_s) - thetas[:, None], math.pi)
-    c_af = np.add.reduce(1.0 - np.cos(delta), axis=1) / n
-    c_df = np.add.reduce(df_s, axis=1) / n
-    cost = params.lambda_af * c_af + params.lambda_df * c_df
+    c_af = np.add.reduce(1.0 - np.cos(delta), axis=1) / _N_OPT
+    c_df = np.add.reduce(df_s, axis=1) / _N_OPT
+    cost = _LAMBDA_AF * c_af + _LAMBDA_DF * c_df
     if v_vec is not None:
         d_vp = _d_vp_columns(mxs, mys, x1, y1, x2, y2, v_vec)
         cost = np.where(use_v, cost + params.lambda_vp * d_vp, cost)
@@ -200,15 +185,15 @@ def _refine_lines(
 
     f = costs(np.arange(len(rows)), theta, mx, my)
     evaluable = np.flatnonzero(np.isfinite(f))
-    h_t = params.fd_step
-    h_a = params.fd_step / np.maximum(half_len, params.fd_step)
+    h_t = _FD_STEP
+    h_a = _FD_STEP / np.maximum(half_len, _FD_STEP)
     scale = np.maximum(half_len, 1.0)  # endpoint pixels per radian
     metric = np.stack([scale * scale, np.ones_like(scale)], axis=1)[:, :, None] * np.eye(2)
     mu = np.full(len(rows), 1e-3)
     converged = np.zeros(len(rows), dtype=bool)
     active = evaluable
 
-    for _ in range(params.max_iter):
+    for _ in range(_MAX_ITER):
         if active.size == 0:
             break
         nx, ny, dt = -np.sin(theta[active]), np.cos(theta[active]), _PROBE_T * h_t
@@ -231,7 +216,7 @@ def _refine_lines(
 
         def trial(delta: np.ndarray) -> tuple[np.ndarray, ...]:
             d0, d1 = delta.transpose(2, 0, 1)
-            lat = params.max_lateral_step
+            lat = _MAX_LATERAL_STEP
             d1 = np.where(np.abs(d1) > lat, np.copysign(lat, d1), d1)
             t_th = theta[a, None] + d0
             t_mx = mx[a, None] + d1 * nx[:, None]
@@ -248,7 +233,7 @@ def _refine_lines(
         f[j], theta[j], mx[j], my[j] = moved
         mu[j] = mu_next
         step = np.hypot(d0 * scale[j], d1)
-        converged[j] = (step < params.tol) | (improvement < _GAIN_GATE * np.maximum(f[j], 1.0))
+        converged[j] = (step < _TOL) | (improvement < _GAIN_GATE * np.maximum(f[j], 1.0))
         converged[a[~stepped]] = True  # no downhill step at any damping level
         active = a[~converged[a]]
 
@@ -272,11 +257,11 @@ def refine_line(
 
     Two degrees of freedom: rotation about the midpoint and translation
     along the current normal. Damped Newton steps with central-difference
-    derivatives (probe size fd_step, the angle probe scaled to move the
+    derivatives (probe size _FD_STEP, the angle probe scaled to move the
     endpoints by the same amount). Each iteration takes the lowest-cost
     downhill step among 6 damping levels, in endpoint pixels, and the doubled
     least-damped step (the kink case of _damping_ladder), so the cost never rises.
-    Converged means the last step was below tol or gained under float32
+    Converged means the last step was below _TOL or gained under float32
     epsilon (_GAIN_GATE) relative, or no step went downhill; a probe leaving
     the field stops the line unconverged. A given vanishing point always adds
     its term, however far it lies; association is the caller's choice, as in
@@ -296,27 +281,25 @@ def refine_joint(
     lines: Sequence[LineSegment],
     fp: FieldPair,
     params: RefineParams | None = None,
-    vp_params: VpParams | None = None,
 ) -> tuple[list[LineSegment], list[VanishingPoint], VpAssignment]:
     """Alternate line refinement, VP refinement, and re-association.
 
-    Vanishing points are fitted once up front, then k_alternations rounds
-    run: all lines are refined in one batch (a line's VP term active while
-    it is assigned), the VPs are re-estimated from their assigned lines in
-    one batch, and lines are re-assigned to their closest VP when its d_vp
-    is below vp_params.t_vp, the gate fit_vps assigns with. Deterministic
-    given the VP seed.
+    Vanishing points are fitted once up front (fit_vps at seed 0), then
+    _K_ALTERNATIONS rounds run: all lines are refined in one batch (a
+    line's VP term active while it is assigned), the VPs are re-estimated
+    from their assigned lines in one batch, and lines are re-assigned to
+    their closest VP when its d_vp is below vp._T_VP, the gate fit_vps
+    assigns with. Deterministic.
     """
     params = params or RefineParams()
-    vp_params = vp_params or VpParams()
     n = len(lines)
     if n == 0:
         return [], [], []
 
-    vps, assignment = fit_vps(lines, vp_params)
+    vps, assignment = fit_vps(lines)
     rows = _rows(lines)
     tables = _sampling_tables(fp)
-    for _ in range(params.k_alternations):
+    for _ in range(_K_ALTERNATIONS):
         line_vps = [vps[j] if j is not None else None for j in assignment]
         rows, _, _ = _refine_lines(rows, fp, line_vps, params, tables)
         if vps:
@@ -326,6 +309,6 @@ def refine_joint(
             vps = [VanishingPoint(v) for v in vecs]
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)  # the first closest VP
-            close = dists[closest, np.arange(n)] < vp_params.t_vp
+            close = dists[closest, np.arange(n)] < _vp._T_VP
             assignment = [int(j) if c else None for j, c in zip(closest, close)]
     return _segments(rows), vps, assignment

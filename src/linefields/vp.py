@@ -22,13 +22,12 @@ from .geometry import (
     _d_vp_many,
     _homogeneous_lines,
     _line_arrays,
-    _require_finite,
+    _require_int,
     _rows,
 )
 
 __all__ = [
     "VanishingPoint",
-    "VpParams",
     "vp_from_two_lines",
     "fit_vps",
     "refine_vp",
@@ -37,6 +36,10 @@ __all__ = [
 # Per-line model index, None for unassigned lines.
 VpAssignment = list  # list[int | None]
 
+_T_VP = 1.5  # inlier threshold on d_vp, pixels; refine_joint re-assigns with it too
+_MIN_SUPPORT = 5  # lines required to accept a model
+_MAX_MODELS = 8
+_RANSAC_ITERS = 1000  # candidate samples per model round
 _SCORE_ELEMENTS = 1 << 16  # d_vp entries fit_vps scores per array call
 _VP_LEVELS = 12  # refine_vp damping levels mu, 10 mu, ..., after 2x the mu step
 _VP_MAX_ITER = 100  # refine_vp iterations
@@ -79,28 +82,6 @@ class VanishingPoint:
     def is_ideal(self, eps: float = 1e-12) -> bool:
         """True for directions (points at infinity)."""
         return abs(self.v[2]) <= eps
-
-
-@dataclass(frozen=True)
-class VpParams:
-    """Greedy multi-model fitting configuration."""
-
-    t_vp: float = 1.5  # inlier threshold on d_vp, pixels
-    min_support: int = 5  # lines required to accept a model
-    max_models: int = 8
-    ransac_iters: int = 1000  # candidate samples per model round
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.t_vp <= 0.0:
-            raise ValueError("t_vp must be positive")
-        if self.min_support < 2:
-            raise ValueError("min_support must be at least 2")
-        if self.max_models < 1:
-            raise ValueError("max_models must be positive")
-        if self.ransac_iters < 1:
-            raise ValueError("ransac_iters must be positive")
 
 
 def vp_from_two_lines(l1: LineSegment, l2: LineSegment) -> VanishingPoint:
@@ -386,14 +367,13 @@ def _best_candidate(
     v: np.ndarray,
     sub: tuple[np.ndarray, ...],
     columns: tuple[np.ndarray, float],
-    params: VpParams,
     best_len: float,
 ) -> tuple[int | None, float]:
     """The row of ``v`` (cross products of candidate line pairs) whose VP
     wins against the lines of ``sub`` (_line_arrays), and its inlier length.
 
     The winner is the first candidate with the largest inlier length among
-    those with at least min_support inliers and more than ``best_len``, as
+    those with at least _MIN_SUPPORT inliers and more than ``best_len``, as
     a one-at-a-time scan with a strict ``>`` finds it; pairs on one
     supporting line are skipped. Returns (None, best_len) when no row wins.
     Inliers come from _inlier_matrix (``columns`` is the round's
@@ -410,8 +390,8 @@ def _best_candidate(
     index = np.flatnonzero(norm[:, 0] >= 1e-12)
     v, norm = v[index], norm[index]
     vecs = np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
-    inl = _inlier_matrix(vecs, sub, columns, params.t_vp)
-    cand = np.flatnonzero(np.count_nonzero(inl, axis=1) >= params.min_support)
+    inl = _inlier_matrix(vecs, sub, columns, _T_VP)
+    cand = np.flatnonzero(np.count_nonzero(inl, axis=1) >= _MIN_SUPPORT)
     if not cand.size:
         return None, best_len
     approx = inl[cand] @ lengths
@@ -428,20 +408,20 @@ def _best_candidate(
 
 
 def fit_vps(
-    lines: Sequence[LineSegment],
-    params: VpParams | None = None,
+    lines: Sequence[LineSegment], *, seed: int = 0
 ) -> tuple[list[VanishingPoint], VpAssignment]:
     """Greedy sequential multi-model vanishing point fitting.
 
-    Each round draws ransac_iters 2-line candidates from the unassigned
+    Each round draws _RANSAC_ITERS 2-line candidates from the unassigned
     lines (_draws) and scores each distinct pair once by the total length
-    of lines with d_vp below t_vp. Candidates with fewer than min_support
+    of lines with d_vp below _T_VP. Candidates with fewer than _MIN_SUPPORT
     inliers are never acceptable, so they cannot outrank a valid model;
-    the best acceptable one is refined and its inliers leave the pool.
-    Deterministic given params.seed. Every assigned line satisfies
-    d_vp < t_vp against its model.
+    the best acceptable one is refined and its inliers leave the pool. At
+    most _MAX_MODELS models are fitted. Deterministic given ``seed``, a
+    non-negative integer. Every assigned line satisfies d_vp < _T_VP
+    against its model.
     """
-    params = params or VpParams()
+    _require_int("seed", seed, minimum=0)
     n = len(lines)
     assignment: VpAssignment = [None] * n
     models: list[VanishingPoint] = []
@@ -450,19 +430,19 @@ def fit_vps(
 
     ends = _rows(lines)
     arrays, hom = _line_arrays(ends), _homogeneous_lines(ends)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     remaining = np.arange(n)
 
-    while len(models) < params.max_models and len(remaining) >= params.min_support:
+    while len(models) < _MAX_MODELS and len(remaining) >= _MIN_SUPPORT:
         sub_m, sub_e1, sub_e2, _ = sub = tuple(x[remaining] for x in arrays)
         columns = _score_columns(sub)
         # Candidates are drawn, crossed and scored in chunks of at most
         # _SCORE_ELEMENTS d_vp entries, in stream order, so memory does not
-        # grow with ransac_iters.
+        # grow with _RANSAC_ITERS.
         best, best_len, seen = None, 0.0, np.empty(0, dtype=np.intp)
         rows = max(1, _SCORE_ELEMENTS // len(remaining))
-        for start in range(0, params.ransac_iters, rows):
-            count = min(rows, params.ransac_iters - start)
+        for start in range(0, _RANSAC_ITERS, rows):
+            count = min(rows, _RANSAC_ITERS - start)
             draws = _draws(rng, len(remaining), 2, count)
             # A pair drawn again, in either order, has the same d_vp bits: it cannot win.
             code = draws.min(axis=1) * len(remaining) + draws.max(axis=1)
@@ -471,7 +451,7 @@ def fit_vps(
             seen = np.union1d(seen, code[first])
             pairs = remaining[draws[first]]
             k, best_len = _best_candidate(
-                np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, columns, params, best_len
+                np.cross(hom[pairs[:, 0]], hom[pairs[:, 1]]), sub, columns, best_len
             )
             if k is not None:
                 best = pairs[k]
@@ -479,11 +459,11 @@ def fit_vps(
             break
         best_vec = vp_from_two_lines(lines[best[0]], lines[best[1]]).v
 
-        mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < params.t_vp
+        mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < _T_VP
         inlier_idx = remaining[mask]
         refined = refine_vp(VanishingPoint(best_vec), [lines[i] for i in inlier_idx.tolist()])
-        ref_mask = _d_vp_many(sub_m, sub_e1, sub_e2, refined.v) < params.t_vp
-        if int(ref_mask.sum()) >= params.min_support:
+        ref_mask = _d_vp_many(sub_m, sub_e1, sub_e2, refined.v) < _T_VP
+        if int(ref_mask.sum()) >= _MIN_SUPPORT:
             chosen, chosen_mask = refined, ref_mask
         else:
             chosen, chosen_mask = VanishingPoint(best_vec), mask

@@ -29,6 +29,7 @@ from util_synth import pencil_segments, perturb_segment, square_image
 GT_SEG = LineSegment((40.0, 40.0), (200.0, 60.0))
 
 IDENTITY_H = "1 0 0\n0 1 0\n0 0 1\n"
+DIMS = ["--width", "256", "--height", "256"]
 
 
 def write_gt_inputs(tmp_path):
@@ -784,6 +785,37 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error: vanishing point directions")
         assert "intrinsics" in err
+
+    @pytest.mark.parametrize(
+        "argv, keyword",
+        [
+            (["eval", "rep", "--threshold", "0"], "threshold"),
+            (["eval", "rep", "--threshold", "nan"], "threshold"),
+            (["eval", "le", "--top-k", "0"], "top_k"),
+            (["eval", "hest", *DIMS, "--inlier-threshold", "nan"], "inlier_threshold"),
+            (["eval", "hest", *DIMS, "--seed", "-1"], "seed"),
+            (["vps", *DIMS, "--seed", "-1"], "seed"),
+        ],
+        ids=["rep_threshold_0", "rep_threshold_nan", "le_top_k_0", "hest_inlier_threshold_nan",
+             "hest_seed_-1", "vps_seed_-1"],
+    )
+    def test_bad_flag_value_is_one_error_naming_its_keyword(
+        self, tmp_path, capsys, argv, keyword
+    ) -> None:
+        # Each value reaches the one function that reads it as a keyword and
+        # is refused there under that keyword's name.
+        lines_path, h_path = tmp_path / "l.csv", tmp_path / "h.txt"
+        write_lines(lines_path, [GT_SEG])
+        h_path.write_text(IDENTITY_H)
+        if argv[0] == "eval":
+            argv = argv + ["--lines-a", str(lines_path), "--lines-b", str(lines_path), "--homography", str(h_path)]
+        else:
+            argv = argv + ["--lines", str(lines_path), "--out", str(tmp_path / "v.json")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {keyword} must be ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestParserReuse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import time
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from linefields import (
     CameraIntrinsics,
-    EvalParams,
     Homography,
     LineMatch,
     LineSegment,
@@ -30,6 +30,7 @@ from linefields import (
     vp_consistency,
     vp_error_auc,
 )
+from linefields import evaluate
 
 from util_synth import concurrent_lines, traced_peak
 
@@ -63,39 +64,58 @@ def concurrent_through_center() -> list[LineSegment]:
 
 
 class TestEvalParams:
+    """The metrics' keywords, each checked by the one function that reads it,
+    and the RANSAC cap. Each keyword comes straight from a CLI option."""
+
     def test_defaults(self) -> None:
-        p = EvalParams()
-        assert p.rep_threshold == 3.0
-        assert p.le_top_k == 50
-        assert p.distance_kind == "structural"
-        assert p.hest_inlier_threshold == 3.0
-        assert p.seed == 0
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert default(match_one_to_one, "distance") == "structural"
+        assert default(repeatability, "threshold") == 3.0
+        assert default(localization_error, "top_k") == 50
+        assert default(estimate_homography, "inlier_threshold") == 3.0
+        assert default(estimate_homography, "seed") == 0
+        assert evaluate._HEST_ITERS == 1_000_000
 
     def test_rejects_bad_values(self) -> None:
-        with pytest.raises(ValueError):
-            EvalParams(rep_threshold=0.0)
-        with pytest.raises(ValueError):
-            EvalParams(le_top_k=0)
-        with pytest.raises(ValueError):
-            EvalParams(distance_kind="chamfer")  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="^threshold must be positive"):
+            repeatability([], (1, 1), threshold=0.0)
+        with pytest.raises(ValueError, match="^top_k must be at least 1"):
+            localization_error([LineMatch(0, 0, 1.0)], top_k=0)
+        with pytest.raises(ValueError, match="^distance must be structural or orthogonal"):
+            match_one_to_one([], [], Homography.identity(), distance="chamfer")  # type: ignore[arg-type]
+
+    # By command and keyword: eval rep --threshold, eval hest --inlier-threshold.
+    THRESHOLDS = {
+        "rep_threshold": ("threshold", lambda v: repeatability([], (1, 1), threshold=v)),
+        "hest_inlier_threshold": ("inlier_threshold", lambda v: estimate_homography([], inlier_threshold=v)),
+    }
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["rep_threshold", "hest_inlier_threshold"])
     def test_rejects_non_finite(self, name: str, value: float) -> None:
-        # Both come straight from CLI options.
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            EvalParams(**{name: value})
+        keyword, call = self.THRESHOLDS[name]
+        with pytest.raises(ValueError, match=f"^{keyword} must be positive and finite"):
+            call(value)
+
+    # By command and keyword: eval le --top-k, eval hest --seed.
+    INTEGERS = {
+        "le_top_k": ("top_k", lambda v: localization_error([LineMatch(0, 0, 1.0)], top_k=v)),
+        "seed": ("seed", lambda v: estimate_homography([], seed=v)),
+    }
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
-    @pytest.mark.parametrize("name", ["le_top_k", "hest_iters", "seed"])
+    @pytest.mark.parametrize("name", ["le_top_k", "seed"])
     def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            EvalParams(**{name: value})
+        keyword, call = self.INTEGERS[name]
+        with pytest.raises(ValueError, match=f"^{keyword} must be an integer"):
+            call(value)
 
     def test_rejects_negative_seed(self) -> None:
-        # It used to fail only inside numpy, without naming the field.
+        # It used to fail only inside numpy, without naming the keyword.
         with pytest.raises(ValueError, match="seed must be at least 0"):
-            EvalParams(seed=-1)
+            estimate_homography([], seed=-1)
 
 
 class TestMatchOneToOne:
@@ -149,9 +169,7 @@ class TestMatchOneToOne:
         a = [LineSegment((0.0, 0.0), (10.0, 0.0))]
         b = [LineSegment((5.0, 0.0), (15.0, 0.0))]
         ms = match_one_to_one(a, b, Homography.identity())
-        mo = match_one_to_one(
-            a, b, Homography.identity(), EvalParams(distance_kind="orthogonal")
-        )
+        mo = match_one_to_one(a, b, Homography.identity(), distance="orthogonal")
         assert ms[0].distance == 5.0
         assert mo[0].distance == 0.0
 
@@ -181,7 +199,7 @@ class TestMatchOneToOne:
         a = [LineSegment((0.0, 0.0), (1.0, 0.0))]
         good = LineSegment((0.0, 0.0), (0.0, 10.0))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            match_one_to_one(a, [good, bad, good], h_gt, EvalParams(distance_kind=kind))
+            match_one_to_one(a, [good, bad, good], h_gt, distance=kind)
 
     def test_first_of_two_failing_b_segments_raises(self) -> None:
         h_gt = Homography.scaling(1e-300, 1e300)  # b to a: x * 1e300, y * 1e-300
@@ -249,7 +267,7 @@ class TestRepeatability:
     def test_monotone_in_threshold(self) -> None:
         matches = [LineMatch(i, i, float(i)) for i in range(10)]
         values = [
-            repeatability(matches, (10, 10), EvalParams(rep_threshold=t))
+            repeatability(matches, (10, 10), threshold=t)
             for t in (1.0, 3.0, 5.0, 20.0)
         ]
         assert values == sorted(values)
@@ -268,7 +286,7 @@ class TestLocalizationError:
 
     def test_custom_k(self) -> None:
         matches = [LineMatch(i, i, float(i + 1)) for i in range(10)]
-        assert localization_error(matches, EvalParams(le_top_k=5)) == 3.0
+        assert localization_error(matches, top_k=5) == 3.0
 
     def test_order_independent(self) -> None:
         matches = [LineMatch(i, i, float(i + 1)) for i in range(10)]
@@ -283,7 +301,7 @@ class TestLocalizationError:
         matches = [LineMatch(0, 0, math.inf)] + [LineMatch(i, i, 1.0) for i in range(1, 4)]
         assert localization_error(matches) == 1.0
         matches.append(LineMatch(4, 4, math.nan))
-        assert localization_error(matches, EvalParams(le_top_k=2)) == 1.0
+        assert localization_error(matches, top_k=2) == 1.0
 
     def test_rejects_matches_without_a_finite_distance(self) -> None:
         with pytest.raises(ValueError, match="finite distance"):
@@ -432,16 +450,16 @@ class TestEstimateHomography:
             estimate_homography(pairs)
         assert time.perf_counter() - start < 1.0
 
-    def test_memory_does_not_grow_with_iteration_cap(self) -> None:
+    def test_memory_does_not_grow_with_iteration_cap(self, monkeypatch) -> None:
         # Pure outliers keep the adaptive bound above the cap, so both runs
-        # go to hest_iters. Blocks of samples are capped by _HEST_ELEMENTS,
+        # go to _HEST_ITERS. Blocks of samples are capped by _HEST_ELEMENTS,
         # so the peak is that of the largest block, not of the cap. The
         # interpreter's own allocations move it by a few KB between runs.
         pairs = self.outlier_pairs(np.random.default_rng(71), 200)
-        peaks = [
-            traced_peak(estimate_homography, pairs, EvalParams(hest_iters=iters))[1]
-            for iters in (2_000, 20_000)
-        ]
+        peaks = []
+        for iters in (2_000, 20_000):
+            monkeypatch.setattr(evaluate, "_HEST_ITERS", iters)
+            peaks.append(traced_peak(estimate_homography, pairs)[1])
         assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
 
     def test_samples_the_dlt_rejects_are_not_tested(self, monkeypatch) -> None:
@@ -449,8 +467,6 @@ class TestEstimateHomography:
         # passes the up-front check, but no minimal sample fits: four lines
         # of the pencil span 2 dimensions, and three of them with the odd
         # one admit many maps. The inlier test sees none of the 10,000.
-        from linefields import evaluate
-
         rng = np.random.default_rng(72)
         a = concurrent_lines(rng, np.array([300.0, -200.0, 1.0]), 199)
         pairs = list(zip(a + scattered_segments(rng, 1), scattered_segments(rng, 200)))
@@ -462,17 +478,19 @@ class TestEstimateHomography:
             return inlier_masks(ms, *args)
 
         monkeypatch.setattr(evaluate, "_inlier_masks", counting)
+        monkeypatch.setattr(evaluate, "_HEST_ITERS", 10_000)
         with pytest.raises(ValueError, match="no homography model found consensus"):
-            estimate_homography(pairs, EvalParams(hest_iters=10_000))
+            estimate_homography(pairs)
         assert sum(tested) == 0
 
-    def test_no_consensus_on_degenerate_input(self) -> None:
+    def test_no_consensus_on_degenerate_input(self, monkeypatch) -> None:
         # Every 4-subset is concurrent or contains the duplicate, so no
         # minimal sample ever yields a model.
         conc = concurrent_through_center()
         pairs = exact_pairs(conc + [conc[0]])
+        monkeypatch.setattr(evaluate, "_HEST_ITERS", 300)
         with pytest.raises(ValueError):
-            estimate_homography(pairs, EvalParams(hest_iters=300))
+            estimate_homography(pairs)
 
 
 class TestCornerError:

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linefields import (
-    EvalParams,
     Homography,
     LineSegment,
     apply_homography,
@@ -205,8 +204,9 @@ def frozen_inlier_mask(m, a_pts, b_pts, b_lines, threshold) -> np.ndarray:
     return ok & (dist < threshold)
 
 
-def frozen_estimate_homography(pairs, params: EvalParams):
-    """(stored H, mask, iterations run, set of DLT errors seen)."""
+def frozen_estimate_homography(pairs, *, inlier_threshold=3.0, seed=0):
+    """(stored H, mask, iterations run, set of DLT errors seen), at most
+    evaluate._HEST_ITERS iterations."""
     n = len(pairs)
     if n < 4:
         raise ValueError("homography estimation needs at least 4 candidate pairs")
@@ -214,17 +214,17 @@ def frozen_estimate_homography(pairs, params: EvalParams):
     lines_b = [p[1] for p in pairs]
     if not (frozen_lines_span_plane(lines_a) and frozen_lines_span_plane(lines_b)):
         raise ValueError("no homography model found consensus")
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     a_pts, b_pts = segments_to_array(lines_a), segments_to_array(lines_b)
     b_lines = homogeneous_lines(lines_b)
 
     def inlier_mask(m):
-        return frozen_inlier_mask(m, a_pts, b_pts, b_lines, params.hest_inlier_threshold)
+        return frozen_inlier_mask(m, a_pts, b_pts, b_lines, inlier_threshold)
 
     seen = set()
     best_h = best_mask = None
     best_count = 0
-    max_iters = params.hest_iters
+    max_iters = evaluate._HEST_ITERS
     it = 0
     while it < max_iters:
         it += 1
@@ -280,16 +280,21 @@ def assert_same(pairs):
     return old
 
 
-def assert_same_estimate(pairs, params: EvalParams):
+def capped(iters: int):
+    """Patch estimate_homography's iteration cap to ``iters`` (a context)."""
+    return mock.patch.object(evaluate, "_HEST_ITERS", iters)
+
+
+def assert_same_estimate(pairs, **keywords):
     """The frozen loop's (iterations, errors seen), or its error message."""
     try:
-        h_old, mask_old, iters, seen = frozen_estimate_homography(pairs, params)
+        h_old, mask_old, iters, seen = frozen_estimate_homography(pairs, **keywords)
     except ValueError as err:
         with pytest.raises(ValueError) as caught:
-            estimate_homography(pairs, params)
+            estimate_homography(pairs, **keywords)
         assert str(caught.value) == str(err)
         return str(err)
-    h_new, mask_new = estimate_homography(pairs, params)
+    h_new, mask_new = estimate_homography(pairs, **keywords)
     assert np.array_equal(h_new.m, h_old)
     assert mask_new.dtype == bool and np.array_equal(mask_new, mask_old)
     return iters, seen
@@ -404,7 +409,8 @@ def test_too_few_pairs() -> None:
 )
 def test_batched_ransac_matches_frozen_loop(n, share, noise, seed, iters, ransac_seed) -> None:
     pairs = mixed_pairs(np.random.default_rng(seed), n, round(share * n), noise)
-    assert_same_estimate(pairs, EvalParams(hest_iters=iters, seed=ransac_seed))
+    with capped(iters):
+        assert_same_estimate(pairs, seed=ransac_seed)
 
 
 def degenerate_pairs(seed: int):
@@ -427,19 +433,21 @@ def degenerate_pairs(seed: int):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ransac_seed=st.integers(0, 2**31))
 def test_degenerate_samples_match_frozen_loop(seed, ransac_seed) -> None:
-    assert_same_estimate(degenerate_pairs(seed), EvalParams(hest_iters=300, seed=ransac_seed))
+    with capped(300):
+        assert_same_estimate(degenerate_pairs(seed), seed=ransac_seed)
 
 
 def test_degenerate_fixture_fails_every_gate() -> None:
     # Which gates one run reaches depends on its draws, so the fixture is
     # judged over eight RANSAC seeds, each run checked against the frozen loop.
     seen = set()
-    for seed in range(8):
-        seen |= assert_same_estimate(degenerate_pairs(1), EvalParams(hest_iters=300, seed=seed))[1]
+    with capped(300):
+        for seed in range(8):
+            seen |= assert_same_estimate(degenerate_pairs(1), seed=seed)[1]
     assert seen == set(evaluate._DLT_ERRORS)
 
 
-def fitted_samples(pairs, params: EvalParams):
+def fitted_samples(pairs, **keywords):
     """assert_same_estimate's result, and the (samples, pairs) shape of
     every _dlt call the batched estimate makes."""
     shapes = []
@@ -450,7 +458,7 @@ def fitted_samples(pairs, params: EvalParams):
         return dlt(a, b)
 
     with mock.patch.object(evaluate, "_dlt", counting):
-        return assert_same_estimate(pairs, params), shapes
+        return assert_same_estimate(pairs, **keywords), shapes
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,7 +466,7 @@ def fitted_samples(pairs, params: EvalParams):
 def test_all_inlier_set_stops_after_one_model(n, seed, ransac_seed) -> None:
     rng = np.random.default_rng(seed)
     pairs = [(a, apply_homography(H_WARP, a)) for a in random_segments(rng, n)]
-    result, shapes = fitted_samples(pairs, EvalParams(seed=ransac_seed))
+    result, shapes = fitted_samples(pairs, seed=ransac_seed)
     if result == (1, set()):  # the frozen loop stopped after its first sample
         # One minimal sample, then least-squares refits on all n pairs.
         assert shapes[0] == (1, 4) and all(shape == (1, n) for shape in shapes[1:])
@@ -466,7 +474,7 @@ def test_all_inlier_set_stops_after_one_model(n, seed, ransac_seed) -> None:
 
 def test_first_sample_holding_every_pair_ends_the_loop() -> None:
     pairs = [(a, apply_homography(H_WARP, a)) for a in random_segments(np.random.default_rng(0), 12)]
-    result, shapes = fitted_samples(pairs, EvalParams())
+    result, shapes = fitted_samples(pairs)
     assert result == (1, set())
     assert shapes[0] == (1, 4) and all(shape == (1, 12) for shape in shapes[1:])
 
@@ -491,17 +499,17 @@ def block_ends(n: int, elements: int, limit: int) -> list[int]:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_iteration_cap_around_block_ends(n, elements, which, offset, seed) -> None:
-    """Sets with few inliers run to hest_iters, which falls just before, on
+    """Sets with few inliers run to _HEST_ITERS, which falls just before, on
     or just past the end of a block."""
     end = block_ends(n, elements, 200)[which]
     iters = max(1, end + offset)
     pairs = mixed_pairs(np.random.default_rng(seed), n, 2, 0.0)
-    with mock.patch.object(evaluate, "_HEST_ELEMENTS", elements):
-        assert_same_estimate(pairs, EvalParams(hest_iters=iters, seed=seed % 1000))
+    with mock.patch.object(evaluate, "_HEST_ELEMENTS", elements), capped(iters):
+        assert_same_estimate(pairs, seed=seed % 1000)
 
 
 def test_two_hundred_pairs_at_fifteen_percent_inliers() -> None:
     """The adaptive bound asks for 9,095 iterations: 30 of 200 pairs."""
     pairs = mixed_pairs(np.random.default_rng(2024), 200, 30, 0.3)
-    iters, _ = assert_same_estimate(pairs, EvalParams())
+    iters, _ = assert_same_estimate(pairs)
     assert iters == 9095

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from linefields import EvalParams, Homography, LineMatch, LineSegment, match_one_to_one
+from linefields import Homography, LineMatch, LineSegment, match_one_to_one
 from linefields import evaluate
 from linefields.evaluate import _greedy_pairs, _structural_matrix
 from linefields.geometry import apply_homography
@@ -87,15 +87,14 @@ def oracle_structural_matrix(a, b):
     return np.minimum(same, swapped)
 
 
-def oracle_match_one_to_one(lines_a, lines_b, h_gt, params=None):
-    params = params or EvalParams()
+def oracle_match_one_to_one(lines_a, lines_b, h_gt, distance="structural"):
     if len(lines_a) == 0 or len(lines_b) == 0:
         return []
     h_inv = h_gt.inverse()
     warped_b = [apply_homography(h_inv, seg) for seg in lines_b]
     a_pts = segments_to_array(lines_a)
     b_pts = segments_to_array(warped_b)
-    if params.distance_kind == "structural":
+    if distance == "structural":
         dist = oracle_structural_matrix(a_pts, b_pts)
     else:
         a_lines, b_lines = homogeneous_lines(lines_a), homogeneous_lines(warped_b)
@@ -210,5 +209,4 @@ def test_match_one_to_one_matches_oracle(seed, na, nb, kind, shared):
     rng.shuffle(b)
     h = Homography(np.array([[1.0, 0.02, 3.0], [-0.01, 1.0, -2.0], [1e-5, 0.0, 1.0]]))
     h = h if not shared else Homography.identity()
-    params = EvalParams(distance_kind=kind)
-    assert match_one_to_one(a, b, h, params) == oracle_match_one_to_one(a, b, h, params)
+    assert match_one_to_one(a, b, h, distance=kind) == oracle_match_one_to_one(a, b, h, kind)

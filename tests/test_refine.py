@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 
@@ -14,7 +15,6 @@ from linefields import (
     LineSegment,
     RefineParams,
     VanishingPoint,
-    VpParams,
     circular_distance,
     d_vp,
     orthogonal_distance,
@@ -22,6 +22,7 @@ from linefields import (
     refine_line,
     render_fields,
 )
+from linefields import refine, vp
 from linefields.geometry import _rows
 from linefields.refine import _batch_costs, _line_state, _sampling_tables
 
@@ -44,52 +45,31 @@ def make_fp():
 
 class TestRefineParams:
     def test_defaults(self) -> None:
-        p = RefineParams()
-        assert (p.lambda_df, p.lambda_af, p.lambda_vp) == (1.0, 1.0, 0.2)
-        assert p.n_opt == 10
-        assert p.k_alternations == 5
+        assert [f.name for f in dataclasses.fields(RefineParams)] == ["lambda_vp"]
+        assert RefineParams().lambda_vp == 0.2
+        fixed = (refine._LAMBDA_DF, refine._LAMBDA_AF, refine._N_OPT, refine._K_ALTERNATIONS,
+                 refine._MAX_LATERAL_STEP, refine._FD_STEP, refine._MAX_ITER, refine._TOL)
+        assert fixed == (1.0, 1.0, 10, 5, 5.0, 0.05, 50, 1e-6)
+        assert refine._TS.tolist() == np.linspace(0.0, 1.0, 10).tolist()
+        assert not refine._TS.flags.writeable
 
     def test_t_vp_lives_in_vp_params(self) -> None:
-        # One association gate: fit_vps and refine_joint both read VpParams.t_vp.
+        # One association gate among the VP settings: fit_vps and refine_joint
+        # both read vp._T_VP.
         assert not hasattr(RefineParams(), "t_vp")
-        assert VpParams().t_vp == 1.5
+        assert vp._T_VP == 1.5
         with pytest.raises(TypeError):
             RefineParams(t_vp=1.5)
 
-    def test_rejects_single_sample(self) -> None:
-        with pytest.raises(ValueError):
-            RefineParams(n_opt=1)
-
     def test_rejects_negative_weights(self) -> None:
-        with pytest.raises(ValueError):
-            RefineParams(lambda_af=-0.1)
-
-    def test_rejects_bad_steps(self) -> None:
-        with pytest.raises(ValueError):
-            RefineParams(fd_step=0.0)
-        with pytest.raises(ValueError):
-            RefineParams(max_lateral_step=0.0)
-
-    def test_rejects_bad_iteration_counts(self) -> None:
-        with pytest.raises(ValueError):
-            RefineParams(k_alternations=0)
-        with pytest.raises(ValueError):
-            RefineParams(max_iter=0)
+        with pytest.raises(ValueError, match="lambda_vp must be finite and non-negative"):
+            RefineParams(lambda_vp=-0.1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "name",
-        ["lambda_df", "lambda_af", "lambda_vp", "max_lateral_step", "fd_step", "tol"],
-    )
+    @pytest.mark.parametrize("name", ["lambda_vp"])
     def test_rejects_non_finite(self, name: str, value: float) -> None:
         # NaN passes every range check (comparisons with it are False).
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            RefineParams(**{name: value})
-
-    @pytest.mark.parametrize("value", [2.5, True, "3"])
-    @pytest.mark.parametrize("name", ["n_opt", "k_alternations", "max_iter"])
-    def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RefineParams(**{name: value})
 
 
@@ -103,14 +83,15 @@ class TestLineCost:
         off = LineSegment((20.5, 31.5), (80.5, 31.5))
         assert math.isclose(line_cost(off, fp), 1.0, abs_tol=1e-12)
 
-    def test_rotation_costs_one_minus_cosine(self) -> None:
+    def test_rotation_costs_one_minus_cosine(self, monkeypatch) -> None:
         fp = make_fp()
         a = math.radians(10.0)
         rot = LineSegment(
             (50.5 - 30.0 * math.cos(a), 30.5 - 30.0 * math.sin(a)),
             (50.5 + 30.0 * math.cos(a), 30.5 + 30.0 * math.sin(a)),
         )
-        got = line_cost(rot, fp, params=RefineParams(lambda_df=0.0))
+        monkeypatch.setattr(refine, "_LAMBDA_DF", 0.0)
+        got = line_cost(rot, fp)
         assert math.isclose(got, 1.0 - math.cos(a), abs_tol=1e-12)
 
     def test_vanishing_point_term_added_when_close(self) -> None:
@@ -167,13 +148,13 @@ class TestRefineLine:
         [(0.02, 0.0, 6), (0.0, 0.002, 16)],
         ids=["lateral_0.02px", "rotated_0.002rad"],
     )
-    def test_lands_on_the_df_kink_in_few_iterations(self, shift, turn, max_iter) -> None:
+    def test_lands_on_the_df_kink_in_few_iterations(self, monkeypatch, shift, turn, max_iter) -> None:
         # Near the line DF is V-shaped and central differences see half its
         # slope, so plain Newton steps would only halve the distance.
         c, s = 30.0 * math.cos(turn), 30.0 * math.sin(turn)
         seg = LineSegment((50.5 - c, 30.5 + shift - s), (50.5 + c, 30.5 + shift + s))
-        params = RefineParams(max_iter=max_iter)
-        out, _, converged = refine_line(seg, make_fp(), params=params, full_output=True)
+        monkeypatch.setattr(refine, "_MAX_ITER", max_iter)
+        out, _, converged = refine_line(seg, make_fp(), full_output=True)
         assert converged
         if turn == 0.0:
             assert abs(out.p1.y - 30.5) <= 1e-6 and abs(out.p2.y - 30.5) <= 1e-6
@@ -202,13 +183,17 @@ class TestRefineLine:
         # gate it crept 32 more iterations and 3e-7 more cost.
         seg = LineSegment((22.9155, 31.2604), (82.9149, 30.9904))
         v = VanishingPoint(np.array([1713.3, 152.77, 1.0]))
-        short = RefineParams(max_iter=7)
-        _, cost, converged = refine_line(seg, make_fp(), v, short, full_output=True)
+        def short():
+            with monkeypatch.context() as m:
+                m.setattr(refine, "_MAX_ITER", 7)
+                return refine_line(seg, make_fp(), v, full_output=True)
+
+        _, cost, converged = short()
         assert converged
         _, long_cost, _ = refine_line(seg, make_fp(), v, full_output=True)
         assert long_cost == cost
         monkeypatch.setattr("linefields.refine._GAIN_GATE", 1e-14)
-        _, ungated_cost, ungated = refine_line(seg, make_fp(), v, short, full_output=True)
+        _, ungated_cost, ungated = short()
         assert not ungated and ungated_cost == cost
         _, crept_cost, _ = refine_line(seg, make_fp(), v, full_output=True)
         assert 0.0 < cost - crept_cost < 1e-6 * cost
@@ -264,28 +249,29 @@ class TestRefineJoint:
         refined, vps, _ = refine_joint(pert, fp, params)
         assert len(vps) >= 1  # association ran; the weight alone disabled it
         manual = list(pert)
-        for _ in range(params.k_alternations):
+        for _ in range(refine._K_ALTERNATIONS):
             for i in range(len(manual)):
                 manual[i] = refine_line(manual[i], fp, None, params)
         for m, r in zip(manual, refined):
             assert m.p1 == r.p1 and m.p2 == r.p2
 
-    def test_reassociation_uses_the_vp_gate(self) -> None:
-        # The last round re-assigns with vp_params.t_vp: below it exactly the
+    def test_reassociation_uses_the_vp_gate(self, monkeypatch) -> None:
+        # The last round re-assigns with vp._T_VP: below it exactly the
         # assigned lines, and an unassigned line is at least that far from
         # every point.
         rng = np.random.default_rng(54)
         gt = pencil_segments(rng, vp_xy=(1800.0, 128.0), size=256, n=10, half_range=(8.0, 12.0))
         fp = render_fields(gt, 256, 256)
         pert = [perturb_segment(s, rng) for s in gt]
-        vp_params = VpParams(t_vp=0.02, min_support=2)
-        refined, vps, assignment = refine_joint(pert, fp, vp_params=vp_params)
+        monkeypatch.setattr(vp, "_T_VP", 0.02)
+        monkeypatch.setattr(vp, "_MIN_SUPPORT", 2)
+        refined, vps, assignment = refine_joint(pert, fp)
         assert None in assignment and len(set(assignment) - {None}) >= 1
         for seg, j in zip(refined, assignment):
             if j is None:
-                assert min(d_vp(seg, v) for v in vps) >= vp_params.t_vp
+                assert min(d_vp(seg, v) for v in vps) >= 0.02
             else:
-                assert d_vp(seg, vps[j]) < vp_params.t_vp
+                assert d_vp(seg, vps[j]) < 0.02
 
     def test_deterministic(self) -> None:
         rng = np.random.default_rng(53)

@@ -41,6 +41,7 @@ from linefields import (
     VanishingPoint,
     render_fields,
 )
+from linefields import refine
 from linefields.fields import _bilinear_many
 from linefields.geometry import Point2, _d_vp_many, _rows
 from linefields.refine import _MAX_BOOSTS, _PROBE_A, _PROBE_T, _batch_costs, _refine_lines, _sampling_tables
@@ -108,7 +109,7 @@ def oracle_batch_costs(fp, thetas, mxs, mys, half_len, v_vec, use_v, params):
         & (np.minimum(y1, y2) >= 0.5)
         & (np.maximum(y1, y2) <= h - 0.5)
     )
-    ts = np.linspace(0.0, 1.0, params.n_opt)
+    ts = np.linspace(0.0, 1.0, refine._N_OPT)
     xs = x1[:, None] + ts[None, :] * (x2 - x1)[:, None]
     ys = y1[:, None] + ts[None, :] * (y2 - y1)[:, None]
     gx = np.clip(xs - 0.5, 0.0, w - 1.0).ravel()
@@ -120,7 +121,7 @@ def oracle_batch_costs(fp, thetas, mxs, mys, half_len, v_vec, use_v, params):
     delta = np.where(delta > 0.5 * math.pi, delta - math.pi, delta)
     c_af = np.mean(1.0 - np.cos(delta), axis=1)
     c_df = np.mean(df_s, axis=1)
-    cost = params.lambda_af * c_af + params.lambda_df * c_df
+    cost = refine._LAMBDA_AF * c_af + refine._LAMBDA_DF * c_df
     if v_vec is not None:
         mids = np.stack([mxs, mys], axis=1)
         e1 = np.stack([x1, y1], axis=1)
@@ -139,8 +140,8 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
 
     f = costs(np.arange(len(lines)), theta, mx, my)
     evaluable = np.flatnonzero(np.isfinite(f))
-    h_t = params.fd_step
-    h_a = params.fd_step / np.maximum(half_len, params.fd_step)
+    h_t = refine._FD_STEP
+    h_a = refine._FD_STEP / np.maximum(half_len, refine._FD_STEP)
     # Damping in endpoint pixels: diag(max(half length, 1)^2, 1) per line.
     units = [max(float(hl), 1.0) for hl in half_len]
     metric = np.array([[[u * u, 0.0], [0.0, 1.0]] for u in units]).reshape(-1, 2, 2)
@@ -148,7 +149,7 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
     converged = np.zeros(len(lines), dtype=bool)
     active = evaluable
 
-    for _ in range(params.max_iter):
+    for _ in range(refine._MAX_ITER):
         if active.size == 0:
             break
         nx, ny, dt = -np.sin(theta[active]), np.cos(theta[active]), _PROBE_T * h_t
@@ -172,7 +173,7 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
         # Every row of the ladder, level by level: the doubled level-0 step
         # (row -1) first, then levels 0, 1, ...; a row is kept when it goes
         # below the lowest cost so far, which starts at f0.
-        lat = params.max_lateral_step
+        lat = refine._MAX_LATERAL_STEP
         best, take = f0.copy(), np.full(len(a), -2)
         new = np.zeros((len(a), 6))  # theta, mx, my, d0, d1, mu of the kept row
         m = mu[a]
@@ -197,7 +198,7 @@ def oracle_refine_lines(lines, fp, vps, params, seen: Counter):
         mu[j] = np.maximum(m / 3.0, 1e-12)
         step = np.hypot(d0 * np.maximum(half_len[j], 1.0), d1)
         gate = np.finfo(np.float32).eps * np.maximum(f[j], 1.0)
-        converged[j] = (step < params.tol) | (improvement < gate)
+        converged[j] = (step < refine._TOL) | (improvement < gate)
         seen["no_level"] += int((~stepped).sum())
         converged[a[~stepped]] = True
         active = a[~converged[a]]
@@ -267,7 +268,9 @@ def test_bitwise_equal_on_random_line_sets(seed, kinds, turns, max_iter) -> None
     # A turn of 0 or 0.001 rad puts the VP near the line, 0.5 rad far
     # from it; every given VP is used.
     vps = [None if t is None else vp_along(l, t) for l, t in zip(lines, turns)]
-    assert_same(lines, FP, vps, RefineParams(max_iter=max_iter))
+    with pytest.MonkeyPatch.context() as m:  # a function-scoped fixture fails hypothesis' health check
+        m.setattr(refine, "_MAX_ITER", max_iter)
+        assert_same(lines, FP, vps, RefineParams())
 
 
 # Far from every GT line, where the field is nearly flat: each takes one
@@ -324,8 +327,9 @@ def test_singular_level_in_the_middle_of_a_ladder(monkeypatch, level) -> None:
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", record)
+        m.setattr(refine, "_MAX_ITER", 1)
         seen = Counter()
-        oracle_refine_lines([MID], FP, [None], RefineParams(max_iter=1), seen)
+        oracle_refine_lines([MID], FP, [None], RefineParams(), seen)
     assert seen["level_3"] == 1 and len(first_ladder) == _MAX_BOOSTS
     clean = _refine_lines(_rows([MID]), FP, [None], RefineParams())
 

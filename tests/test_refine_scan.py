@@ -27,14 +27,15 @@ def test_parse_seeds() -> None:
         refine_scan.parse_seeds("x")
 
 
-def test_counting_counts_iterations_and_restores_names() -> None:
+def test_counting_counts_iterations_and_restores_names(monkeypatch) -> None:
     gt = LineSegment((20.5, 30.5), (80.5, 30.5))
     fp = render_fields([gt], 100, 64)
     rows = _rows([LineSegment((20.5, 31.5), (80.5, 31.5))])
     before = (refine._batch_costs, refine._refine_lines, cli._refine_lines, vp._damping_ladder)
     counts = refine_scan.Counts()
+    monkeypatch.setattr(refine, "_MAX_ITER", 2)
     with refine_scan.counting(cli, refine, vp, counts):
-        _, cost, _ = refine._refine_lines(rows, fp, [None], RefineParams(max_iter=2))
+        _, cost, _ = refine._refine_lines(rows, fp, [None], RefineParams())
     assert (refine._batch_costs, refine._refine_lines, cli._refine_lines, vp._damping_ladder) == before
     assert counts.line_calls == 1 and counts.line_iterations == 2 and counts.max_iter_calls == 1
     assert counts.final_cost == float(cost[0]) and np.isfinite(cost[0])

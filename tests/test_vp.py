@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from linefields import (
     LineSegment,
     VanishingPoint,
-    VpParams,
     d_vp,
     fit_vps,
     refine_vp,
@@ -102,45 +102,29 @@ class TestVanishingPoint:
 
 
 class TestVpParams:
+    """fit_vps' fixed settings and its one keyword, the seed."""
+
     def test_defaults(self) -> None:
-        p = VpParams()
-        assert p.t_vp == 1.5
-        assert p.min_support == 5
-        assert p.max_models == 8
-        assert p.ransac_iters == 1000
-        assert p.seed == 0
-
-    def test_rejects_bad_threshold(self) -> None:
-        with pytest.raises(ValueError):
-            VpParams(t_vp=0.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_threshold(self, value: float) -> None:
-        with pytest.raises(ValueError, match="t_vp must be finite"):
-            VpParams(t_vp=value)
-
-    def test_rejects_tiny_support(self) -> None:
-        with pytest.raises(ValueError):
-            VpParams(min_support=1)
-
-    def test_rejects_bad_counts(self) -> None:
-        with pytest.raises(ValueError):
-            VpParams(max_models=0)
-        with pytest.raises(ValueError):
-            VpParams(ransac_iters=0)
+        fixed = (vp_module._T_VP, vp_module._MIN_SUPPORT, vp_module._MAX_MODELS, vp_module._RANSAC_ITERS)
+        assert fixed == (1.5, 5, 8, 1000)
+        assert inspect.signature(fit_vps).parameters["seed"].default == 0
 
     @pytest.mark.parametrize("value", [2.5, True, "3"])
-    @pytest.mark.parametrize("name", ["min_support", "max_models", "ransac_iters", "seed"])
+    @pytest.mark.parametrize("name", ["seed"])
     def test_rejects_non_integer_counts(self, name: str, value: object) -> None:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            VpParams(**{name: value})
+            fit_vps([], **{name: value})
 
     def test_rejects_negative_seed(self) -> None:
         with pytest.raises(ValueError, match="seed must be at least 0"):
-            VpParams(seed=-1)
+            fit_vps([], seed=-1)
 
     def test_accepts_numpy_integers(self) -> None:
-        assert VpParams(seed=np.int64(3), ransac_iters=np.int32(10)).seed == 3
+        lines = concurrent_lines(np.random.default_rng(40), np.array([600.0, 128.0, 1.0]), 8)
+        models, assignment = fit_vps(lines, seed=np.int64(3))
+        want_models, want_assignment = fit_vps(lines, seed=3)
+        assert assignment == want_assignment and len(models) == len(want_models) == 1
+        assert models[0].v.tobytes() == want_models[0].v.tobytes()
 
 
 class TestVpFromTwoLines:
@@ -316,12 +300,11 @@ class TestFitVps:
         rng = np.random.default_rng(45)
         lines = concurrent_lines(rng, np.array([600.0, 128.0, 1.0]), 8, noise=1.0)
         lines += concurrent_lines(rng, np.array([128.0, 900.0, 1.0]), 8, noise=1.0)
-        params = VpParams()
-        models, assignment = fit_vps(lines, params)
+        models, assignment = fit_vps(lines)
         assert any(idx is not None for idx in assignment)
         for seg, idx in zip(lines, assignment):
             if idx is not None:
-                assert d_vp(seg, models[idx]) < params.t_vp
+                assert d_vp(seg, models[idx]) < vp_module._T_VP
 
     def test_deterministic(self) -> None:
         rng = np.random.default_rng(41)
@@ -354,7 +337,7 @@ class TestFitVps:
             )
             assert closest < 1e-6
 
-    def test_refinement_that_loses_support_keeps_the_candidate(self) -> None:
+    def test_refinement_that_loses_support_keeps_the_candidate(self, monkeypatch) -> None:
         """The candidate is where lines 0 and 3 meet; the other three lie
         0.5-1.4 px (d_vp) from it. The length-weighted refinement pushes
         one of them past t_vp, leaving 4 of the 5 lines required, so
@@ -367,27 +350,29 @@ class TestFitVps:
             LineSegment((113.9, 131.4), (158.1, 251.8)),
             LineSegment((134.5, 86.6), (260.6, 41.2)),
         ]
-        params = VpParams(min_support=5, max_models=1, ransac_iters=200)
-        models, assignment = fit_vps(lines, params)
+        monkeypatch.setattr(vp_module, "_MAX_MODELS", 1)
+        monkeypatch.setattr(vp_module, "_RANSAC_ITERS", 200)
+        models, assignment = fit_vps(lines)
         assert len(models) == 1
         assert assignment == [0] * 5
         pair_vps = [vp_from_two_lines(a, b) for i, a in enumerate(lines) for b in lines[i + 1 :]]
         assert any(np.array_equal(models[0].v, v.v) for v in pair_vps)
         refined = refine_vp(models[0], lines)
-        assert sum(d_vp(seg, refined) < params.t_vp for seg in lines) == 4
-        assert all(d_vp(seg, models[0]) < params.t_vp for seg in lines)
+        assert sum(d_vp(seg, refined) < vp_module._T_VP for seg in lines) == 4
+        assert all(d_vp(seg, models[0]) < vp_module._T_VP for seg in lines)
 
-    def test_max_models_caps_output(self) -> None:
+    def test_max_models_caps_output(self, monkeypatch) -> None:
         rng = np.random.default_rng(46)
         lines: list[LineSegment] = []
         for k in range(3):
             vp = np.array([400.0 * math.cos(k * 2.1), 400.0 * math.sin(k * 2.1), 1.0])
             lines += concurrent_lines(rng, vp, 8)
-        models, assignment = fit_vps(lines, VpParams(max_models=1))
+        monkeypatch.setattr(vp_module, "_MAX_MODELS", 1)
+        models, assignment = fit_vps(lines)
         assert len(models) == 1
         assert all(idx in (0, None) for idx in assignment)
 
-    def test_memory_does_not_grow_with_ransac_iters(self) -> None:
+    def test_memory_does_not_grow_with_ransac_iters(self, monkeypatch) -> None:
         # Drawn, crossed and scored in chunks: 300k candidates used to hold
         # about 87 MB of pair and cross-product arrays at once.
         rng = np.random.default_rng(47)
@@ -395,7 +380,9 @@ class TestFitVps:
         angles = rng.uniform(0.0, math.pi, 30)
         halves = 20.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         lines = [LineSegment(tuple(m - h), tuple(m + h)) for m, h in zip(mids, halves)]
-        _, peak = traced_peak(fit_vps, lines, VpParams(ransac_iters=300_000, max_models=1))
+        monkeypatch.setattr(vp_module, "_RANSAC_ITERS", 300_000)
+        monkeypatch.setattr(vp_module, "_MAX_MODELS", 1)
+        _, peak = traced_peak(fit_vps, lines)
         assert peak < 16e6
 
 
@@ -434,15 +421,14 @@ def test_fit_vps_invariants(
         a = rng.uniform(0.0, math.pi)
         h = rng.uniform(5.0, 40.0) * np.array([math.cos(a), math.sin(a)])
         lines.append(LineSegment(tuple(m - h), tuple(m + h)))
-    params = VpParams(
-        t_vp=t_vp,
-        min_support=min_support,
-        max_models=max_models,
-        ransac_iters=ransac_iters,
-        seed=seed,
-    )
-
-    models, assignment = fit_vps(lines, params)
+    # A function-scoped monkeypatch fixture fails hypothesis' health check.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vp_module, "_T_VP", t_vp)
+        m.setattr(vp_module, "_MIN_SUPPORT", min_support)
+        m.setattr(vp_module, "_MAX_MODELS", max_models)
+        m.setattr(vp_module, "_RANSAC_ITERS", ransac_iters)
+        models, assignment = fit_vps(lines, seed=seed)
+        again_models, again_assignment = fit_vps(lines, seed=seed)
 
     assert len(assignment) == len(lines)
     assert len(models) <= max_models
@@ -451,7 +437,6 @@ def test_fit_vps_invariants(
     for seg, idx in zip(lines, assignment):
         if idx is not None:
             assert d_vp(seg, models[idx]) < t_vp
-    again_models, again_assignment = fit_vps(lines, params)
     assert again_assignment == assignment
     assert len(again_models) == len(models)
     assert all(np.array_equal(x.v, y.v) for x, y in zip(again_models, models))

@@ -49,13 +49,13 @@ from linefields import (
     LineSegment,
     RefineParams,
     VanishingPoint,
-    VpParams,
     fit_vps,
     refine_joint,
     refine_vp,
     render_fields,
     vp_from_two_lines,
 )
+from linefields import refine as refine_module
 from linefields import vp as vp_module
 from linefields.geometry import _d_vp_many, _homogeneous_lines, _line_arrays, _rows, _segments
 from linefields.refine import _refine_lines
@@ -64,7 +64,8 @@ from linefields.vp import _best_candidate, _draws, _inlier_matrix, _refine_vps, 
 from util_synth import concurrent_lines, pencil_segments, perturb_segment
 
 
-def scalar_fit_vps(lines, params, seen: Counter):
+def scalar_fit_vps(lines, seed, seen: Counter):
+    t_vp, min_support, max_models = vp_module._T_VP, vp_module._MIN_SUPPORT, vp_module._MAX_MODELS
     n = len(lines)
     assignment = [None] * n
     models: list[VanishingPoint] = []
@@ -74,16 +75,16 @@ def scalar_fit_vps(lines, params, seen: Counter):
     e1 = np.array([[seg.p1.x, seg.p1.y] for seg in lines])
     e2 = np.array([[seg.p2.x, seg.p2.y] for seg in lines])
     lengths = np.array([seg.length for seg in lines])
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     remaining = np.arange(n)
 
-    while len(models) < params.max_models and len(remaining) >= params.min_support:
+    while len(models) < max_models and len(remaining) >= min_support:
         seen["two_line_round"] += len(remaining) == 2
         best_vec = None
         best_len = 0.0
         sub_m, sub_e1, sub_e2 = mids[remaining], e1[remaining], e2[remaining]
         sub_len = lengths[remaining]
-        for _ in range(params.ransac_iters):
+        for _ in range(vp_module._RANSAC_ITERS):
             i, j = _draws(rng, len(remaining), 2, 1)[0]
             try:
                 cand = vp_from_two_lines(lines[remaining[i]], lines[remaining[j]])
@@ -91,8 +92,8 @@ def scalar_fit_vps(lines, params, seen: Counter):
                 seen["same_line_pair"] += 1
                 continue
             d = _d_vp_many(sub_m, sub_e1, sub_e2, cand.v)
-            mask = d < params.t_vp
-            if int(mask.sum()) < params.min_support:
+            mask = d < t_vp
+            if int(mask.sum()) < min_support:
                 continue
             support_len = float(sub_len[mask].sum())
             if support_len > best_len:
@@ -102,11 +103,11 @@ def scalar_fit_vps(lines, params, seen: Counter):
             seen["round_below_min_support"] += 1
             break
 
-        mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < params.t_vp
+        mask = _d_vp_many(sub_m, sub_e1, sub_e2, best_vec) < t_vp
         inlier_idx = remaining[mask]
         refined = refine_vp(VanishingPoint(best_vec), [lines[int(ix)] for ix in inlier_idx])
-        ref_mask = _d_vp_many(sub_m, sub_e1, sub_e2, refined.v) < params.t_vp
-        if int(ref_mask.sum()) >= params.min_support:
+        ref_mask = _d_vp_many(sub_m, sub_e1, sub_e2, refined.v) < t_vp
+        if int(ref_mask.sum()) >= min_support:
             chosen, chosen_mask = refined, ref_mask
         else:
             chosen, chosen_mask = VanishingPoint(best_vec), mask
@@ -114,17 +115,23 @@ def scalar_fit_vps(lines, params, seen: Counter):
         for ix in remaining[chosen_mask]:
             assignment[int(ix)] = len(models) - 1
         remaining = remaining[~chosen_mask]
-    if len(models) == params.max_models and len(remaining) >= params.min_support:
+    if len(models) == max_models and len(remaining) >= min_support:
         seen["max_models_cap"] += 1
     # Noise and refinement keep a parallel pencil's VP just off infinity.
     seen["far_model"] += sum(abs(float(m.v[2])) < 1e-3 for m in models)
     return models, assignment
 
 
-def assert_same_fit(lines, params) -> Counter:
+def fix(monkeypatch, **constants) -> None:
+    """Set vp module constants for one test, e.g. fix(monkeypatch, _RANSAC_ITERS=300)."""
+    for name, value in constants.items():
+        monkeypatch.setattr(vp_module, name, value)
+
+
+def assert_same_fit(lines, seed) -> Counter:
     seen: Counter = Counter()
-    want_models, want_assignment = scalar_fit_vps(lines, params, seen)
-    got_models, got_assignment = fit_vps(lines, params)
+    want_models, want_assignment = scalar_fit_vps(lines, seed, seen)
+    got_models, got_assignment = fit_vps(lines, seed=seed)
     assert got_assignment == want_assignment
     assert len(got_models) == len(want_models)
     for got, want in zip(got_models, want_models):
@@ -145,14 +152,14 @@ def three_pencil_scene(rng: np.random.Generator, noise: float = 0.5) -> list[Lin
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_matches_reference_on_noisy_pencils(seed: int) -> None:
+def test_matches_reference_on_noisy_pencils(monkeypatch, seed: int) -> None:
     lines = three_pencil_scene(np.random.default_rng(100 + seed))
-    params = VpParams(seed=seed, ransac_iters=300)
-    seen = assert_same_fit(lines, params)
+    fix(monkeypatch, _RANSAC_ITERS=300)
+    seen = assert_same_fit(lines, seed)
     assert seen["far_model"] >= 1  # the third pencil is parallel
 
 
-def test_matches_reference_with_same_line_pairs() -> None:
+def test_matches_reference_with_same_line_pairs(monkeypatch) -> None:
     rng = np.random.default_rng(7)
     lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 6)
     # Collinear copies: any pair drawn from one supporting line is skipped.
@@ -161,11 +168,12 @@ def test_matches_reference_with_same_line_pairs() -> None:
         LineSegment((100.0, 70.0), (140.0, 90.0)),
     ]
     lines += on_one_line * 3
-    seen = assert_same_fit(lines, VpParams(seed=3, ransac_iters=200))
+    fix(monkeypatch, _RANSAC_ITERS=200)
+    seen = assert_same_fit(lines, 3)
     assert seen["same_line_pair"] > 0
 
 
-def test_matches_reference_when_a_round_finds_no_model() -> None:
+def test_matches_reference_when_a_round_finds_no_model(monkeypatch) -> None:
     rng = np.random.default_rng(8)
     lines = concurrent_lines(rng, np.array([600.0, 128.0, 1.0]), 8)
     lines += [
@@ -176,21 +184,24 @@ def test_matches_reference_when_a_round_finds_no_model() -> None:
         LineSegment((30.0, 230.0), (35.0, 170.0)),
         LineSegment((200.0, 20.0), (240.0, 90.0)),
     ]
-    seen = assert_same_fit(lines, VpParams(seed=5, ransac_iters=150))
+    fix(monkeypatch, _RANSAC_ITERS=150)
+    seen = assert_same_fit(lines, 5)
     assert seen["round_below_min_support"] == 1
 
 
-def test_matches_reference_at_the_model_cap() -> None:
+def test_matches_reference_at_the_model_cap(monkeypatch) -> None:
     lines = three_pencil_scene(np.random.default_rng(9), noise=0.0)
-    seen = assert_same_fit(lines, VpParams(seed=2, max_models=2, ransac_iters=250))
+    fix(monkeypatch, _MAX_MODELS=2, _RANSAC_ITERS=250)
+    seen = assert_same_fit(lines, 2)
     assert seen["max_models_cap"] == 1
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.3])
-def test_matches_reference_on_a_parallel_pencil(noise: float) -> None:
+def test_matches_reference_on_a_parallel_pencil(monkeypatch, noise: float) -> None:
     rng = np.random.default_rng(10)
     lines = concurrent_lines(rng, np.array([1.0, 0.05, 0.0]), 12, noise=noise)
-    seen = assert_same_fit(lines, VpParams(seed=11, ransac_iters=120))
+    fix(monkeypatch, _RANSAC_ITERS=120)
+    seen = assert_same_fit(lines, 11)
     assert seen["far_model"] == 1
 
 
@@ -198,7 +209,8 @@ def test_matches_reference_when_scored_in_many_chunks(monkeypatch: pytest.Monkey
     lines = three_pencil_scene(np.random.default_rng(12))
     # About two candidates per chunk: chunk edges must not change the winner.
     monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", 2 * len(lines))
-    assert_same_fit(lines, VpParams(seed=6, ransac_iters=100))
+    fix(monkeypatch, _RANSAC_ITERS=100)
+    assert_same_fit(lines, 6)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 40])
@@ -212,18 +224,20 @@ def test_matches_reference_when_most_draws_repeat(monkeypatch, chunk_rows) -> No
         monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", chunk_rows * len(lines))
     draws = _draws(np.random.default_rng(1), len(lines), 2, 5000)
     assert len(np.unique(np.sort(draws, axis=1), axis=0)) == 28
-    assert_same_fit(lines, VpParams(seed=1, ransac_iters=5000))
+    fix(monkeypatch, _RANSAC_ITERS=5000)
+    assert_same_fit(lines, 1)
 
 
-def test_matches_reference_when_the_last_round_has_two_lines() -> None:
+def test_matches_reference_when_the_last_round_has_two_lines(monkeypatch) -> None:
     # A pencil takes all but two lines; the two left form a model of their
     # own, and every draw from two lines is the pair (0, 1).
     rng = np.random.default_rng(13)
     lines = concurrent_lines(rng, np.array([500.0, 300.0, 1.0]), 8, half_range=(40.0, 60.0))
     lines += [LineSegment((10.0, 200.0), (40.0, 240.0)), LineSegment((200.0, 20.0), (150.0, 60.0))]
-    seen = assert_same_fit(lines, VpParams(seed=4, min_support=2, ransac_iters=50))
+    fix(monkeypatch, _MIN_SUPPORT=2, _RANSAC_ITERS=50)
+    seen = assert_same_fit(lines, 4)
     assert seen["two_line_round"] == 1
-    models, assignment = fit_vps(lines, VpParams(seed=4, min_support=2, ransac_iters=50))
+    models, assignment = fit_vps(lines, seed=4)
     assert len(models) == 2
     assert assignment[-2:] == [1, 1]
 
@@ -330,15 +344,15 @@ def unit_crosses(lines):
     return np.where(np.abs(norm - 1.0) > 1e-12, v / norm, v)
 
 
-def frozen_best_candidate(v, sub, params, best_len):
+def frozen_best_candidate(v, sub, best_len):
     """_best_candidate as one _d_vp_many matrix and a full strict-> scan."""
     mids, e1, e2, lengths = sub
     norm = np.sqrt(np.vecdot(v, v))[:, None]
     index = np.flatnonzero(norm[:, 0] >= 1e-12)
     vecs = np.where(np.abs(norm[index] - 1.0) > 1e-12, v[index] / norm[index], v[index])
-    inl = _d_vp_many(mids, e1, e2, vecs[:, None, :]) < params.t_vp
+    inl = _d_vp_many(mids, e1, e2, vecs[:, None, :]) < vp_module._T_VP
     best = None
-    for k in np.flatnonzero(inl.sum(axis=1) >= params.min_support):
+    for k in np.flatnonzero(inl.sum(axis=1) >= vp_module._MIN_SUPPORT):
         support_len = float(lengths[inl[k]].sum())
         if support_len > best_len:
             best, best_len = int(index[k]), support_len
@@ -429,36 +443,36 @@ def test_inlier_matrix_matches_d_vp_at_the_gate(monkeypatch, kind, seed) -> None
 
 @pytest.mark.parametrize("kind", GATE_KINDS)
 @pytest.mark.parametrize("best_len", [0.0, None])
-def test_best_candidate_matches_a_full_scan(kind, best_len) -> None:
+def test_best_candidate_matches_a_full_scan(monkeypatch, kind, best_len) -> None:
     lines, _ = gate_scene(kind, 3)
     sub = _line_arrays(_rows(lines))
     hom = _homogeneous_lines(_rows(lines))
     i, j = np.triu_indices(len(lines), 1)
     v = np.cross(hom[i], hom[j])
     v = np.concatenate([v, v[::-1]])  # every candidate twice: ties go to the first
-    params = VpParams(min_support=3)
+    fix(monkeypatch, _MIN_SUPPORT=3)
     if best_len is None:  # a record just below the winner's: only it can beat it
-        best_len = np.nextafter(frozen_best_candidate(v, sub, params, 0.0)[1], 0.0)
-    want = frozen_best_candidate(v, sub, params, best_len)
+        best_len = np.nextafter(frozen_best_candidate(v, sub, 0.0)[1], 0.0)
+    want = frozen_best_candidate(v, sub, best_len)
     assert want[0] is not None
-    assert _best_candidate(v, sub, _score_columns(sub), params, best_len) == want
-    assert _best_candidate(v, sub, _score_columns(sub), params, want[1]) == (None, want[1])
+    assert _best_candidate(v, sub, _score_columns(sub), best_len) == want
+    assert _best_candidate(v, sub, _score_columns(sub), want[1]) == (None, want[1])
 
 
 def test_best_candidate_with_no_candidates() -> None:
     lines, _ = gate_scene("finite", 4)
     sub = _line_arrays(_rows(lines))
     columns = _score_columns(sub)
-    params = VpParams()
-    assert _best_candidate(np.empty((0, 3)), sub, columns, params, 2.0) == (None, 2.0)
-    assert _best_candidate(np.zeros((3, 3)), sub, columns, params, 2.0) == (None, 2.0)
+    assert _best_candidate(np.empty((0, 3)), sub, columns, 2.0) == (None, 2.0)
+    assert _best_candidate(np.zeros((3, 3)), sub, columns, 2.0) == (None, 2.0)
 
 
 @pytest.mark.parametrize("kind", GATE_KINDS)
 def test_fit_vps_matches_reference_at_the_gate(monkeypatch, kind) -> None:
     lines, _ = gate_scene(kind, 5)
     monkeypatch.setattr("linefields.vp._SCORE_ELEMENTS", 3 * len(lines))  # chunks of 3 candidates
-    assert_same_fit(lines, VpParams(seed=7, min_support=4, ransac_iters=400))
+    fix(monkeypatch, _MIN_SUPPORT=4, _RANSAC_ITERS=400)
+    assert_same_fit(lines, 7)
 
 
 # ------------------------------------------------------------ refine_vp
@@ -779,13 +793,13 @@ def test_models_with_under_two_lines_stay_where_they_are() -> None:
     assert vecs[1].tobytes() == want_v.tobytes() and converged[1] == want_conv
 
 
-def frozen_refine_joint(lines, fp, params, vp_params, seen: Counter):
+def frozen_refine_joint(lines, fp, params, seen: Counter):
     """refine_joint as one refine_vp call per model, on LineSegments of its
     assigned lines; line refinement is the library's, so both use one gate."""
     n = len(lines)
-    vps, assignment = fit_vps(lines, vp_params)
+    vps, assignment = fit_vps(lines)
     rows = _rows(lines)
-    for _ in range(params.k_alternations):
+    for _ in range(refine_module._K_ALTERNATIONS):
         line_vps = [vps[j] if j is not None else None for j in assignment]
         rows, _, _ = _refine_lines(rows, fp, line_vps, params)
         if vps:
@@ -798,7 +812,7 @@ def frozen_refine_joint(lines, fp, params, vp_params, seen: Counter):
             mids, e1, e2, _ = _line_arrays(rows)
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)
-            close = dists[closest, np.arange(n)] < vp_params.t_vp
+            close = dists[closest, np.arange(n)] < vp_module._T_VP
             seen["unassigned"] += int((~close).sum())
             assignment = [int(j) if c else None for j, c in zip(closest, close)]
     return _segments(rows), vps, assignment
@@ -820,18 +834,20 @@ def pencils_scene(seed: int):
 
 
 @pytest.mark.parametrize("seed, vp_params", [
-    (61, VpParams()),
-    (62, VpParams(seed=3)),
-    (61, VpParams(t_vp=0.1, min_support=2)),  # 8 models, some left with under 2 lines
+    (61, {}),
+    (62, {}),
+    (61, {"_T_VP": 0.1, "_MIN_SUPPORT": 2}),  # 8 models, some left with under 2 lines
 ])
-def test_refine_joint_matches_a_per_model_loop(seed, vp_params) -> None:
+def test_refine_joint_matches_a_per_model_loop(monkeypatch, seed, vp_params) -> None:
     lines, fp = pencils_scene(seed)
-    params = RefineParams(k_alternations=3)
+    fix(monkeypatch, **vp_params)
+    monkeypatch.setattr(refine_module, "_K_ALTERNATIONS", 3)
+    params = RefineParams()
     seen: Counter = Counter()
-    want = frozen_refine_joint(lines, fp, params, vp_params, seen)
-    got = refine_joint(lines, fp, params, vp_params)
+    want = frozen_refine_joint(lines, fp, params, seen)
+    got = refine_joint(lines, fp, params)
     assert _rows(got[0]).tobytes() == _rows(want[0]).tobytes()
     assert [v.v.tobytes() for v in got[1]] == [v.v.tobytes() for v in want[1]]
     assert got[2] == want[2]
     assert len(want[1]) >= 2 and seen["unassigned"] > 0
-    assert (seen["vp_left_alone"] > 0) == (vp_params.t_vp < 1.0)
+    assert (seen["vp_left_alone"] > 0) == (vp_module._T_VP < 1.0)

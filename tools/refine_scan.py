@@ -12,7 +12,7 @@ by wrapping library functions for the run (nothing under ``src/``
 changes):
 
 - ``_refine_lines`` calls, their iterations ((``_batch_costs`` calls - 1)
-  / 2 per call) and the calls that ran ``max_iter`` iterations;
+  / 2 per call) and the calls that ran ``refine._MAX_ITER`` iterations;
 - the summed final cost of each call (its finite costs), averaged per call;
 - VP damping ladders: ``_damping_ladder`` calls made from ``vp.py``
   (line refinement binds its own name) and the model-iterations they held;
@@ -119,13 +119,13 @@ def counting(cli, refine, vp, counts: Counts):
         cost_calls[0] += 1
         return batch_costs(*args, **kwargs)
 
-    def lines(rows, fp, vps, params, *rest, **kwargs):
+    def lines(*args, **kwargs):
         before = cost_calls[0]
-        out = refine_lines(rows, fp, vps, params, *rest, **kwargs)
+        out = refine_lines(*args, **kwargs)
         iterations = (cost_calls[0] - before - 1) // 2
         counts.line_calls += 1
         counts.line_iterations += iterations
-        counts.max_iter_calls += iterations == params.max_iter
+        counts.max_iter_calls += iterations == refine._MAX_ITER
         counts.final_cost += float(np.sum(out[1][np.isfinite(out[1])]))
         return out
 
