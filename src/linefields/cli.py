@@ -3,7 +3,8 @@
 Subcommands wrap the library one-to-one: gen-fields, gen-gt, detect,
 refine, vps, and the eval family. Every command exits 0 on success and
 nonzero with a diagnostic on stderr otherwise; outputs are byte-identical
-across runs given the same seed.
+across runs given the same seed. A bad flag value is refused before any
+input is read, by the check of the library function that takes it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .evaluate import (
     vp_error_auc,
 )
 from .fields import render_fields
-from .geometry import CameraIntrinsics, _rows, _segments
+from .geometry import CameraIntrinsics, _require_int, _require_positive, _rows, _segments
 from .io import (
     _stored_r,
     read_field_file,
@@ -95,6 +96,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 def _cmd_vps(args: argparse.Namespace) -> int:
     if args.width < 1 or args.height < 1:
         raise ValueError("image dimensions must be positive")
+    _require_int("seed", args.seed, minimum=0)
     lines = read_lines(args.lines)
     vps, assignment = fit_vps(lines, seed=args.seed)
     write_vp_file(args.out, vps, assignment)
@@ -109,6 +111,7 @@ def _matched_pairs(args: argparse.Namespace):
 
 
 def _cmd_eval_rep(args: argparse.Namespace) -> int:
+    _require_positive("threshold", args.threshold)
     lines_a, lines_b, h_gt = _matched_pairs(args)
     matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
     value = repeatability(matches, (len(lines_a), len(lines_b)), threshold=args.threshold)
@@ -117,6 +120,7 @@ def _cmd_eval_rep(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_le(args: argparse.Namespace) -> int:
+    _require_int("top_k", args.top_k, minimum=1)
     lines_a, lines_b, h_gt = _matched_pairs(args)
     matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
     value = localization_error(matches, top_k=args.top_k)
@@ -125,6 +129,8 @@ def _cmd_eval_le(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_hest(args: argparse.Namespace) -> int:
+    _require_positive("inlier_threshold", args.inlier_threshold)
+    _require_int("seed", args.seed, minimum=0)
     lines_a, lines_b, h_gt = _matched_pairs(args)
     matches = match_one_to_one(lines_a, lines_b, h_gt, distance=args.distance)
     pairs = [(lines_a[m.index_a], lines_b[m.index_b]) for m in matches]

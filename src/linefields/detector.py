@@ -155,6 +155,50 @@ def _log10_binomial_tail(n: int, k: int, p: float) -> float:
     return float(a_max + np.log(np.sum(np.exp(log_terms - a_max)))) / math.log(10.0)
 
 
+def _meaningful(n_in: np.ndarray, k_in: np.ndarray, log_nt: float, p: float) -> np.ndarray:
+    """Which rectangles pass the NFA gate: n_in > 0 pixels, and not
+    log_nt + _log10_binomial_tail(n_in, k_in, p) > _LOG_EPS.
+
+    For 1 <= k <= n the gate is decided from bounds on the tail, in one
+    array pass. Its terms T_j, j = k..n, fall by the ratio (n - j) p /
+    ((j + 1) (1 - p)), at most r = (n - k) p / ((k + 1) (1 - p)), so
+    T_k <= tail <= T_k / (1 - r). With L = log T_k written as the tail
+    writes its first term, a rectangle is rejected when log_nt +
+    (L - m) / ln 10 > _LOG_EPS and kept when log_nt + (L - log(1 - r) +
+    m) / ln 10 <= _LOG_EPS (only for r <= 1/2, where rounding r moves
+    -log(1 - r) by at most 4u, u = 2^-53). Rounding is monotone, so both
+    decisions are the tail's as long as its natural log, as
+    _log10_binomial_tail computes it, lies within the margin m of the
+    bounds. Every value both computations round is below M = 3 log
+    Gamma(n + 1) + n (|log p| + |log(1 - p)|): each log term is off by at
+    most a few u M (five roundings, and math.lgamma's few ulp), which
+    moves both bounds and the sum of its exponentials alike; the sum of
+    at most n + 1 exponentials, each rounded, adds at most (n + 2) u to
+    the log, and the shift by the largest term and its return another
+    3 u M. m = 2^-30 (M + n + 1) exceeds all of that a million times
+    over. Only the rectangles left between the two bounds, and the ones
+    with n <= 0, k <= 0 or k > n, call _log10_binomial_tail.
+    """
+    kept = np.zeros(len(n_in), dtype=bool)
+    undecided = n_in > 0
+    bounded = np.flatnonzero((k_in > 0) & (k_in <= n_in))
+    n, k = n_in[bounded], k_in[bounded]
+    lg = _log_gamma_upto(int(n.max(initial=0)) + 1)
+    first = lg[n + 1] - lg[k + 1] - lg[n - k + 1] + k * math.log(p) + (n - k) * math.log1p(-p)
+    ratio = (n - k) * p / ((k + 1) * (1.0 - p))
+    spread = np.where(ratio <= 0.5, -np.log1p(-np.minimum(ratio, 0.5)), np.inf)
+    scale = 3.0 * lg[n + 1] + n * (abs(math.log(p)) + abs(math.log1p(-p)) + 1.0) + 1.0
+    margin = 2.0**-30 * scale
+    ln10 = math.log(10.0)
+    rejected = log_nt + (first - margin) / ln10 > _LOG_EPS
+    passed = ~(log_nt + (first + spread + margin) / ln10 > _LOG_EPS)
+    kept[bounded[passed]] = True
+    undecided[bounded[rejected | passed]] = False
+    for i in np.flatnonzero(undecided).tolist():
+        kept[i] = not log_nt + _log10_binomial_tail(int(n_in[i]), int(k_in[i]), p) > _LOG_EPS
+    return kept
+
+
 def _fit_rect(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -219,11 +263,34 @@ def _count_in_rects(
 
     ``rects`` holds one _fit_rect row per rectangle, shape (n, 9), and
     ``ldir`` and ``usable`` the (h, w) direction and usability grids, which
-    may be views into padded grids. Every rectangle is tested over the grid
-    pixels of its corners' bounding box. The boxes of all rectangles are
-    laid end to end and scanned in chunks of at most _NFA_ELEMENTS pixels,
-    each pixel with the arithmetic of its own rectangle, so the counts do
-    not depend on the chunking.
+    may be views into padded grids. A pixel (ix, iy) is inside when, with
+    gx = ix + offset - cx and gy = iy + offset - cy, pl = gx ux + gy uy
+    lies in [lmin, lmax] and pw = -gx uy + gy ux in [wmin, wmax], in that
+    arithmetic: a region's extreme pixels project exactly onto the
+    rectangle's edges and count as inside.
+
+    Only pixels of the corners' bounding box can be inside, and in each
+    box row only a span of x: pl and pw are c gx + a with (c, a) = (ux,
+    gy uy) and (-uy, gy ux), so each holds only for gx between (lo - a) / c
+    and (hi - a) / c. Every pixel of a row's span, widened by one pixel at
+    each end, is tested as above, so the counts are those of the whole box
+    as long as the widening covers the rounding. It does: let u = 2^-53
+    and S = |cx| + |cy| + max|l| + max|w| + w + h, which bounds |gx|, |gy|,
+    |a| and the edges. A pixel that passes has c gx >= lo - a - 4uS (two
+    roundings of the test, each at most u times a value below 2S); the
+    computed end (lo - a) / c is within 4uS/|c| of the exact one; gx is
+    X - cx rounded, within uS; and the end plus cx minus offset adds two
+    roundings of values below 4S/|c|, 7uS/|c|. So a passing pixel lies
+    within 16uS/|c| of the computed real end, which is below one pixel
+    when |c| > 32uS, and the one-pixel widening covers it (likewise at
+    the upper end). A constraint whose |c| is not above 32uS, or whose S
+    is not finite, gives no span: its rows keep the box, whose x range
+    bounds every span, so a span never narrows below it.
+
+    The spans of all rows of all rectangles are laid end to end and
+    scanned in chunks of at most _NFA_ELEMENTS pixels, each pixel with
+    the arithmetic of its own rectangle, so the counts do not depend on
+    the chunking.
     """
     h, w = ldir.shape
     cx, cy, theta, ux, uy, lmin, lmax, wmin, wmax = rects.T
@@ -231,36 +298,54 @@ def _count_in_rects(
     corner_w = np.stack([wmin, wmax, wmin, wmax], axis=1)
     cxs = cx[:, None] + corner_l * ux[:, None] - corner_w * uy[:, None]
     cys = cy[:, None] + corner_l * uy[:, None] + corner_w * ux[:, None]
-    x_lo = np.maximum(np.floor(cxs.min(axis=1) - offset), 0).astype(np.intp)
-    x_hi = np.minimum(np.ceil(cxs.max(axis=1) - offset), w - 1).astype(np.intp)
-    y_lo = np.maximum(np.floor(cys.min(axis=1) - offset), 0).astype(np.intp)
-    y_hi = np.minimum(np.ceil(cys.max(axis=1) - offset), h - 1).astype(np.intp)
-    box_w = np.maximum(x_hi - x_lo + 1, 0)
-    sizes = box_w * np.maximum(y_hi - y_lo + 1, 0)
+    # Clipped one past the grid, so any finite box converts to integers.
+    x_lo = np.clip(np.floor(cxs.min(axis=1) - offset), 0, w)
+    x_hi = np.clip(np.ceil(cxs.max(axis=1) - offset), -1, w - 1)
+    y_lo = np.clip(np.floor(cys.min(axis=1) - offset), 0, h).astype(np.intp)
+    y_hi = np.clip(np.ceil(cys.max(axis=1) - offset), -1, h - 1).astype(np.intp)
+    # One entry per box row: its rectangle, y, and the test's y products.
+    heights = np.maximum(y_hi - y_lo + 1, 0)
+    rid = np.repeat(np.arange(len(rects)), heights)
+    iy = np.arange(len(rid)) - np.repeat(np.cumsum(heights) - heights - y_lo, heights)
+    gy = iy + offset - cy[rid]
+    a_l, a_w = gy * uy[rid], gy * ux[rid]
+    first, last = x_lo[rid], x_hi[rid]
+    reach = np.abs(cx) + np.abs(cy) + np.maximum(np.abs(lmin), np.abs(lmax))
+    reach += np.maximum(np.abs(wmin), np.abs(wmax)) + (w + h)
+    for c, a, lo, hi in ((ux, a_l, lmin, lmax), (-uy, a_w, wmin, wmax)):
+        spans = np.flatnonzero((np.abs(c) > 32.0 * 2.0**-53 * reach)[rid])
+        r = rid[spans]
+        end_a = (lo[r] - a[spans]) / c[r] + cx[r] - offset
+        end_b = (hi[r] - a[spans]) / c[r] + cx[r] - offset
+        first[spans] = np.maximum(first[spans], np.ceil(np.minimum(end_a, end_b)) - 1.0)
+        last[spans] = np.minimum(last[spans], np.floor(np.maximum(end_a, end_b)) + 1.0)
+    first = first.astype(np.intp)
+    sizes = np.maximum(last.astype(np.intp) - first + 1, 0)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     n_in = np.zeros(len(rects), dtype=np.intp)
     k_in = np.zeros(len(rects), dtype=np.intp)
     total = int(sizes.sum())
     for start in range(0, total, _NFA_ELEMENTS):
-        pos = np.arange(start, min(start + _NFA_ELEMENTS, total))
-        rid = np.searchsorted(ends, pos, side="right")  # the box holding pos
-        iy, ix = np.divmod(pos - starts[rid], box_w[rid])
-        ix += x_lo[rid]
-        iy += y_lo[rid]
-        # _fit_rect's operations in its order: a region's extreme pixels
-        # project exactly onto the rectangle's edges and count as inside.
-        gx = ix + offset - cx[rid]
-        gy = iy + offset - cy[rid]
-        pl = gx * ux[rid] + gy * uy[rid]
-        pw = -gx * uy[rid] + gy * ux[rid]
-        inside = (pl >= lmin[rid]) & (pl <= lmax[rid]) & (pw >= wmin[rid]) & (pw <= wmax[rid])
-        rid = rid[inside]
-        n_in += np.bincount(rid, minlength=len(rects))
-        iy, ix = iy[inside], ix[inside]
-        circ = _circular(ldir[iy, ix] - theta[rid], period)
-        aligned = (circ <= tol) & usable[iy, ix]
-        k_in += np.bincount(rid[aligned], minlength=len(rects))
+        stop = min(start + _NFA_ELEMENTS, total)
+        # The rows the chunk overlaps, and how many of their pixels it holds.
+        r0, r1 = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+        row = np.repeat(
+            np.arange(r0, r1 + 1),
+            np.minimum(ends[r0 : r1 + 1], stop) - np.maximum(starts[r0 : r1 + 1], start),
+        )
+        ix = np.arange(start, stop) - starts[row] + first[row]
+        k = rid[row]
+        gx = ix + offset - cx[k]
+        pl = gx * ux[k] + a_l[row]
+        pw = -gx * uy[k] + a_w[row]
+        inside = (pl >= lmin[k]) & (pl <= lmax[k]) & (pw >= wmin[k]) & (pw <= wmax[k])
+        k, row, ix = k[inside], row[inside], ix[inside]
+        n_in += np.bincount(k, minlength=len(rects))
+        ry = iy[row]
+        circ = _circular(ldir[ry, ix] - theta[k], period)
+        aligned = (circ <= tol) & usable[ry, ix]
+        k_in += np.bincount(k[aligned], minlength=len(rects))
     return n_in, k_in
 
 
@@ -500,11 +585,7 @@ def lsd_extract(
     rows = np.array(rects).reshape(-1, 9)
     image_dir, image_usable = (g.reshape(h + 2, wp)[1:-1, 1:-1] for g in (pldir, pusable))
     counts = _count_in_rects(rows, image_dir, image_usable, tol, period, grid_offset)
-    kept = [
-        n_in > 0 and not log_nt + _log10_binomial_tail(n_in, k_in, p_align) > _LOG_EPS
-        for n_in, k_in in zip(*(c.tolist() for c in counts))
-    ]
-    cx, cy, _, ux, uy, lmin, lmax = rows[np.array(kept, dtype=bool), :7].T
+    cx, cy, _, ux, uy, lmin, lmax = rows[_meaningful(*counts, log_nt, p_align), :7].T
     ends = np.stack([cx + lmin * ux, cy + lmin * uy, cx + lmax * ux, cy + lmax * uy], axis=1)
     return _segments(ends)
 

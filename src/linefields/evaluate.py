@@ -24,6 +24,7 @@ from .geometry import (
     _line_arrays,
     _orthogonal_many,
     _require_int,
+    _require_positive,
     _rows,
     _stored_homographies,
     _warp_segments,
@@ -71,49 +72,53 @@ def _greedy_pairs(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the pairs a greedy one-to-one scan of
     ``dist`` claims, in the order it claims them.
 
-    The scan visits entries in stable ascending order (NaN last) and claims
-    each whose row and column are both free. It runs in rounds on the rank
-    matrix instead: a round claims every free pair that is the first
-    minimum of both its row and its column among the free entries, which
-    the scan claims too, since nothing before it in the order touches its
-    row or column. Each round claims at least the free minimum. Once a
-    round claims fewer than an eighth of the free rows (a chain of
-    preferences would take one round per pair), the scan itself finishes
-    on the free entries: the pairs it claims there are the ones it claims
-    on the whole matrix, since no pair claimed so far shares a row or
-    column with them.
+    The scan visits entries in stable ascending order (NaN last, after
+    +inf) and claims each whose row and column are both free. It runs in
+    rounds instead. A round claims every free pair below +inf that is the
+    first minimum (np.argmin, NaN read as +inf) of both its row and its
+    column among the free entries. The scan claims it too: every entry it
+    visits before the pair is smaller, or equal at a smaller flat index,
+    so none lies in the pair's row or column. Reading NaN as +inf moves
+    only the first minimum of a row or column whose minimum is +inf, and
+    no such pair is claimed. Each round with a pair below +inf claims at
+    least the free minimum. Once a round claims fewer than an eighth of
+    the free rows (a chain of preferences would take one round per pair,
+    and +inf and NaN entries are claimed by no round), the scan itself
+    finishes on the free entries: the pairs it claims there are the ones
+    it claims on the whole matrix, since no pair claimed so far shares a
+    row or column with them. The claims are returned in the scan's order,
+    one lexsort on (value, flat index): numpy sorts NaN after +inf and
+    ties NaN with NaN, so equal values and NaNs go by index.
     """
     na, nb = dist.shape
-    rank = np.empty(na * nb, dtype=np.intp)
-    rank[np.argsort(dist, axis=None, kind="stable")] = np.arange(na * nb)
-    rank = rank.reshape(na, nb)
+    free = np.where(np.isnan(dist), np.inf, dist)  # the free entries, NaN read as +inf
     rows, cols = np.arange(na), np.arange(nb)
-    claimed = [np.empty((3, 0), dtype=np.intp)]  # rank, row, column
+    claimed = [np.empty((2, 0), dtype=np.intp)]  # row, column
     while len(rows) and len(cols):
-        best = rank.argmin(axis=1)
-        mutual = np.flatnonzero(rank.argmin(axis=0)[best] == np.arange(len(rows)))
+        index = np.arange(len(rows))
+        best = free.argmin(axis=1)
+        mutual = np.flatnonzero((free.argmin(axis=0)[best] == index) & (free[index, best] < np.inf))
         taken = best[mutual]
-        claimed.append(np.stack([rank[mutual, taken], rows[mutual], cols[taken]]))
+        claimed.append(np.stack([rows[mutual], cols[taken]]))
         few = 8 * len(mutual) < len(rows)
         rows, cols = np.delete(rows, mutual), np.delete(cols, taken)
-        rank = np.delete(np.delete(rank, mutual, axis=0), taken, axis=1)
+        free = np.delete(np.delete(free, mutual, axis=0), taken, axis=1)
         if few:
             break
     if len(rows) and len(cols):
         free_rows = [True] * len(rows)
         free_cols = [True] * len(cols)
         found = []
-        for flat in np.argsort(rank, axis=None).tolist():  # ranks are distinct
+        for flat in np.argsort(dist[np.ix_(rows, cols)], axis=None, kind="stable").tolist():
             i, j = divmod(flat, len(cols))
             if free_rows[i] and free_cols[j]:
                 free_rows[i] = free_cols[j] = False
-                found.append((i, j))
-                if len(found) == min(rank.shape):
+                found.append((rows[i], cols[j]))
+                if len(found) == min(len(rows), len(cols)):
                     break
-        i, j = np.array(found).T
-        claimed.append(np.stack([rank[i, j], rows[i], cols[j]]))
-    ranks, i, j = np.concatenate(claimed, axis=1)
-    order = np.argsort(ranks)
+        claimed.append(np.array(found).T)
+    i, j = np.concatenate(claimed, axis=1)
+    order = np.lexsort((i * nb + j, dist[i, j]))
     return i[order], j[order]
 
 
@@ -161,8 +166,7 @@ def repeatability(
 ) -> float:
     """Fraction of the smaller detection set re-found at a distance below
     ``threshold``, positive and finite."""
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    _require_positive("threshold", threshold)
     n_a, n_b = counts
     if n_a < 1 or n_b < 1:
         raise ValueError("both detection counts must be positive")
@@ -366,8 +370,7 @@ def estimate_homography(
         ValueError: with fewer than 4 pairs or when no model reaches 4
             inliers.
     """
-    if not (math.isfinite(inlier_threshold) and inlier_threshold > 0.0):
-        raise ValueError(f"inlier_threshold must be positive and finite, got {inlier_threshold!r}")
+    _require_positive("inlier_threshold", inlier_threshold)
     _require_int("seed", seed, minimum=0)
     n = len(pairs)
     if n < 4:

@@ -288,9 +288,16 @@ def surrogate_gradient(fp: FieldPair) -> tuple[ScalarField, ScalarField]:
     reduced into (-pi/2, pi/2], i.e. the normal direction of the local line.
     """
     mag = np.maximum(0.0, fp.r - fp.df.data)
-    af = np.mod(fp.af.data, math.pi)
+    af = fp.af.data
+    # AF mod pi changes no value in [0, pi), the range read_field_file
+    # accepts, so it is taken only at the entries outside.
+    if af.min() < 0.0 or af.max() >= math.pi:
+        outside = (af < 0.0) | (af >= math.pi)
+        af = af.copy()
+        af[outside] = np.mod(af[outside], math.pi)
     theta = af - 0.5 * math.pi
-    theta = np.where(theta <= -0.5 * math.pi, theta + math.pi, theta)
+    # theta <= -pi/2 only where AF rounds to 0 against pi/2.
+    np.add(theta, math.pi, out=theta, where=theta <= -0.5 * math.pi)
     return ScalarField(mag), ScalarField(theta)
 
 

@@ -49,6 +49,12 @@ def _require_int(name: str, value: object, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def wrap_angle(a: float, period: float = math.pi) -> float:
     """Reduce an angle into [0, period)."""
     r = math.fmod(a, period)

@@ -134,8 +134,10 @@ def _batch_costs(
     c_df = np.add.reduce(df_s, axis=1) / _N_OPT
     cost = _LAMBDA_AF * c_af + _LAMBDA_DF * c_df
     if v_vec is not None:
+        # A row without a VP holds the zero vector, whose d_vp is +inf; it is
+        # never weighted, so a zero lambda_vp forms no 0 * inf.
         d_vp = _d_vp_columns(mxs, mys, x1, y1, x2, y2, v_vec)
-        cost = np.where(use_v, cost + params.lambda_vp * d_vp, cost)
+        cost[use_v] += params.lambda_vp * d_vp[use_v]
     return np.where(ok, cost, np.inf)
 
 

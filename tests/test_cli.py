@@ -802,10 +802,9 @@ class TestErrorReporting:
     def test_bad_flag_value_is_one_error_naming_its_keyword(
         self, tmp_path, capsys, argv, keyword
     ) -> None:
-        # Each value reaches the one function that reads it as a keyword and
-        # is refused there under that keyword's name.
-        lines_path, h_path = tmp_path / "l.csv", tmp_path / "h.txt"
-        write_lines(lines_path, [GT_SEG])
+        # Each value is refused under its keyword's name before any input
+        # is read: the line files do not exist.
+        lines_path, h_path = tmp_path / "missing.csv", tmp_path / "h.txt"
         h_path.write_text(IDENTITY_H)
         if argv[0] == "eval":
             argv = argv + ["--lines-a", str(lines_path), "--lines-b", str(lines_path), "--homography", str(h_path)]

@@ -11,8 +11,9 @@ each rectangle as a ``_fit_rect`` row.
 The fast path pads the grid, sorts 16-bit seed keys, skips seeds that can
 only grow to one pixel, sums stacked moments, takes the local tolerance
 in one array pass, counts the pixels of all rectangles after growing in
-fixed-size chunks, and reads log Gamma from a table of ``math.lgamma``
-values. None of that may change the output, so on any grid the two
+fixed-size chunks of row spans, decides the NFA gate from bounds on the
+tail, and reads log Gamma from a table of ``math.lgamma`` values. None
+of that may change the output, so on any grid the two
 must return the same segments, coordinate for coordinate. The oracle
 also counts which branches a grid took, so the fixed scenes can show they
 covered the retry, shrink and NFA paths. It writes out LSD's constants
@@ -23,6 +24,10 @@ reference.
 The NFA tail itself is held to scipy's within TAIL_RTOL, relative to
 max(1, |tail|), and exactly where k <= 0 (0) or k > n (-inf): libm's
 lgamma and scipy's gammaln differ in the last bit at some integers.
+``frozen_meaningful`` is the gate as it was, one exact tail per
+rectangle, and ``frozen_surrogate_gradient`` the surrogate gradient with
+AF taken mod pi over the whole grid; the bounded gate and the masked mod
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln, logsumexp
 
 from linefields import (
+    FieldPair,
     ScalarField,
     image_gradient,
     lsd_extract,
@@ -54,6 +61,7 @@ from linefields.detector import (
     _fit_rect,
     _lonely,
     _log10_binomial_tail,
+    _meaningful,
     _padded,
     _width,
 )
@@ -640,6 +648,66 @@ def test_rectangles_larger_than_a_chunk(chunk):
     assert 0 < want[4][1] < want[4][0]
 
 
+SMALL_COMPONENTS = [0.0, 1e-7, 1e-5]  # |ux| or |uy| of a near-axis rectangle
+SCALES = [1.0, 1e6, 1e12, 1e200]  # huge ones clip the box or leave no span
+
+
+def near_axis_rect(draw, h, w, offset):
+    """A rectangle whose |ux| or |uy| is 0, 1e-7 or 1e-5, and how many
+    pixels lie on its edges. Either it lies on the grid, partly or wholly
+    off it, with coordinates up to 1e200, or its extents are the
+    projections, in the count's arithmetic, of a few grid pixels, which
+    then lie exactly on its edges."""
+    small = draw(st.sampled_from(SMALL_COMPONENTS)) * draw(st.sampled_from([1.0, -1.0]))
+    big = math.sqrt(1.0 - small * small) * draw(st.sampled_from([1.0, -1.0]))
+    ux, uy = (small, big) if draw(st.booleans()) else (big, small)
+    pixels = []
+    if draw(st.booleans()):
+        cx, cy = draw(st.floats(0.0, float(w))), draw(st.floats(0.0, float(h)))
+        cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        pixels = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+        ix, iy = np.array(pixels).T
+        gx, gy = ix + offset - cx, iy + offset - cy
+        pl, pw = gx * ux + gy * uy, -gx * uy + gy * ux
+        extents = pl.min(), pl.max(), pw.min(), pw.max()
+    else:
+        scale = draw(st.sampled_from(SCALES))
+        cx = draw(st.floats(-1.0, 1.0)) * scale + 0.5 * w
+        cy = draw(st.floats(-1.0, 1.0)) * scale + 0.5 * h
+        reach = draw(st.sampled_from([0.5, 5.0, 30.0, scale]))
+        lmin, lmax = sorted(draw(st.floats(-reach, reach)) for _ in range(2))
+        wmin, wmax = sorted(draw(st.floats(-reach, reach)) for _ in range(2))
+        extents = lmin, lmax, wmin, wmax
+    rect = _Rect(cx, cy, math.atan2(uy, ux), *extents)
+    rect.ux, rect.uy = ux, uy
+    return rect, len(pixels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 7, detector._NFA_ELEMENTS]),
+    period=st.sampled_from([TWO_PI, math.pi]),
+    offset=st.sampled_from([0.5, 1.0]),
+    data=st.data(),
+)
+def test_counts_of_near_axis_off_grid_and_huge_rectangles(h, w, seed, chunk, period, offset, data):
+    """Row spans count what the box scan counts where a direction component
+    is 0 or tiny, the rectangle is partly or wholly off the grid, or its
+    coordinates are huge, and every pixel on an edge counts. Warnings are
+    errors, so no span end or box may overflow or divide by zero."""
+    rng = np.random.default_rng(seed)
+    drawn = [near_axis_rect(data.draw, h, w, offset) for _ in range(data.draw(st.integers(1, 4)))]
+    rects, on_edges = zip(*drawn)
+    ldir = rng.uniform(0.0, period, (h, w))
+    usable = rng.random((h, w)) < 0.7
+    with mock.patch.object(detector, "_NFA_ELEMENTS", chunk):
+        counts = assert_counts_match(rects, ldir, usable, TAU, period, offset)
+    assert all(n_in >= planted for (n_in, _), planted in zip(counts, on_edges))
+
+
 # --------------------------------------------------------- lonely seeds
 
 
@@ -850,3 +918,109 @@ def test_nfa_tail_is_a_nonincreasing_log_probability(n, p, data):
     assert _log10_binomial_tail(n, n + data.draw(st.integers(1, 3)), p) == -math.inf
     want = n * math.log10(p)
     assert abs(_log10_binomial_tail(n, n, p) - want) <= TAIL_RTOL * max(1.0, abs(want))
+
+
+# ------------------------------------------------------------ NFA gate
+
+
+def frozen_meaningful(n_in, k_in, log_nt, p):
+    """The gate as lsd_extract ran it, one exact tail per rectangle."""
+    return [
+        n > 0 and not log_nt + _log10_binomial_tail(n, k, p) > 0.0
+        for n, k in zip(n_in.tolist(), k_in.tolist())
+    ]
+
+
+GATE_SHIFTS = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 0.01, -0.01]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    frac=st.floats(0.0, 1.0),
+    p=st.sampled_from([1.0 / 8.0, 0.25]),
+    shift=st.sampled_from(GATE_SHIFTS),
+    ulps=st.integers(-2, 2),
+)
+def test_gate_decides_as_the_exact_tail_near_the_gate(n, frac, p, shift, ulps):
+    """log_nt sits on the gate of (n, k), or a hair to either side of it,
+    and the batch holds k's neighbours and the special cases n <= 0,
+    k <= 0 and k > n: the bounds must leave every close call to the
+    exact tail."""
+    k = max(1, int(frac * n))
+    log_nt = -_log10_binomial_tail(n, k, p) + shift
+    for _ in range(abs(ulps)):
+        log_nt = math.nextafter(log_nt, math.copysign(math.inf, ulps))
+    ks = [k - 2, k - 1, k, k + 1, k + 2, 0, -1, n, n + 1]
+    n_in = np.array([n] * len(ks) + [0, -1, 0])
+    k_in = np.array(ks + [0, 0, 3])
+    got = _meaningful(n_in, k_in, log_nt, p)
+    assert got.tolist() == frozen_meaningful(n_in, k_in, log_nt, p)
+
+
+@pytest.mark.parametrize("p", [1.0 / 8.0, 0.25])
+def test_gate_on_every_pair_of_a_grid(p):
+    """Every (n, k) up to n = 120 against the log_nt of 1 x 1 to 512 x 512
+    grids: the decided and the exact pairs together decide as before."""
+    n, k = (a.ravel() for a in np.mgrid[0:121, -1:122])
+    for side in (1, 8, 64, 384, 512):
+        log_nt = 2.5 * math.log10(float(side) * float(side))
+        assert _meaningful(n, k, log_nt, p).tolist() == frozen_meaningful(n, k, log_nt, p)
+
+
+# ------------------------------------------------------ surrogate gradient
+
+
+def frozen_surrogate_gradient(fp):
+    """surrogate_gradient with AF taken mod pi over the whole grid."""
+    mag = np.maximum(0.0, fp.r - fp.df.data)
+    af = np.mod(fp.af.data, math.pi)
+    theta = af - 0.5 * math.pi
+    theta = np.where(theta <= -0.5 * math.pi, theta + math.pi, theta)
+    return mag, theta
+
+
+AF_SPECIALS = [
+    -0.0,
+    0.0,
+    1e-17,
+    5e-324,
+    -5e-324,
+    float(np.float32(math.pi)),  # above pi, as a float32 file stores pi
+    math.pi,
+    math.nextafter(math.pi, 0.0),
+    0.5 * math.pi,
+    -1e-17,
+    -math.pi,
+    -2.5,
+    3.5,
+    7.0 * math.pi,
+    1e300,
+    -1e300,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    af=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        elements=st.one_of(
+            st.sampled_from(AF_SPECIALS),
+            st.floats(0.0, math.pi, exclude_max=True),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    r=st.sampled_from([0.5, 5.0]),
+)
+def test_surrogate_gradient_matches_the_whole_grid_mod(af, r):
+    """Bit for bit wherever AF lies: in [0, pi), at -0.0 or
+    at values that round to 0 against pi/2, at the float32 value of pi, or
+    outside [0, pi)."""
+    df = np.linspace(0.0, 8.0, af.size).reshape(af.shape)
+    fp = FieldPair(ScalarField(df), ScalarField(af), r)
+    mag, theta = surrogate_gradient(fp)
+    want_mag, want_theta = frozen_surrogate_gradient(fp)
+    assert mag.data.tobytes() == want_mag.tobytes()
+    assert theta.data.tobytes() == want_theta.tobytes()
+    assert af.tobytes() == fp.af.data.tobytes()  # the input is left alone

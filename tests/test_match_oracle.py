@@ -2,12 +2,13 @@
 
 ``oracle_greedy_pairs`` walks the stable argsort of the whole distance
 matrix in Python and claims every pair whose row and column are still
-free, stopping after min(na, nb) claims. The new matcher claims pairs in
-rounds on the rank matrix (every free pair that is the first minimum of
-its row and its column), finishes with the scan on the free entries once
-a round claims few pairs, and returns them in rank order. Both must claim
-the same pairs in the same order on any matrix: exact ties, +-inf and NaN
-entries included, since the ranks carry the scan's tie and NaN order.
+free, stopping after min(na, nb) claims. The new matcher ranks no entry:
+it claims pairs in rounds (every free pair below +inf that is the first
+minimum of its row and its column, NaN read as +inf), finishes with the
+scan on the free entries once a round claims few pairs, and returns them
+by (value, NaN last, flat index). Both must claim the same pairs in the
+same order on any matrix: exact ties, +-inf and NaN entries included,
+and rows and columns that hold only +inf and NaN.
 
 ``oracle_structural_matrix`` is the structural distance before it was
 spelled out per endpoint pair: one (na, nb, 2, 2, 2) difference tensor
@@ -128,6 +129,30 @@ special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, 1.0, -1.0, 1e300]
     )
 )
 def test_matrices_with_inf_and_nan(dist):
+    assert_pairs_match(dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                    elements=st.integers(0, 3).map(float)),
+    fill=st.sampled_from([math.inf, math.nan, "mixed"]),
+    data=st.data(),
+)
+def test_rows_and_columns_without_a_finite_entry(dist, fill, data):
+    """Ties everywhere, and some rows and columns that hold only +inf, only
+    NaN, or both: their first minima are no pairs to claim in a round, and
+    the scan on the free entries must order them inf before NaN, ties by
+    index."""
+    na, nb = dist.shape
+    rows = data.draw(st.lists(st.integers(0, na - 1), max_size=na))
+    cols = data.draw(st.lists(st.integers(0, nb - 1), max_size=nb))
+    for index in ([rows, slice(None)], [slice(None), cols]):
+        part = dist[tuple(index)]
+        if fill == "mixed":
+            dist[tuple(index)] = np.where(np.arange(part.size).reshape(part.shape) % 3, math.inf, math.nan)
+        else:
+            dist[tuple(index)] = fill
     assert_pairs_match(dist)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ class TestRefineJoint:
                 manual[i] = refine_line(manual[i], fp, None, params)
         for m, r in zip(manual, refined):
             assert m.p1 == r.p1 and m.p2 == r.p2
+
+    def test_zero_vp_weight_with_an_unassigned_line_is_silent(self) -> None:
+        # The line without a VP carries the zero vector, whose d_vp is +inf;
+        # a zero weight must not form 0 * inf (a RuntimeWarning). At weight 0
+        # the VP line refines as if it had no VP.
+        segs = [LineSegment((20.0, 20.5), (60.0, 22.5)), LineSegment((30.5, 40.0), (32.5, 60.0))]
+        fp = render_fields([GT_SEG, *segs], 100, 64)
+        rows = _rows([LineSegment((21.0, 21.5), (61.0, 22.0)), LineSegment((31.5, 40.0), (32.0, 60.0))])
+        params = RefineParams(lambda_vp=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = refine._refine_lines(rows, fp, [VanishingPoint([1.0, 0.05, 0.0]), None], params)
+        want = refine._refine_lines(rows, fp, [None, None], params)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_reassociation_uses_the_vp_gate(self, monkeypatch) -> None:
         # The last round re-assigns with vp._T_VP: below it exactly the
