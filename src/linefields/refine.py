@@ -11,8 +11,9 @@ operations and row-wise reductions, so a line refines bit for bit the
 same alone as in any batch. That independence lets an iteration score
 every damping level of every line, and a doubled least-damped step, in
 one call and keep, per line, the lowest-cost row that went downhill.
-Joint refinement alternates line refinement, vanishing point
-re-estimation, and re-association.
+Joint refinement sweeps Gauss-Seidel rounds of single steps: one
+iteration of every line, one of every vanishing point, then
+re-association.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 _LAMBDA_DF = 1.0  # weight of the mean sampled distance
 _LAMBDA_AF = 1.0  # weight of the angular agreement term
 _N_OPT = 10  # samples along the line, endpoints included
-_K_ALTERNATIONS = 5  # joint refinement rounds
+_K_ALTERNATIONS = 8  # joint refinement rounds, one line and one VP iteration each
 _MAX_LATERAL_STEP = 5.0  # per-iteration translation clamp, pixels
 _FD_STEP = 0.05  # central-difference probe size, pixels
 _MAX_ITER = 50  # optimizer iterations per line
@@ -134,7 +135,7 @@ def _batch_costs(
     c_df = np.add.reduce(df_s, axis=1) / _N_OPT
     cost = _LAMBDA_AF * c_af + _LAMBDA_DF * c_df
     if v_vec is not None:
-        # A row without a VP holds the zero vector, whose d_vp is +inf; it is
+        # A row without a VP term (_line_state) may have d_vp = +inf; it is
         # never weighted, so a zero lambda_vp forms no 0 * inf.
         d_vp = _d_vp_columns(mxs, mys, x1, y1, x2, y2, v_vec)
         cost[use_v] += params.lambda_vp * d_vp[use_v]
@@ -145,11 +146,12 @@ def _line_state(
     rows: np.ndarray, vps: Sequence[VanishingPoint | None]
 ) -> tuple[np.ndarray, ...]:
     """Per-line angle, midpoint x and y, half length, VP rows (None when no
-    line has one) and which lines have a VP, of the (n, 4) endpoint rows."""
-    mids, _, _, lengths = _line_arrays(rows)
-    # A missing VP is the zero vector; a VanishingPoint never is.
+    line has one) and which lines have a VP term, of the (n, 4) endpoint rows.
+    A line whose starting d_vp is not finite (a VP on its midpoint) has none,
+    as a line without a VP, the zero vector, has none."""
+    mids, e1, e2, lengths = _line_arrays(rows)
     v_vec = np.array([np.zeros(3) if v is None else v.v for v in vps]).reshape(-1, 3)
-    use_v = v_vec.any(axis=1)
+    use_v = np.isfinite(_d_vp_many(mids, e1, e2, v_vec))
     if not use_v.any():
         v_vec = None
     mx, my = mids.T.copy()
@@ -163,12 +165,15 @@ def _refine_lines(
     vps: Sequence[VanishingPoint | None],
     params: RefineParams,
     tables: np.ndarray | None = None,
+    *,
+    max_iter: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine (n, 4) endpoint rows at once; returns (rows, costs, converged).
 
     Rows whose cost cannot be evaluated come back unchanged. ``vps``
     holds one VanishingPoint or None per line; ``tables`` is
-    _sampling_tables(fp), built here when not given. Each iteration makes
+    _sampling_tables(fp), built here when not given. At most ``max_iter``
+    iterations run (_MAX_ITER, read at call time, when None). Each iteration makes
     two _batch_costs calls: one on the 8 probes of every running line, one
     on the doubled step and all _MAX_BOOSTS damping levels of every line
     that probed inside the field (one _damping_ladder call). Lines are
@@ -195,7 +200,7 @@ def _refine_lines(
     converged = np.zeros(len(rows), dtype=bool)
     active = evaluable
 
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_ITER if max_iter is None else max_iter):
         if active.size == 0:
             break
         nx, ny, dt = -np.sin(theta[active]), np.cos(theta[active]), _PROBE_T * h_t
@@ -265,9 +270,10 @@ def refine_line(
     least-damped step (the kink case of _damping_ladder), so the cost never rises.
     Converged means the last step was below _TOL or gained under float32
     epsilon (_GAIN_GATE) relative, or no step went downhill; a probe leaving
-    the field stops the line unconverged. A given vanishing point always adds
-    its term, however far it lies; association is the caller's choice, as in
-    refine_joint. This runs the batched solver of refine_joint on one line,
+    the field stops the line unconverged. A given vanishing point adds its
+    term however far it lies (association is the caller's choice, as in
+    refine_joint), unless it sits on the line's midpoint, where d_vp is not
+    finite. This runs the batched solver of refine_joint on one line,
     with bitwise the same result.
 
     Returns the refined line; with ``full_output=True`` returns
@@ -284,14 +290,16 @@ def refine_joint(
     fp: FieldPair,
     params: RefineParams | None = None,
 ) -> tuple[list[LineSegment], list[VanishingPoint], VpAssignment]:
-    """Alternate line refinement, VP refinement, and re-association.
+    """Refine lines and vanishing points together, by Gauss-Seidel rounds.
 
     Vanishing points are fitted once up front (fit_vps at seed 0), then
-    _K_ALTERNATIONS rounds run: all lines are refined in one batch (a
-    line's VP term active while it is assigned), the VPs are re-estimated
-    from their assigned lines in one batch, and lines are re-assigned to
-    their closest VP when its d_vp is below vp._T_VP, the gate fit_vps
-    assigns with. Deterministic.
+    _K_ALTERNATIONS rounds run: one LM iteration of all lines in one batch
+    (a line's VP term active while it is assigned), one LM iteration of
+    all VPs against their assigned lines in one batch, and re-association
+    of each line to its closest VP when its d_vp is below vp._T_VP, the
+    gate fit_vps assigns with. Single steps let the coupled lines and VPs
+    move together; driving each block to convergence against the other's
+    stale values costs more and ends no closer. Deterministic.
     """
     params = params or RefineParams()
     n = len(lines)
@@ -303,11 +311,11 @@ def refine_joint(
     tables = _sampling_tables(fp)
     for _ in range(_K_ALTERNATIONS):
         line_vps = [vps[j] if j is not None else None for j in assignment]
-        rows, _, _ = _refine_lines(rows, fp, line_vps, params, tables)
+        rows, _, _ = _refine_lines(rows, fp, line_vps, params, tables, max_iter=1)
         if vps:
             arrays = mids, e1, e2, _ = _line_arrays(rows)
             members = [[i for i in range(n) if assignment[i] == j] for j in range(len(vps))]
-            vecs = _refine_vps(np.array([v.v for v in vps]), arrays, members)[0]
+            vecs = _refine_vps(np.array([v.v for v in vps]), arrays, members, max_iter=1)[0]
             vps = [VanishingPoint(v) for v in vecs]
             dists = _d_vp_many(mids, e1, e2, np.array([v.v for v in vps])[:, None, :])
             closest = np.argmin(dists, axis=0)  # the first closest VP

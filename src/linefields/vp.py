@@ -171,9 +171,11 @@ def _damping_ladder(hess, damp, g, mu, f0, levels, trial):
     return stepped, mu_next, cost[r, row], *(s[r, row] for s in steps)
 
 
-def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequence[Sequence[int]]):
+def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequence[Sequence[int]],
+                *, max_iter: int | None = None):
     """Refine the (m, 3) VPs ``vecs`` at once, VP j against rows members[j] of ``lines``
-    (_line_arrays); returns the vectors, costs and converged flags. Each runs refine_vp's
+    (_line_arrays), for at most ``max_iter`` iterations (_VP_MAX_ITER, read at call time,
+    when None); returns the vectors, costs and converged flags. Each runs refine_vp's
     iteration with its own mu, basis, cost and stopping rules; bases, residuals and
     Jacobian rows are stacked and one _damping_ladder call scores all, while every
     reduction (costs, J^T r, J^T J, norms) runs on one model's own contiguous lines:
@@ -212,7 +214,7 @@ def _refine_vps(vecs: np.ndarray, lines: tuple[np.ndarray, ...], members: Sequen
     mu, converged = np.full(len(cur), 1e-3), np.zeros(len(cur), dtype=bool)
     # A model with under 2 lines, or whose cost cannot be evaluated, stays where it is.
     k = (np.isfinite(cost) & np.array([len(m) >= 2 for m in members], dtype=bool)).nonzero()[0]
-    for _ in range(_VP_MAX_ITER):
+    for _ in range(_VP_MAX_ITER if max_iter is None else max_iter):
         if not k.size:
             break
         if len(k) < len(sub[2]):

@@ -24,7 +24,7 @@ from linefields import (
     render_fields,
 )
 from linefields import refine, vp
-from linefields.geometry import _rows
+from linefields.geometry import _rows, _segments
 from linefields.refine import _batch_costs, _line_state, _sampling_tables
 
 from util_synth import pencil_segments, perturb_segment
@@ -50,7 +50,7 @@ class TestRefineParams:
         assert RefineParams().lambda_vp == 0.2
         fixed = (refine._LAMBDA_DF, refine._LAMBDA_AF, refine._N_OPT, refine._K_ALTERNATIONS,
                  refine._MAX_LATERAL_STEP, refine._FD_STEP, refine._MAX_ITER, refine._TOL)
-        assert fixed == (1.0, 1.0, 10, 5, 5.0, 0.05, 50, 1e-6)
+        assert fixed == (1.0, 1.0, 10, 8, 5.0, 0.05, 50, 1e-6)
         assert refine._TS.tolist() == np.linspace(0.0, 1.0, 10).tolist()
         assert not refine._TS.flags.writeable
 
@@ -241,7 +241,8 @@ class TestRefineJoint:
         assert all(j == 0 for j in assignment)
         assert max(d_vp(r, vps[0]) for r in refined) < 0.5
 
-    def test_zero_vp_weight_matches_sequential_line_refinement(self) -> None:
+    def test_zero_vp_weight_matches_sequential_line_refinement(self, monkeypatch) -> None:
+        # Each round takes one line iteration: refine_line with _MAX_ITER 1.
         rng = np.random.default_rng(51)
         gt = pencil_segments(rng, vp_xy=(1800.0, 128.0), size=256, n=10, half_range=(8.0, 12.0))
         fp = render_fields(gt, 256, 256)
@@ -249,6 +250,7 @@ class TestRefineJoint:
         params = RefineParams(lambda_vp=0.0)
         refined, vps, _ = refine_joint(pert, fp, params)
         assert len(vps) >= 1  # association ran; the weight alone disabled it
+        monkeypatch.setattr(refine, "_MAX_ITER", 1)
         manual = list(pert)
         for _ in range(refine._K_ALTERNATIONS):
             for i in range(len(manual)):
@@ -269,6 +271,30 @@ class TestRefineJoint:
             got = refine._refine_lines(rows, fp, [VanishingPoint([1.0, 0.05, 0.0]), None], params)
         want = refine._refine_lines(rows, fp, [None, None], params)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("lambda_vp", [0.0, 0.2])
+    def test_vp_on_the_midpoint_gives_no_vp_term(self, monkeypatch, lambda_vp) -> None:
+        # The line joining a VP to the midpoint it sits on is undefined, so
+        # d_vp is +inf: the line refines as one without a VP (no 0 * inf at
+        # weight 0, no +inf cost at 0.2), and fit_vps and re-association
+        # leave it unassigned.
+        monkeypatch.setattr(vp, "_MIN_SUPPORT", 2)
+        h = LineSegment((20.5, 30.5), (60.5, 30.5))
+        scene = [h, LineSegment((40.5, 40.5), (40.5, 58.5)), LineSegment((70.5, 30.5), (90.5, 30.5))]
+        fp = render_fields(scene, 100, 64)
+        params = RefineParams(lambda_vp=lambda_vp)
+        rows = _rows([LineSegment((20.5, 31.0), (60.5, 30.0))])  # h turned about its midpoint
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models, assignment = vp.fit_vps(scene)
+            got = refine._refine_lines(rows, fp, models, params)
+            joint = refine_joint(scene, fp, params)
+        assert len(models) == 1 and assignment == [None, 0, 0] and d_vp(h, models[0]) == math.inf
+        want = refine._refine_lines(rows, fp, [None], params)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert np.isfinite(got[1][0]) and got[2][0]
+        assert orthogonal_distance(_segments(got[0])[0], h) < 0.1
+        assert joint[2] == [None, 0, 0] and d_vp(joint[0][0], joint[1][0]) == math.inf
 
     def test_reassociation_uses_the_vp_gate(self, monkeypatch) -> None:
         # The last round re-assigns with vp._T_VP: below it exactly the
@@ -311,3 +337,57 @@ class TestRefineJoint:
         assert vps == []
         assert assignment == [None]
         assert orthogonal_distance(refined[0], GT_SEG) < 0.1
+
+
+# A pencil through a finite VP, for the single-iteration properties below.
+STEP_GT = pencil_segments(np.random.default_rng(71), vp_xy=(300.0, 40.0), size=128, n=6,
+                          half_range=(10.0, 16.0))
+STEP_FP = render_fields(STEP_GT, 128, 128)
+
+
+def step_vp(seg: LineSegment, kind: str) -> VanishingPoint | None:
+    """No VP, one 600 px off along the line ("near") or 0.5 rad off it ("far"), or its midpoint."""
+    if kind == "none":
+        return None
+    mx, my = seg.midpoint
+    if kind == "midpoint":
+        return VanishingPoint([mx, my, 1.0])
+    a = seg.oriented_angle + (0.0 if kind == "near" else 0.5)
+    return VanishingPoint([mx + 600.0 * math.cos(a), my + 600.0 * math.sin(a), 1.0])
+
+
+class TestSingleIteration:
+    """refine_joint takes one line iteration per round (the VP side is
+    test_vp_oracle.py::test_one_iteration_keeps_the_invariants)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["none", "near", "far", "midpoint"]), min_size=1, max_size=6),
+        lambda_vp=st.sampled_from([0.0, 0.2]),
+    )
+    @example(seed=0, kinds=["midpoint", "near"], lambda_vp=0.0)
+    @example(seed=0, kinds=["midpoint", "far"], lambda_vp=0.2)
+    def test_one_line_iteration_keeps_the_invariants(self, seed, kinds, lambda_vp) -> None:
+        # No cost rises, lengths are kept, rows stay finite, a line still
+        # moving is not flagged converged, and a line whose VP sits on its
+        # midpoint steps as one without a VP; no warning on the way.
+        rng = np.random.default_rng(seed)
+        lines = [perturb_segment(STEP_GT[int(rng.integers(len(STEP_GT)))], rng) for _ in kinds]
+        vps = [step_vp(l, k) for l, k in zip(lines, kinds)]
+        rows, params = _rows(lines), RefineParams(lambda_vp=lambda_vp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, start, _ = refine._refine_lines(rows, STEP_FP, vps, params, max_iter=0)
+            out, cost, converged = refine._refine_lines(rows, STEP_FP, vps, params, max_iter=1)
+            bare = refine._refine_lines(rows, STEP_FP, [None] * len(rows), params, max_iter=1)
+        assert np.isfinite(start).all() and np.isfinite(out).all()
+        assert (cost <= start).all()
+        lengths = np.hypot(*(rows[:, 2:] - rows[:, :2]).T)
+        assert np.allclose(np.hypot(*(out[:, 2:] - out[:, :2]).T), lengths, rtol=1e-12, atol=0.0)
+        moved = np.abs(out - rows).max(axis=1)
+        gaining = start - cost >= refine._GAIN_GATE * np.maximum(cost, 1.0)
+        assert not (converged & (moved > 2.0 * refine._TOL) & gaining).any()
+        mid = np.array([k == "midpoint" for k in kinds])
+        assert out[mid].tobytes() == bare[0][mid].tobytes()
+        assert cost[mid].tobytes() == bare[1][mid].tobytes()

@@ -12,9 +12,10 @@ import pytest
 from linefields import LineSegment, RefineParams, cli, refine, render_fields, vp
 from linefields.geometry import _rows
 
-from util_synth import concurrent_lines
+from util_synth import concurrent_lines, pencil_segments, perturb_segment
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "refine_scan.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "refine_scan.py"
 _spec = importlib.util.spec_from_file_location("refine_scan", TOOL)
 refine_scan = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = refine_scan  # dataclasses look their module up there
@@ -31,14 +32,54 @@ def test_counting_counts_iterations_and_restores_names(monkeypatch) -> None:
     gt = LineSegment((20.5, 30.5), (80.5, 30.5))
     fp = render_fields([gt], 100, 64)
     rows = _rows([LineSegment((20.5, 31.5), (80.5, 31.5))])
-    before = (refine._batch_costs, refine._refine_lines, cli._refine_lines, vp._damping_ladder)
+    names = [(refine, "_batch_costs"), (refine, "_refine_lines"), (cli, "_refine_lines"),
+             (vp, "_damping_ladder"), (refine, "refine_joint"), (cli, "refine_joint")]
+    before = [getattr(mod, name) for mod, name in names]
     counts = refine_scan.Counts()
     monkeypatch.setattr(refine, "_MAX_ITER", 2)
     with refine_scan.counting(cli, refine, vp, counts):
         _, cost, _ = refine._refine_lines(rows, fp, [None], RefineParams())
-    assert (refine._batch_costs, refine._refine_lines, cli._refine_lines, vp._damping_ladder) == before
+    assert [getattr(mod, name) for mod, name in names] == before
     assert counts.line_calls == 1 and counts.line_iterations == 2 and counts.max_iter_calls == 1
     assert counts.final_cost == float(cost[0]) and np.isfinite(cost[0])
+    assert counts.joint_rounds == 0  # not called from refine_joint
+
+
+def test_counting_counts_joint_rounds() -> None:
+    # A round of refine_joint is one _refine_lines call of one iteration.
+    rng = np.random.default_rng(51)
+    gt = pencil_segments(rng, vp_xy=(1800.0, 128.0), size=256, n=10, half_range=(8.0, 12.0))
+    fp = render_fields(gt, 256, 256)
+    pert = [perturb_segment(seg, rng) for seg in gt]
+    counts = refine_scan.Counts()
+    with refine_scan.counting(cli, refine, vp, counts):
+        cli.refine_joint(pert, fp, RefineParams())
+    rounds = refine._K_ALTERNATIONS
+    assert counts.joint_rounds == counts.line_calls == counts.line_iterations == rounds
+    counts.scenes = 2
+    row = counts.row("51").split()
+    header = refine_scan.HEADER.split()
+    assert float(row[header.index("it/scene")]) == float(row[header.index("rnd/scene")]) == rounds / 2
+
+
+def test_metrics_are_perfbench_pool_metrics(monkeypatch) -> None:
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+
+    counts = refine_scan.Counts()
+    assert all(np.isnan(v) for v in counts.metrics().values())
+    scenes = [
+        {"repeatability": 1.0, "loc_error_px": 0.1, "refine_err_before": 1.0, "refine_err_after": 0.2,
+         "vp_auc": 0.9},
+        {"repeatability": 0.5, "loc_error_px": 0.3, "refine_err_before": 3.0, "refine_err_after": 0.4,
+         "vp_auc": 0.7},
+    ]
+    other = refine_scan.Counts(accuracy=scenes[1:])
+    counts.accuracy.append(scenes[0])
+    counts.add(other)  # the total row pools the scenes of every seed
+    want = run.accuracy_metrics("vp_refine", scenes)
+    assert counts.metrics() == {"refine_err_ratio": want["refine_err_ratio"], "vp_auc": want["vp_auc"]}
+    assert counts.metrics()["refine_err_ratio"] == pytest.approx(0.15)
 
 
 def test_counting_times_the_layers_and_restores_them() -> None:

@@ -38,6 +38,7 @@ once per round, as a frozen loop of one refine_vp call per model.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -724,14 +725,26 @@ SPECIAL_MODELS = {
 }
 
 
-def assert_batch_matches_alone(models) -> Counter:
-    """_refine_vps on all models at once gives each one the VP bits, cost
-    bits and flag of oracle_refine_vp run on that model alone."""
+def batch(models):
+    """The starts, _line_arrays and members that _refine_vps takes for (start, lines) models."""
     starts = np.array([start.v for start, _ in models])
     lines = [seg for _, group in models for seg in group]
     ends = np.cumsum([len(group) for _, group in models]).tolist()
     members = [range(e - len(group), e) for e, (_, group) in zip(ends, models)]
-    got_v, got_cost, got_conv = _refine_vps(starts, _line_arrays(_rows(lines)), members)
+    return starts, _line_arrays(_rows(lines)), members
+
+
+def model(spec):
+    """A SPECIAL_MODELS name or a random_model tuple as (start, lines)."""
+    if isinstance(spec, str):
+        return SPECIAL_MODELS[spec]()
+    return pencil_with_outliers(spec[0], VP_KINDS[spec[1]], *spec[2:])
+
+
+def assert_batch_matches_alone(models) -> Counter:
+    """_refine_vps on all models at once gives each one the VP bits, cost
+    bits and flag of oracle_refine_vp run on that model alone."""
+    got_v, got_cost, got_conv = _refine_vps(*batch(models))
     seen: Counter = Counter()
     for k, (start, group) in enumerate(models):
         want_v, want_cost, want_conv = oracle_refine_vp(start, group, seen)
@@ -769,11 +782,31 @@ random_model = st.tuples(
 def test_batch_matches_each_model_alone(specs) -> None:
     """Ragged groups of 2-40 lines: zero padding or a shared reduction
     would change some model's bits."""
-    models = [
-        SPECIAL_MODELS[s]() if isinstance(s, str) else pencil_with_outliers(s[0], VP_KINDS[s[1]], *s[2:])
-        for s in specs
-    ]
-    assert_batch_matches_alone(models)
+    assert_batch_matches_alone([model(s) for s in specs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(sorted(SPECIAL_MODELS)) | random_model, min_size=1, max_size=6))
+@example(["nonfinite_start", "first_iteration", "no_downhill", (113, "ideal", 10, 1.5, 1, 1e-2)])
+def test_one_iteration_keeps_the_invariants(specs) -> None:
+    """One _refine_vps iteration, as refine_joint takes per round: no cost
+    rises, every VP stays a finite unit vector, a model still moving is not
+    flagged converged, and one whose start lies on a line's midpoint
+    (cost +inf) stays where it is, unconverged."""
+    starts, arrays, members = batch([model(s) for s in specs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, start_cost, _ = _refine_vps(starts, arrays, members, max_iter=0)
+        vecs, cost, converged = _refine_vps(starts, arrays, members, max_iter=1)
+    assert np.isfinite(vecs).all()
+    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert (cost <= start_cost).all()
+    fin = np.isfinite(start_cost)
+    assert vecs[~fin].tobytes() == starts[~fin].tobytes() and not converged[~fin].any()
+    moved = np.linalg.norm(vecs - starts, axis=1)
+    gain = np.where(fin, start_cost, 0.0) - np.where(fin, cost, 0.0)
+    tol = vp_module._VP_TOL
+    assert not (converged & fin & (moved > 2.0 * tol) & (gain >= tol * np.maximum(cost, 1.0))).any()
 
 
 def test_batch_of_no_models() -> None:
@@ -794,19 +827,22 @@ def test_models_with_under_two_lines_stay_where_they_are() -> None:
 
 
 def frozen_refine_joint(lines, fp, params, seen: Counter):
-    """refine_joint as one refine_vp call per model, on LineSegments of its
-    assigned lines; line refinement is the library's, so both use one gate."""
+    """refine_joint as one single-iteration refine_vp call per model, on
+    LineSegments of its assigned lines; line refinement is the library's
+    single iteration, so both use one gate."""
     n = len(lines)
     vps, assignment = fit_vps(lines)
     rows = _rows(lines)
     for _ in range(refine_module._K_ALTERNATIONS):
         line_vps = [vps[j] if j is not None else None for j in assignment]
-        rows, _, _ = _refine_lines(rows, fp, line_vps, params)
+        rows, _, _ = _refine_lines(rows, fp, line_vps, params, max_iter=1)
         if vps:
             for j in range(len(vps)):
                 members = [i for i in range(n) if assignment[i] == j]
                 if len(members) >= 2:
-                    vps[j] = refine_vp(vps[j], _segments(rows[members]))
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(vp_module, "_VP_MAX_ITER", 1)
+                        vps[j] = refine_vp(vps[j], _segments(rows[members]))
                 else:
                     seen["vp_left_alone"] += 1
             mids, e1, e2, _ = _line_arrays(rows)
@@ -836,7 +872,7 @@ def pencils_scene(seed: int):
 @pytest.mark.parametrize("seed, vp_params", [
     (61, {}),
     (62, {}),
-    (61, {"_T_VP": 0.1, "_MIN_SUPPORT": 2}),  # 8 models, some left with under 2 lines
+    (61, {"_T_VP": 0.2, "_MIN_SUPPORT": 2}),  # 7 models, some left with under 2 lines
 ])
 def test_refine_joint_matches_a_per_model_loop(monkeypatch, seed, vp_params) -> None:
     lines, fp = pencils_scene(seed)

@@ -13,10 +13,17 @@ changes):
 
 - ``_refine_lines`` calls, their iterations ((``_batch_costs`` calls - 1)
   / 2 per call) and the calls that ran ``refine._MAX_ITER`` iterations;
+- line iterations and ``refine_joint`` rounds (its ``_refine_lines``
+  calls) per scene: a round takes one line iteration, so iterations per
+  call alone no longer compare two trees;
 - the summed final cost of each call (its finite costs), averaged per call;
 - VP damping ladders: ``_damping_ladder`` calls made from ``vp.py``
   (line refinement binds its own name) and the model-iterations they held;
 - failed CLI calls;
+- ``refine_err_ratio`` and ``vp_auc`` of the pool, from each completed
+  scene's outputs as ``perfbench/run.py`` computes them (its
+  ``scene_accuracy`` and ``accuracy_metrics``), so a refinement change
+  can be sized without the benchmark; the total row pools all scenes;
 - wall time (``perf_counter``) inside ``_refine_lines``, ``_refine_vps``,
   ``_best_candidate`` and ``fit_vps``. ``fit_vps`` holds its own
   ``_best_candidate`` calls and, through ``refine_vp``, some of the
@@ -34,10 +41,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +58,7 @@ class Counts:
     line_calls: int = 0
     line_iterations: int = 0
     max_iter_calls: int = 0
+    joint_rounds: int = 0  # _refine_lines calls made by refine_joint
     final_cost: float = 0.0  # summed over calls
     vp_ladders: int = 0
     vp_model_iterations: int = 0
@@ -60,25 +69,40 @@ class Counts:
     refine_vps_s: float = 0.0
     best_candidate_s: float = 0.0
     fit_vps_s: float = 0.0
+    # perfbench/run.py's scene_accuracy of each scene whose calls all succeeded
+    accuracy: list = field(default_factory=list)
 
     def add(self, other: Counts) -> None:
         for name, value in asdict(other).items():
             setattr(self, name, getattr(self, name) + value)
 
+    def metrics(self) -> dict[str, float]:
+        """refine_err_ratio and vp_auc as perfbench/run.py pools them (NaN without scenes)."""
+        if not self.accuracy:
+            return {"refine_err_ratio": math.nan, "vp_auc": math.nan}
+        import run  # perfbench/run.py, on the path once scan() has run
+
+        acc = run.accuracy_metrics("vp_refine", self.accuracy)
+        return {name: acc[name] for name in ("refine_err_ratio", "vp_auc")}
+
     def row(self, label: str, time: bool = False) -> str:
-        calls = max(self.line_calls, 1)
+        calls, scenes = max(self.line_calls, 1), max(self.scenes, 1)
         row = (
             f"{label:>7} {self.line_calls:6d} {self.line_iterations / calls:9.2f} "
-            f"{self.max_iter_calls:8d} {self.final_cost / calls:12.5f} {self.vp_ladders:8d} "
-            f"{self.vp_model_iterations:9d} {self.failed:4d} of {self.attempted}"
+            f"{self.max_iter_calls:8d} {self.line_iterations / scenes:9.1f} "
+            f"{self.joint_rounds / scenes:9.2f} {self.final_cost / calls:12.5f} {self.vp_ladders:8d} "
+            f"{self.vp_model_iterations:9d} "
+            + "".join(f"{v:10.5f}" for v in self.metrics().values())
+            + f" {self.failed:4d} of {self.attempted}"
         )
         if time:
-            ms = 1e3 / max(self.scenes, 1)
+            ms = 1e3 / scenes
             row += "".join(f" {getattr(self, name) * ms:8.2f}" for name in TIMED)
         return row
 
 
-HEADER = "   seed  calls  it/call max_iter  cost/call   vp_lad  vp_model failed"
+HEADER = ("   seed  calls  it/call max_iter  it/scene rnd/scene   cost/call   vp_lad  vp_model"
+          " err_ratio    vp_auc failed")
 # The Counts fields that sum the seconds spent in _refine_lines, _refine_vps,
 # _best_candidate and fit_vps.
 TIMED = ("refine_lines_s", "refine_vps_s", "best_candidate_s", "fit_vps_s")
@@ -113,7 +137,8 @@ def timed(field: str, fn, counts: Counts):
 def counting(cli, refine, vp, counts: Counts):
     """Count and time into ``counts`` while inside; restores every wrapped name."""
     batch_costs, refine_lines, ladder = refine._batch_costs, refine._refine_lines, vp._damping_ladder
-    cost_calls = [0]
+    refine_joint = refine.refine_joint
+    cost_calls, in_joint = [0], [False]
 
     def costs(*args, **kwargs):
         cost_calls[0] += 1
@@ -126,8 +151,16 @@ def counting(cli, refine, vp, counts: Counts):
         counts.line_calls += 1
         counts.line_iterations += iterations
         counts.max_iter_calls += iterations == refine._MAX_ITER
+        counts.joint_rounds += in_joint[0]
         counts.final_cost += float(np.sum(out[1][np.isfinite(out[1])]))
         return out
+
+    def joint(*args, **kwargs):
+        in_joint[0] = True
+        try:
+            return refine_joint(*args, **kwargs)
+        finally:
+            in_joint[0] = False
 
     def vp_ladder(hess, damp, g, *args, **kwargs):
         counts.vp_ladders += 1
@@ -141,7 +174,8 @@ def counting(cli, refine, vp, counts: Counts):
              (cli, "_refine_lines", lines), (vp, "_damping_ladder", vp_ladder),
              (refine, "_refine_vps", refine_vps), (vp, "_refine_vps", refine_vps),
              (vp, "_best_candidate", timed("best_candidate_s", vp._best_candidate, counts)),
-             (refine, "fit_vps", fit), (cli, "fit_vps", fit)]
+             (refine, "fit_vps", fit), (cli, "fit_vps", fit),
+             (refine, "refine_joint", joint), (cli, "refine_joint", joint)]
     originals = [(mod, name, getattr(mod, name)) for mod, name, _ in saved]
     try:
         for mod, name, wrapper in saved:
@@ -170,7 +204,9 @@ def scan(seeds: list[int], src: Path) -> dict[int, Counts]:
             pool = scenes.make_scenes("vp_refine", seed, run.POOL["vp_refine"], Path(tmp) / str(seed))
             with counting(cli, refine, vp, counts):
                 for scene in pool:
-                    runner.scene(scene)
+                    _, _, outs, ok = runner.scene(scene)
+                    if ok:
+                        counts.accuracy.append(run.scene_accuracy(scenes, "vp_refine", scene, outs))
             counts.scenes = len(pool)
             counts.failed, counts.attempted = runner.failed - failed, runner.attempted - attempted
             result[seed] = counts
@@ -196,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         print(counts.row(str(seed), args.time))
     print(total.row("total", args.time))
     if args.json:
-        record = {"src": str(args.src), "seeds": {s: asdict(c) for s, c in result.items()}}
+        record = {"src": str(args.src), "seeds": {s: {**asdict(c), **c.metrics()} for s, c in result.items()}}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
